@@ -7,6 +7,7 @@ import time
 import numpy as np
 
 from ..envs.core import ClimateEnv
+from ..envs.rce import ColumnStateError
 from ..nn import NonFiniteError
 from ..records import RunRecord, config_digest
 from ..rollout import Transition
@@ -57,6 +58,10 @@ class Trainer:
         except NonFiniteError as exc:
             self.record.aborted = True
             self.record.abort_reason = f"non-finite value during update: {exc}"
+        except ColumnStateError as exc:
+            self.record.aborted = True
+            self.record.abort_reason = (
+                f"column state at global step {self.global_step + 1}: {exc}")
         self.record.wall_time_s += time.perf_counter() - start
         return self.record
 

@@ -9,18 +9,28 @@ Discretization: levels are layer centers; interfaces sit at midpoints between
 neighbouring levels, with the bottom interface half a spacing below the lowest
 level and the top interface at 0 hPa. Layer mass weights are interface
 pressure differences, and the surface slab participates in the convective
-energy bookkeeping with the equivalent weight C_s * g / (cp * 100) hPa.
+energy bookkeeping with the equivalent weight C_s * g / (cp * 100) hPa. These
+grid constants, and the log pressure ratios of the hydrostatic heights, are
+computed once per ``RcePhysicsParams``, which is frozen for that reason.
 
 The per-step energy budget is exact by construction: summed layer heating
 equals (surface emission - OLR - back radiation), so column + surface enthalpy
 changes by (absorbed shortwave - OLR) * dt each radiation substep, and the
 convective adjustment conserves that enthalpy.
+
+The hard adjustment (Manabe & Strickler 1964) is solved directly. With the
+dry static temperature s = T + gamma * z over (surface, levels), a column is
+stable when s does not decrease upwards, and the adjusted column at fixed
+heights is the mass-weighted isotonic regression of s: one
+pool-adjacent-violators pass. Heights depend on the temperatures, so passes
+repeat with recomputed heights until no adjacent pair is super-critical.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +41,7 @@ __all__ = [
     "RceEnv", "grey_longwave_step", "convective_adjustment", "column_heights",
     "load_observed_profile", "default_observed_profile", "save_observed_profile",
     "export_profile_with_simulated", "standard_atmosphere_temperature",
-    "ProfileFormatError", "mean_squared_profile_error",
+    "ProfileFormatError", "ColumnStateError", "mean_squared_profile_error",
 ]
 
 # 1000..100 hPa in 60 hPa steps, then a refined 10 hPa top level.
@@ -44,9 +54,22 @@ N_LEVELS = 17
 TEMPERATURE_FLOOR = 100.0
 TEMPERATURE_CEILING = 400.0
 
+# Height passes the adjustment may take. Measured: columns along env
+# trajectories settle in at most 5 passes, random 150-380 K columns in at most 8.
+MAX_HEIGHT_PASSES = 100
+
+# An adjacent pair counts as super-critical when its dry static temperatures
+# s = T + gamma * z fall upwards by more than this (K).
+LAPSE_TOLERANCE_K = 1e-12
+
 
 class ProfileFormatError(ValueError):
     """Observed-profile file failed validation."""
+
+
+class ColumnStateError(ValueError):
+    """The column left the states its physics is defined for: a temperature
+    non-finite or outside (100, 400) K, or an adjustment that did not settle."""
 
 
 def _interface_pressures(levels: np.ndarray) -> np.ndarray:
@@ -55,7 +78,36 @@ def _interface_pressures(levels: np.ndarray) -> np.ndarray:
     return np.concatenate([[bottom], mids, [0.0]])
 
 
-@dataclass
+class _ColumnGeometry(NamedTuple):
+    """Constants of the pressure grid that every step reuses."""
+
+    interfaces: np.ndarray       # hPa, read-only
+    layer_dp: np.ndarray         # hPa, read-only
+    weights: tuple[float, ...]   # surface weight, then layer_dp (hPa)
+    r_over_g: float              # m/K
+    log_to_centre: tuple[float, ...]  # ln(bottom interface / level)
+    log_across: tuple[float, ...]     # ln(bottom interface / top interface)
+
+
+def _column_geometry(params: "RcePhysicsParams") -> _ColumnGeometry:
+    levels = params.pressure_levels
+    iface = _interface_pressures(levels)
+    layer_dp = iface[:-1] - iface[1:]
+    to_centre, across = [], []
+    for i in range(N_LEVELS):
+        top = iface[i + 1]
+        if top <= 0:
+            top = levels[i] / 2.0  # top interface at 0 hPa: finite log span
+        to_centre.append(math.log(iface[i] / levels[i]))
+        across.append(math.log(iface[i] / top))
+    iface.flags.writeable = False
+    layer_dp.flags.writeable = False
+    surface = params.surface_heat_capacity * params.g / (params.cp * 100.0)
+    return _ColumnGeometry(iface, layer_dp, (surface, *layer_dp.tolist()),
+                           params.r_gas / params.g, tuple(to_centre), tuple(across))
+
+
+@dataclass(frozen=True)
 class RcePhysicsParams:
     insolation: float = 120.0          # S0/4 of a dim sun: keeps the whole
                                        # action box inside (100, 400) K
@@ -72,27 +124,30 @@ class RcePhysicsParams:
         default_factory=lambda: PRESSURE_LEVELS_HPA.copy())
 
     def __post_init__(self):
-        self.pressure_levels = np.asarray(self.pressure_levels, dtype=np.float64)
-        if self.pressure_levels.size != N_LEVELS:
+        levels = np.array(self.pressure_levels, dtype=np.float64)
+        if levels.size != N_LEVELS:
             raise ValueError(f"need exactly {N_LEVELS} pressure levels")
-        if not np.all(np.diff(self.pressure_levels) < 0):
+        if not np.all(np.diff(levels) < 0):
             raise ValueError("pressure levels must be strictly decreasing")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        # The geometry below is derived from these fields, so none may change.
+        levels.flags.writeable = False
+        object.__setattr__(self, "pressure_levels", levels)
+        object.__setattr__(self, "_geometry", _column_geometry(self))
 
     @property
     def interfaces(self) -> np.ndarray:
-        return _interface_pressures(self.pressure_levels)
+        return self._geometry.interfaces
 
     @property
     def layer_dp(self) -> np.ndarray:
-        iface = self.interfaces
-        return iface[:-1] - iface[1:]
+        return self._geometry.layer_dp
 
     @property
     def surface_weight_hpa(self) -> float:
         """Surface slab expressed as an equivalent pressure thickness."""
-        return self.surface_heat_capacity * self.g / (self.cp * 100.0)
+        return self._geometry.weights[0]
 
     @property
     def absorbed_shortwave(self) -> float:
@@ -115,9 +170,9 @@ class AtmosphericColumn:
     def validate(self) -> None:
         temps = np.concatenate([self.temperatures, [self.surface_temperature]])
         if not np.all(np.isfinite(temps)):
-            raise ValueError("non-finite temperature in column")
+            raise ColumnStateError("non-finite temperature in column")
         if np.any(temps <= TEMPERATURE_FLOOR) or np.any(temps >= TEMPERATURE_CEILING):
-            raise ValueError(
+            raise ColumnStateError(
                 f"temperature outside ({TEMPERATURE_FLOOR}, {TEMPERATURE_CEILING}) K: "
                 f"range [{temps.min():.2f}, {temps.max():.2f}]")
 
@@ -165,7 +220,7 @@ def grey_longwave_step(column: AtmosphericColumn, emissivity: float):
         down[i] = down[i + 1] * (1.0 - eps) + emit[i]
 
     absorbed = eps * (up[:N_LEVELS] + down[1:]) - 2.0 * emit
-    heating = absorbed * p.g / (p.cp * column.params.layer_dp * 100.0)
+    heating = absorbed * p.g / (p.cp * p.layer_dp * 100.0)
     surface_net = p.absorbed_shortwave + down[0] - up[0]
     diagnostics = {
         "olr": up[N_LEVELS],
@@ -182,19 +237,14 @@ def grey_longwave_step(column: AtmosphericColumn, emissivity: float):
 # -- geometry and convection -----------------------------------------------------
 
 
-def _heights_from_lists(t: list[float], params: RcePhysicsParams) -> list[float]:
-    iface = params.interfaces
-    levels = params.pressure_levels
-    r_over_g = params.r_gas / params.g
-    z: list[float] = [0.0] * N_LEVELS
+def _heights_from_lists(t: list[float], geometry: _ColumnGeometry) -> list[float]:
+    r_over_g = geometry.r_over_g
+    z: list[float] = []
     z_bot = 0.0
-    for i in range(N_LEVELS):
-        scale = r_over_g * t[i]
-        z[i] = z_bot + scale * math.log(iface[i] / levels[i])
-        top = iface[i + 1]
-        if top <= 0:
-            top = levels[i] / 2.0  # top interface at 0 hPa: finite log span
-        z_bot = z_bot + scale * math.log(iface[i] / top)
+    for t_i, to_centre, across in zip(t, geometry.log_to_centre, geometry.log_across):
+        scale = r_over_g * t_i
+        z.append(z_bot + scale * to_centre)
+        z_bot = z_bot + scale * across
     return z
 
 
@@ -204,53 +254,65 @@ def column_heights(column: AtmosphericColumn) -> np.ndarray:
     dz = -dp / (rho g) with rho = p / (R T), integrated interface to interface
     using each layer's current temperature.
     """
-    return np.array(_heights_from_lists(column.temperatures.tolist(), column.params))
+    return np.array(_heights_from_lists(column.temperatures.tolist(),
+                                        column.params._geometry))
 
 
-def convective_adjustment(column: AtmosphericColumn, critical_lapse: float,
-                          max_sweeps: int = 100) -> AtmosphericColumn:
-    """Relax every super-critical adjacent pair to the critical lapse rate.
+def _pool_adjacent_violators(values: list[float],
+                             weights: tuple[float, ...]) -> list[tuple[float, float, int]]:
+    """Weighted least-squares non-decreasing fit of ``values``, as blocks.
 
-    Pairs (surface, layer 0) and (layer i, layer i+1) are swept top-down until
-    stable, conserving the mass-weighted mean temperature (surface included
-    with its coupling weight) exactly per pair operation. Heights are
-    recomputed between sweeps of the outer loop since they depend on the
-    temperatures themselves.
+    Returns (sum of weight * value, sum of weight, size) for each run of
+    adjacent points that share one fitted value, bottom first.
+    """
+    blocks: list[tuple[float, float, int]] = []
+    for value, weight in zip(values, weights):
+        total, mass, size = weight * value, weight, 1
+        while blocks and blocks[-1][0] / blocks[-1][1] > total / mass:
+            below_total, below_mass, below_size = blocks.pop()
+            total += below_total
+            mass += below_mass
+            size += below_size
+        blocks.append((total, mass, size))
+    return blocks
+
+
+def convective_adjustment(column: AtmosphericColumn,
+                          critical_lapse: float) -> AtmosphericColumn:
+    """Hard convective adjustment to the critical lapse rate (K/km).
+
+    Over (surface, layer 0, ..., layer 16), with the surface at z = 0 and its
+    coupling weight, s = T + gamma * z must not decrease upwards. Each pass
+    pools adjacent violators at the current heights into blocks at their
+    mass-weighted mean s, then sets T = mean - gamma * z inside each block,
+    which conserves the weighted temperature sum (the column enthalpy). Points
+    in no block keep their exact values, so a stable column is returned
+    unchanged. Heights depend on the temperatures, so passes repeat until no
+    pair is super-critical; ``ColumnStateError`` if that takes more than
+    ``MAX_HEIGHT_PASSES``.
     """
     if not 5.5 <= critical_lapse <= 9.8:
         raise ValueError("critical lapse rate outside [5.5, 9.8] K/km")
     p = column.params
+    geometry = p._geometry
     gamma = critical_lapse / 1000.0  # K/m
-    t = column.temperatures.tolist()
-    ts = float(column.surface_temperature)
-    w = p.layer_dp.tolist()
-    w_surf = p.surface_weight_hpa
+    temps = [float(column.surface_temperature)] + column.temperatures.tolist()
 
-    for _outer in range(max_sweeps):
-        z = _heights_from_lists(t, p)
-        adjusted_any = False
-        for _sweep in range(max_sweeps):
-            changed = False
-            # top-down over (i, i+1), then the surface pair
-            for i in range(N_LEVELS - 2, -1, -1):
-                target_gap = gamma * (z[i + 1] - z[i])
-                if t[i] - t[i + 1] > target_gap + 1e-12:
-                    total = w[i] * t[i] + w[i + 1] * t[i + 1]
-                    t[i] = (total + w[i + 1] * target_gap) / (w[i] + w[i + 1])
-                    t[i + 1] = t[i] - target_gap
-                    changed = True
-            target_gap = gamma * z[0]
-            if ts - t[0] > target_gap + 1e-12:
-                total = w_surf * ts + w[0] * t[0]
-                ts = (total + w[0] * target_gap) / (w_surf + w[0])
-                t[0] = ts - target_gap
-                changed = True
-            if not changed:
-                break
-            adjusted_any = True
-        if not adjusted_any:
-            break
-    return AtmosphericColumn(np.array(t), ts, p)
+    for _ in range(MAX_HEIGHT_PASSES):
+        heights = [0.0] + _heights_from_lists(temps[1:], geometry)
+        s = [t + gamma * z for t, z in zip(temps, heights)]
+        if not any(lower - upper > LAPSE_TOLERANCE_K for lower, upper in zip(s, s[1:])):
+            return AtmosphericColumn(np.array(temps[1:]), temps[0], p)
+        start = 0
+        for total, mass, size in _pool_adjacent_violators(s, geometry.weights):
+            end = start + size
+            if size > 1:
+                mean = total / mass
+                temps[start:end] = [mean - gamma * z for z in heights[start:end]]
+            start = end
+    raise ColumnStateError(
+        f"convective adjustment at {critical_lapse!r} K/km did not settle in "
+        f"{MAX_HEIGHT_PASSES} height passes: range [{min(temps):.2f}, {max(temps):.2f}] K")
 
 
 # -- observed profiles ------------------------------------------------------------

@@ -90,6 +90,28 @@ def test_trainers_run_on_rce(tag):
     assert not rec.aborted
 
 
+class OpaqueStiffRceEnv(RceEnv):
+    """Earth's mean insolation, every action replaced by the corner [1, 9.8]."""
+
+    def __init__(self):
+        super().__init__(RcePhysicsParams(insolation=340.0))
+
+    def _dynamics(self, action):
+        return super()._dynamics(np.array([1.0, 9.8]))
+
+
+@pytest.mark.parametrize("tag", ["ddpg", "reinforce"])
+def test_column_state_error_recorded_as_abort(tag):
+    # The column passes 400 K in env step 58; the run ends with a record.
+    trainer = make_trainer(tag, OpaqueStiffRceEnv(), make_config(tag, total_timesteps=200),
+                           seed=1)
+    rec = trainer.train()
+    assert rec.aborted
+    assert "global step 58" in rec.abort_reason
+    assert "400.0) K: range [" in rec.abort_reason
+    assert rec.entries == []
+
+
 def test_on_policy_consumes_batch_then_discards():
     # PPO holds no replay storage; each iteration builds a fresh batch.
     trainer = short_trainer("ppo", steps=400)

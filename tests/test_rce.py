@@ -1,14 +1,21 @@
 """Column physics: radiation, convective adjustment, profiles, equilibrium shape."""
 
+import dataclasses
+import math
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from climbench.envs import (AtmosphericColumn, PRESSURE_LEVELS_HPA, ProfileFormatError,
-                            RceEnv, RcePhysicsParams, column_heights,
+from climbench.envs import (AtmosphericColumn, ColumnStateError, PRESSURE_LEVELS_HPA,
+                            ProfileFormatError, RceEnv, RcePhysicsParams, column_heights,
                             convective_adjustment, default_observed_profile,
                             export_profile_with_simulated, grey_longwave_step,
                             load_observed_profile, mean_squared_profile_error,
                             save_observed_profile, standard_atmosphere_temperature)
+from climbench.envs import rce
 from climbench.envs.rce import N_LEVELS
 
 PARAMS = RcePhysicsParams()
@@ -161,10 +168,174 @@ def test_post_adjustment_lapse_below_critical_everywhere():
         assert surf_lapse <= gamma + 1e-9
 
 
+def sweep_oracle(col, critical_lapse):
+    """The pairwise sweep the direct solve replaced, with its sweep caps lifted.
+
+    Pairs (layer i, i+1) top-down, then (surface, layer 0), are each set to
+    the critical gap at fixed heights, conserving their weighted sum, until a
+    sweep changes nothing; heights are then recomputed, until a whole pass at
+    new heights changes nothing.
+    """
+    gamma = critical_lapse / 1000.0
+    t = col.temperatures.tolist()
+    ts = float(col.surface_temperature)
+    w = col.params.layer_dp.tolist()
+    w_surf = col.params.surface_weight_hpa
+    for _outer in range(10_000):
+        z = column_heights(make_column(t, ts, col.params)).tolist()
+        adjusted_any = False
+        for _sweep in range(1_000_000):
+            changed = False
+            for i in range(N_LEVELS - 2, -1, -1):
+                gap = gamma * (z[i + 1] - z[i])
+                if t[i] - t[i + 1] > gap + 1e-12:
+                    total = w[i] * t[i] + w[i + 1] * t[i + 1]
+                    t[i] = (total + w[i + 1] * gap) / (w[i] + w[i + 1])
+                    t[i + 1] = t[i] - gap
+                    changed = True
+            gap = gamma * z[0]
+            if ts - t[0] > gap + 1e-12:
+                total = w_surf * ts + w[0] * t[0]
+                ts = (total + w[0] * gap) / (w_surf + w[0])
+                t[0] = ts - gap
+                changed = True
+            if not changed:
+                break
+            adjusted_any = True
+        else:
+            raise AssertionError("sweep oracle did not converge at fixed heights")
+        if not adjusted_any:
+            return np.array(t), ts
+    raise AssertionError("sweep oracle did not converge over height passes")
+
+
+TEMPERATURE = st.floats(150.0, 380.0)
+COLUMNS = st.tuples(st.lists(TEMPERATURE, min_size=N_LEVELS, max_size=N_LEVELS),
+                    TEMPERATURE, st.floats(5.5, 9.8))
+
+
+@given(COLUMNS)
+def test_adjustment_matches_uncapped_sweep_oracle(case):
+    temps, ts, gamma = case
+    col = make_column(temps, ts)
+    out = convective_adjustment(col, gamma)
+    t_ref, ts_ref = sweep_oracle(col, gamma)
+    assert np.max(np.abs(out.temperatures - t_ref)) <= 1e-9
+    assert abs(out.surface_temperature - ts_ref) <= 1e-9
+
+
+def test_adjustment_matches_oracle_along_trajectory():
+    # Columns as the env hands them over: after radiation, before adjustment.
+    env = RceEnv()
+    env.reset(seed=1)
+    p = env.params
+    worst = 0.0
+    for _ in range(60):
+        heating, diag = grey_longwave_step(env.column, 1.0)
+        col = make_column(env.column.temperatures + heating * p.dt,
+                          env.column.surface_temperature
+                          + diag["surface_net_flux"] * p.dt / p.surface_heat_capacity)
+        out = convective_adjustment(col, 5.5)
+        t_ref, ts_ref = sweep_oracle(col, 5.5)
+        worst = max(worst, np.max(np.abs(out.temperatures - t_ref)),
+                    abs(out.surface_temperature - ts_ref))
+        env.step([1.0, 5.5])
+    assert worst <= 1e-9
+
+
+@given(COLUMNS)
+def test_adjustment_properties_on_random_columns(case):
+    temps, ts, gamma = case
+    col = make_column(temps, ts)
+    out = convective_adjustment(col, gamma)
+    w = PARAMS.layer_dp
+    ws = PARAMS.surface_weight_hpa
+    before = float(np.dot(w, col.temperatures)) + ws * col.surface_temperature
+    after = float(np.dot(w, out.temperatures)) + ws * out.surface_temperature
+    assert abs(after - before) <= 1e-12 * abs(before)
+    z = column_heights(out)
+    slack = 1e-9
+    t = out.temperatures
+    assert np.all(t[:-1] - t[1:] <= gamma / 1000.0 * (z[1:] - z[:-1]) + slack)
+    assert out.surface_temperature - t[0] <= gamma / 1000.0 * z[0] + slack
+    again = convective_adjustment(out, gamma)
+    assert np.array_equal(again.temperatures, out.temperatures)
+    assert again.surface_temperature == out.surface_temperature
+
+
+def test_unsettled_adjustment_raises_column_state_error(monkeypatch):
+    # Random unstable columns need at least two height passes to settle.
+    rng = np.random.default_rng(3)
+    col = make_column(rng.uniform(180, 350, N_LEVELS), 350.0)
+    monkeypatch.setattr(rce, "MAX_HEIGHT_PASSES", 1)
+    with pytest.raises(ColumnStateError, match="did not settle"):
+        convective_adjustment(col, 6.5)
+
+
 def test_lapse_rate_out_of_box_rejected():
     col = make_column(np.full(N_LEVELS, 280.0), 280.0)
     with pytest.raises(ValueError):
         convective_adjustment(col, 4.0)
+
+
+# -- grid geometry ------------------------------------------------------------------
+
+
+def uncached_heights(temps, params):
+    """The hydrostatic heights with every log taken afresh from the grid."""
+    levels = params.pressure_levels
+    iface = np.concatenate([[levels[0] + (levels[0] - levels[1]) / 2.0],
+                            (levels[:-1] + levels[1:]) / 2.0, [0.0]])
+    r_over_g = params.r_gas / params.g
+    z = []
+    z_bot = 0.0
+    for i in range(N_LEVELS):
+        scale = r_over_g * temps[i]
+        z.append(z_bot + scale * math.log(iface[i] / levels[i]))
+        top = iface[i + 1] if iface[i + 1] > 0 else levels[i] / 2.0
+        z_bot = z_bot + scale * math.log(iface[i] / top)
+    return z
+
+
+OTHER_LEVELS = np.array([1010., 950., 890., 830., 770., 710., 650., 590., 530., 470.,
+                         410., 350., 290., 230., 170., 110., 20.])
+
+
+def test_cached_geometry_matches_uncached_heights_bit_for_bit():
+    rng = np.random.default_rng(21)
+    other = RcePhysicsParams(pressure_levels=OTHER_LEVELS)
+    for _ in range(200):
+        temps = rng.uniform(150, 380, N_LEVELS)
+        for params in (PARAMS, other):
+            got = column_heights(make_column(temps, 280.0, params)).tolist()
+            assert got == uncached_heights(temps.tolist(), params)
+        assert not np.array_equal(column_heights(make_column(temps, 280.0, other)),
+                                  column_heights(make_column(temps, 280.0)))
+
+
+def test_geometry_survives_pickling():
+    # The tuner ships params to its workers inside pickled trainers.
+    params = RcePhysicsParams(pressure_levels=OTHER_LEVELS, insolation=150.0)
+    clone = pickle.loads(pickle.dumps(params))
+    temps = np.linspace(300, 200, N_LEVELS)
+    assert np.array_equal(column_heights(make_column(temps, 300.0, clone)),
+                          column_heights(make_column(temps, 300.0, params)))
+    assert np.array_equal(clone.layer_dp, params.layer_dp)
+    assert clone.surface_weight_hpa == params.surface_weight_hpa
+
+
+def test_params_cannot_change_under_their_geometry():
+    params = RcePhysicsParams()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.g = 9.0
+    with pytest.raises(ValueError):
+        params.pressure_levels[0] = 990.0
+    with pytest.raises(ValueError):
+        params.layer_dp[0] = 1.0
+    levels = PRESSURE_LEVELS_HPA.copy()
+    RcePhysicsParams(pressure_levels=levels)
+    levels[0] = 990.0  # the caller's array stays theirs to change
+    assert PRESSURE_LEVELS_HPA[0] == 1000.0
 
 
 # -- environment behaviour --------------------------------------------------------
@@ -208,6 +379,16 @@ def test_action_box_corners_stay_inside_temperature_bounds():
             env.step([eps, gam])  # validate() raises if (100, 400) K is left
         t = env.column.temperatures
         assert t.min() > 100.0 and t.max() < 400.0
+
+
+def test_runaway_column_raises_column_state_error_at_step_58():
+    # Earth's mean insolation with an opaque, stiff column passes 400 K.
+    env = RceEnv(RcePhysicsParams(insolation=340.0))
+    env.reset(seed=1)
+    for _ in range(57):
+        env.step([1.0, 9.8])
+    with pytest.raises(ColumnStateError, match="outside"):
+        env.step([1.0, 9.8])
 
 
 def test_fixed_parameters_approach_steady_state():
