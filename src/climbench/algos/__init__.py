@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from ..envs.core import ClimateEnv
-from ..records import RunRecord
 from .base import OffPolicyTrainer, Trainer
-from .config import (ALGORITHM_TAGS, CONFIG_CLASSES, TUNABLE_COUNTS, TUNABLE_FIELDS,
+from .config import (ALGORITHM_TAGS, CONFIG_CLASSES, TUNABLE_FIELDS,
                      BaseConfig, DdpgConfig, DpgConfig, PpoConfig, ReinforceConfig,
                      SacConfig, Td3Config, TqcConfig, TrpoConfig, config_repr,
                      make_config)
@@ -34,52 +33,11 @@ def make_trainer(algorithm: str, env: ClimateEnv, cfg: BaseConfig, seed: int,
     return TRAINER_CLASSES[algorithm](env, cfg, seed, experiment_id)
 
 
-def _train(algorithm: str, env: ClimateEnv, cfg: BaseConfig, seed: int,
-           experiment_id: str = "adhoc") -> tuple[Trainer, RunRecord]:
-    trainer = make_trainer(algorithm, env, cfg, seed, experiment_id)
-    record = trainer.train()
-    return trainer, record
-
-
-def train_reinforce(env, cfg, seed, experiment_id="adhoc"):
-    return _train("reinforce", env, cfg, seed, experiment_id)
-
-
-def train_dpg(env, cfg, seed, experiment_id="adhoc"):
-    return _train("dpg", env, cfg, seed, experiment_id)
-
-
-def train_ddpg(env, cfg, seed, experiment_id="adhoc"):
-    return _train("ddpg", env, cfg, seed, experiment_id)
-
-
-def train_td3(env, cfg, seed, experiment_id="adhoc"):
-    return _train("td3", env, cfg, seed, experiment_id)
-
-
-def train_trpo(env, cfg, seed, experiment_id="adhoc"):
-    return _train("trpo", env, cfg, seed, experiment_id)
-
-
-def train_ppo(env, cfg, seed, experiment_id="adhoc"):
-    return _train("ppo", env, cfg, seed, experiment_id)
-
-
-def train_sac(env, cfg, seed, experiment_id="adhoc"):
-    return _train("sac", env, cfg, seed, experiment_id)
-
-
-def train_tqc(env, cfg, seed, experiment_id="adhoc"):
-    return _train("tqc", env, cfg, seed, experiment_id)
-
-
 __all__ = [
-    "ALGORITHM_TAGS", "TUNABLE_FIELDS", "TUNABLE_COUNTS", "CONFIG_CLASSES",
+    "ALGORITHM_TAGS", "TUNABLE_FIELDS", "CONFIG_CLASSES",
     "TRAINER_CLASSES", "BaseConfig", "ReinforceConfig", "DpgConfig", "DdpgConfig",
     "Td3Config", "PpoConfig", "TrpoConfig", "SacConfig", "TqcConfig", "make_config",
     "make_trainer", "config_repr", "Trainer", "OffPolicyTrainer",
     "ReinforceTrainer", "DpgTrainer", "DdpgTrainer", "Td3Trainer", "TrpoTrainer",
     "PpoTrainer", "SacTrainer", "TqcTrainer",
-    "train_reinforce", "train_dpg", "train_ddpg", "train_td3", "train_trpo",
-    "train_ppo", "train_sac", "train_tqc",
 ]

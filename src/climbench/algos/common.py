@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..envs.core import (BoxSpace, RngStream, STREAM_BUFFER, STREAM_ENV,
-                         STREAM_EXPLORE, STREAM_INIT, STREAM_SHUFFLE)
+from ..envs.core import (BoxSpace, RngStream, STREAM_BUFFER, STREAM_EXPLORE,
+                         STREAM_INIT, STREAM_SHUFFLE)
 from ..nn import Head, Mlp, Tensor, concat
 
 __all__ = ["SeedStreams", "DeterministicPolicy", "GaussianPolicy",

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
-__all__ = ["ALGORITHM_TAGS", "TUNABLE_FIELDS", "TUNABLE_COUNTS", "BaseConfig",
+__all__ = ["ALGORITHM_TAGS", "TUNABLE_FIELDS", "BaseConfig",
            "ReinforceConfig", "DpgConfig", "DdpgConfig", "Td3Config", "PpoConfig",
            "TrpoConfig", "SacConfig", "TqcConfig", "CONFIG_CLASSES", "make_config",
            "config_repr"]
@@ -38,10 +38,6 @@ TUNABLE_FIELDS: dict[str, tuple[str, ...]] = {
             "critic_adam_lr", "alpha_adam_lr", "policy_frequency",
             "target_network_frequency", "actor_critic_layer_size"),
 }
-
-TUNABLE_COUNTS = {"reinforce": 2, "ddpg": 7, "dpg": 4, "td3": 8, "ppo": 6,
-                  "trpo": 6, "sac": 9, "tqc": 10}
-
 
 @dataclass
 class BaseConfig:

@@ -1,97 +1,20 @@
-"""Deterministic-actor trainers: DPG, DDPG, TD3.
+"""Deterministic-actor trainers: DDPG and its two variants, DPG and TD3.
 
-DPG learns from each transition as it happens (no buffer, no target nets);
-DDPG adds the replay buffer and slowly blended target networks; TD3 adds twin
-critics, clipped target-policy smoothing, and delayed actor updates.
+DDPG learns from a replay buffer, bootstraps from slowly blended target
+networks, and moves the actor up the gradient of its critic. DPG is DDPG
+that learns from each transition as it arrives and has no target networks.
+TD3 adds twin critics with a min target, clipped target-policy smoothing,
+and delayed actor updates (Fujimoto et al. 2018).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..nn import Optimizer, Tensor, minimum, soft_update
-from ..rollout import ReplayBuffer, Transition
+from ..nn import Tensor
 from .base import OffPolicyTrainer
-from .common import DeterministicPolicy, QNet
 
-__all__ = ["DpgTrainer", "DdpgTrainer", "Td3Trainer", "deterministic_actor_step"]
-
-
-def deterministic_actor_step(actor: DeterministicPolicy, q_fn, states: np.ndarray,
-                             optimizer: Optimizer) -> float:
-    """One step of gradient ascent on mean_s Q(s, pi(s)).
-
-    ``q_fn`` maps (state Tensor, action Tensor) -> value Tensor, so tests can
-    drive the actor against a hand-built critic.
-    """
-    s = Tensor(states)
-    loss = -q_fn(s, actor.forward(s)).mean()
-    loss.backward()
-    grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
-             for p in actor.parameters()]
-    optimizer.step(grads)
-    for p in actor.parameters():
-        p.grad = None
-    return float(loss.data)
-
-
-def _batched(transition: Transition) -> dict[str, np.ndarray]:
-    return {
-        "s": transition.s[None, :],
-        "a": transition.a[None, :],
-        "r": np.array([transition.r]),
-        "s_next": transition.s_next[None, :],
-        "d": np.array([float(transition.done)]),
-    }
-
-
-class DpgTrainer(OffPolicyTrainer):
-    """Per-transition TD critic + policy-gradient actor; no target networks."""
-
-    algorithm = "dpg"
-
-    def _build(self) -> None:
-        cfg = self.cfg
-        obs_dim = self.env.observation_space.dim
-        init = self.streams.init.generator
-        self.actor = DeterministicPolicy(obs_dim, self.env.action_space,
-                                         cfg.actor_critic_layer_size, init)
-        self.critic = QNet(obs_dim, self.env.action_space.dim,
-                           cfg.actor_critic_layer_size, init)
-        self.actor_opt = Optimizer(self.actor.parameters(), cfg.learning_rate)
-        self.critic_opt = Optimizer(self.critic.parameters(), cfg.learning_rate)
-        self.n_critic_updates = 0
-        self.n_actor_updates = 0
-
-    def select_action(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
-        action = self.actor.act_np(np.asarray(obs))
-        if explore:
-            action = action + self.streams.explore.normal(
-                0.0, self.cfg.exploration_noise, size=action.shape)
-        return self.env.action_space.clip(action)
-
-    def compute_target(self, batch: dict[str, np.ndarray]) -> np.ndarray:
-        a_next = self.actor.act_np(batch["s_next"])
-        q_next = self.critic.q_np(batch["s_next"], a_next)[:, 0]
-        return batch["r"] + self.cfg.gamma * (1.0 - batch["d"]) * q_next
-
-    def _on_transition(self, transition: Transition) -> None:
-        batch = _batched(transition)
-        y = self.compute_target(batch)
-        q = self.critic.q_tensor(Tensor(batch["s"]), Tensor(batch["a"]))
-        critic_loss = ((q - Tensor(y[:, None])) ** 2).mean()
-        self._check_finite_loss(float(critic_loss.data), "dpg critic loss")
-        critic_loss.backward()
-        self.critic_opt.step()
-        self.critic_opt.zero_grad()
-        self.n_critic_updates += 1
-        if self.n_critic_updates % self.cfg.policy_frequency == 0:
-            loss = deterministic_actor_step(
-                self.actor, self.critic.q_tensor, batch["s"], self.actor_opt)
-            self._check_finite_loss(loss, "dpg actor loss")
-            for p in self.critic.parameters():
-                p.grad = None
-            self.n_actor_updates += 1
+__all__ = ["DpgTrainer", "DdpgTrainer", "Td3Trainer"]
 
 
 class DdpgTrainer(OffPolicyTrainer):
@@ -99,104 +22,27 @@ class DdpgTrainer(OffPolicyTrainer):
 
     algorithm = "ddpg"
 
-    def _build(self) -> None:
-        cfg = self.cfg
-        obs_dim = self.env.observation_space.dim
-        act_dim = self.env.action_space.dim
-        init = self.streams.init.generator
-        self.actor = DeterministicPolicy(obs_dim, self.env.action_space,
-                                         cfg.actor_critic_layer_size, init)
-        self.critic = QNet(obs_dim, act_dim, cfg.actor_critic_layer_size, init)
-        self.target_actor = DeterministicPolicy(obs_dim, self.env.action_space,
-                                                cfg.actor_critic_layer_size, init)
-        self.target_critic = QNet(obs_dim, act_dim, cfg.actor_critic_layer_size, init)
-        soft_update(self.target_actor.parameters(), self.actor.parameters(), 1.0)
-        soft_update(self.target_critic.parameters(), self.critic.parameters(), 1.0)
-        self.actor_opt = Optimizer(self.actor.parameters(), cfg.learning_rate)
-        self.critic_opt = Optimizer(self.critic.parameters(), cfg.learning_rate)
-        # a run can never store more transitions than its step budget
-        capacity = max(1, min(cfg.buffer_size, cfg.total_timesteps))
-        self.buffer = ReplayBuffer(capacity, obs_dim, act_dim, self.streams.buffer)
-        self.n_critic_updates = 0
-        self.n_actor_updates = 0
-
-    def select_action(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
-        action = self.actor.act_np(np.asarray(obs))
-        if explore:
-            action = action + self.streams.explore.normal(
-                0.0, self.cfg.exploration_noise, size=action.shape)
-        return self.env.action_space.clip(action)
-
     def compute_target(self, batch: dict[str, np.ndarray]) -> np.ndarray:
-        a_next = self.target_actor.act_np(batch["s_next"])
-        q_next = self.target_critic.q_np(batch["s_next"], a_next)[:, 0]
+        q_next = self.min_target_q(batch["s_next"],
+                                   self.target_actor.act_np(batch["s_next"]))
         return batch["r"] + self.cfg.gamma * (1.0 - batch["d"]) * q_next
 
-    def _update_critic(self, batch: dict[str, np.ndarray]) -> None:
-        y = self.compute_target(batch)
-        q = self.critic.q_tensor(Tensor(batch["s"]), Tensor(batch["a"]))
-        loss = ((q - Tensor(y[:, None])) ** 2).mean()
-        self._check_finite_loss(float(loss.data), "ddpg critic loss")
-        loss.backward()
-        self.critic_opt.step()
-        self.critic_opt.zero_grad()
-        self.n_critic_updates += 1
-
-    def _on_transition(self, transition: Transition) -> None:
-        self.buffer.push(transition)
-        if self.global_step < self.cfg.learning_starts:
-            return
-        batch = self.buffer.sample(min(self.cfg.batch_size, len(self.buffer)))
-        self._update_critic(batch)
-        if self.n_critic_updates % self.cfg.policy_frequency == 0:
-            loss = deterministic_actor_step(
-                self.actor, self.critic.q_tensor, batch["s"], self.actor_opt)
-            self._check_finite_loss(loss, "ddpg actor loss")
-            for p in self.critic.parameters():
-                p.grad = None
-            self.n_actor_updates += 1
-            soft_update(self.target_actor.parameters(), self.actor.parameters(),
-                        self.cfg.tau)
-            soft_update(self.target_critic.parameters(), self.critic.parameters(),
-                        self.cfg.tau)
+    def actor_value(self, s: Tensor, action: Tensor) -> Tensor:
+        return self.critics[0].q_tensor(s, action)
 
 
-class Td3Trainer(OffPolicyTrainer):
+class DpgTrainer(DdpgTrainer):
+    """Per-transition TD critic + policy-gradient actor; no target networks."""
+
+    algorithm = "dpg"
+    per_transition = True
+
+
+class Td3Trainer(DdpgTrainer):
     """Twin critics, clipped target-policy smoothing, delayed actor updates."""
 
     algorithm = "td3"
-
-    def _build(self) -> None:
-        cfg = self.cfg
-        obs_dim = self.env.observation_space.dim
-        act_dim = self.env.action_space.dim
-        init = self.streams.init.generator
-        self.actor = DeterministicPolicy(obs_dim, self.env.action_space,
-                                         cfg.actor_critic_layer_size, init)
-        self.critics = [QNet(obs_dim, act_dim, cfg.actor_critic_layer_size, init)
-                        for _ in range(2)]
-        self.target_actor = DeterministicPolicy(obs_dim, self.env.action_space,
-                                                cfg.actor_critic_layer_size, init)
-        self.target_critics = [QNet(obs_dim, act_dim, cfg.actor_critic_layer_size, init)
-                               for _ in range(2)]
-        soft_update(self.target_actor.parameters(), self.actor.parameters(), 1.0)
-        for tc, c in zip(self.target_critics, self.critics):
-            soft_update(tc.parameters(), c.parameters(), 1.0)
-        self.actor_opt = Optimizer(self.actor.parameters(), cfg.learning_rate)
-        critic_params = [p for c in self.critics for p in c.parameters()]
-        self.critic_opt = Optimizer(critic_params, cfg.learning_rate)
-        # a run can never store more transitions than its step budget
-        capacity = max(1, min(cfg.buffer_size, cfg.total_timesteps))
-        self.buffer = ReplayBuffer(capacity, obs_dim, act_dim, self.streams.buffer)
-        self.n_critic_updates = 0
-        self.n_actor_updates = 0
-
-    def select_action(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
-        action = self.actor.act_np(np.asarray(obs))
-        if explore:
-            action = action + self.streams.explore.normal(
-                0.0, self.cfg.exploration_noise, size=action.shape)
-        return self.env.action_space.clip(action)
+    n_critics = 2
 
     def smoothed_target_actions(self, s_next: np.ndarray) -> np.ndarray:
         cfg = self.cfg
@@ -206,34 +52,6 @@ class Td3Trainer(OffPolicyTrainer):
         return self.env.action_space.clip(self.target_actor.act_np(s_next) + noise)
 
     def compute_target(self, batch: dict[str, np.ndarray]) -> np.ndarray:
-        a_next = self.smoothed_target_actions(batch["s_next"])
-        q_next = np.minimum(
-            self.target_critics[0].q_np(batch["s_next"], a_next)[:, 0],
-            self.target_critics[1].q_np(batch["s_next"], a_next)[:, 0])
+        q_next = self.min_target_q(batch["s_next"],
+                                   self.smoothed_target_actions(batch["s_next"]))
         return batch["r"] + self.cfg.gamma * (1.0 - batch["d"]) * q_next
-
-    def _on_transition(self, transition: Transition) -> None:
-        cfg = self.cfg
-        self.buffer.push(transition)
-        if self.global_step < cfg.learning_starts:
-            return
-        batch = self.buffer.sample(min(cfg.batch_size, len(self.buffer)))
-        y = Tensor(self.compute_target(batch)[:, None])
-        s, a = Tensor(batch["s"]), Tensor(batch["a"])
-        loss = ((self.critics[0].q_tensor(s, a) - y) ** 2).mean() \
-            + ((self.critics[1].q_tensor(s, a) - y) ** 2).mean()
-        self._check_finite_loss(float(loss.data), "td3 critic loss")
-        loss.backward()
-        self.critic_opt.step()
-        self.critic_opt.zero_grad()
-        self.n_critic_updates += 1
-        if self.n_critic_updates % cfg.policy_frequency == 0:
-            actor_loss = deterministic_actor_step(
-                self.actor, self.critics[0].q_tensor, batch["s"], self.actor_opt)
-            self._check_finite_loss(actor_loss, "td3 actor loss")
-            for p in self.critics[0].parameters():
-                p.grad = None
-            self.n_actor_updates += 1
-            soft_update(self.target_actor.parameters(), self.actor.parameters(), cfg.tau)
-            for tc, c in zip(self.target_critics, self.critics):
-                soft_update(tc.parameters(), c.parameters(), cfg.tau)

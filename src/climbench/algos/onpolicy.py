@@ -19,7 +19,7 @@ import numpy as np
 from ..nn import Mlp, Optimizer, Tensor, clip_grad_norm, minimum
 from ..rollout import TrajectoryBatch
 from .base import Trainer
-from .common import GaussianPolicy, LOG_2PI, hidden_layers
+from .common import GaussianPolicy, hidden_layers
 
 __all__ = ["PpoTrainer", "TrpoTrainer", "conjugate_gradient", "flat_params",
            "set_flat_params", "flat_grads"]

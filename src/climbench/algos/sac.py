@@ -1,114 +1,39 @@
-"""Soft actor-critic: twin critics, squashed-Gaussian actor, tuned entropy."""
+"""Soft actor-critic: twin critics, squashed-Gaussian actor, tuned entropy.
+
+The targets bootstrap from the current actor's sampled next actions, its
+log-probabilities scaled by the entropy coefficient alpha, and the minimum of
+two target critics; the actor maximizes that minimum at its reparameterized
+sample minus the entropy penalty. The shared core tunes alpha towards an
+entropy of -dim(action).
+"""
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
-from ..nn import Optimizer, Tensor, minimum, soft_update
-from ..rollout import ReplayBuffer, Transition
+from ..nn import Tensor, minimum
 from .base import OffPolicyTrainer
-from .common import QNet, SquashedGaussianPolicy
 
 __all__ = ["SacTrainer"]
 
 
 class SacTrainer(OffPolicyTrainer):
     algorithm = "sac"
-
-    def _build(self) -> None:
-        cfg = self.cfg
-        obs_dim = self.env.observation_space.dim
-        act_dim = self.env.action_space.dim
-        init = self.streams.init.generator
-        self.actor = SquashedGaussianPolicy(obs_dim, self.env.action_space,
-                                            cfg.actor_critic_layer_size, init)
-        self.critics = [QNet(obs_dim, act_dim, cfg.actor_critic_layer_size, init)
-                        for _ in range(2)]
-        self.target_critics = [QNet(obs_dim, act_dim, cfg.actor_critic_layer_size, init)
-                               for _ in range(2)]
-        for tc, c in zip(self.target_critics, self.critics):
-            soft_update(tc.parameters(), c.parameters(), 1.0)
-        self.actor_opt = Optimizer(self.actor.parameters(), cfg.policy_lr)
-        critic_params = [p for c in self.critics for p in c.parameters()]
-        self.critic_opt = Optimizer(critic_params, cfg.q_lr)
-        self.log_alpha = Tensor(np.array([np.log(cfg.alpha)]), requires_grad=True)
-        # The entropy coefficient follows the q-network learning rate.
-        self.alpha_opt = Optimizer([self.log_alpha], cfg.q_lr)
-        self.target_entropy = -float(act_dim)
-        # a run can never store more transitions than its step budget
-        capacity = max(1, min(cfg.buffer_size, cfg.total_timesteps))
-        self.buffer = ReplayBuffer(capacity, obs_dim, act_dim, self.streams.buffer)
-        self.n_critic_updates = 0
-        self.n_actor_updates = 0
-
-    @property
-    def alpha(self) -> float:
-        return float(np.exp(self.log_alpha.data[0]))
-
-    def select_action(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
-        action = self.actor.sample_np(np.asarray(obs),
-                                      self.streams.explore if explore else None,
-                                      deterministic=not explore)
-        return self.env.action_space.clip(action)
+    stochastic_actor = True
+    n_critics = 2
+    # The entropy coefficient follows the q-network learning rate.
+    lr_fields = ("policy_lr", "q_lr", "q_lr")
 
     def compute_target(self, batch: dict[str, np.ndarray],
                        alpha: float | None = None) -> np.ndarray:
         alpha = self.alpha if alpha is None else alpha
         a_next, logp_next = self.actor.sample_with_log_prob_np(
             batch["s_next"], self.streams.explore)
-        q_next = np.minimum(
-            self.target_critics[0].q_np(batch["s_next"], a_next)[:, 0],
-            self.target_critics[1].q_np(batch["s_next"], a_next)[:, 0])
+        q_next = self.min_target_q(batch["s_next"], a_next)
         return batch["r"] + self.cfg.gamma * (1.0 - batch["d"]) * (
             q_next - alpha * logp_next)
 
-    def _update_critics(self, batch: dict[str, np.ndarray]) -> None:
-        y = Tensor(self.compute_target(batch)[:, None])
-        s, a = Tensor(batch["s"]), Tensor(batch["a"])
-        loss = ((self.critics[0].q_tensor(s, a) - y) ** 2).mean() \
-            + ((self.critics[1].q_tensor(s, a) - y) ** 2).mean()
-        self._check_finite_loss(float(loss.data), "sac critic loss")
-        loss.backward()
-        self.critic_opt.step()
-        self.critic_opt.zero_grad()
-        self.n_critic_updates += 1
-
-    def _update_actor_and_alpha(self, batch: dict[str, np.ndarray]) -> None:
-        cfg = self.cfg
-        s = Tensor(batch["s"])
-        xi = self.streams.explore.normal(size=(batch["s"].shape[0],
-                                               self.env.action_space.dim))
-        action, logp = self.actor.rsample_tensor(s, xi)
-        q = minimum(self.critics[0].q_tensor(s, action),
-                    self.critics[1].q_tensor(s, action)).reshape(-1)
-        actor_loss = (logp * self.alpha - q).mean()
-        self._check_finite_loss(float(actor_loss.data), "sac actor loss")
-        actor_loss.backward()
-        actor_grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
-                       for p in self.actor.parameters()]
-        self.actor_opt.step(actor_grads)
-        for p in self.actor.parameters() + [q2 for c in self.critics
-                                            for q2 in c.parameters()]:
-            p.grad = None
-        self.actor.net.clamp_log_std()
-        self.n_actor_updates += 1
-        if cfg.autotune_alpha:
-            logp_value = logp.data  # constant w.r.t. alpha
-            alpha_loss = (self.log_alpha.exp()
-                          * Tensor(logp_value + self.target_entropy)).mean() * (-1.0)
-            alpha_loss.backward()
-            self.alpha_opt.step()
-            self.alpha_opt.zero_grad()
-
-    def _on_transition(self, transition: Transition) -> None:
-        cfg = self.cfg
-        self.buffer.push(transition)
-        if self.global_step < cfg.learning_starts:
-            return
-        batch = self.buffer.sample(min(cfg.batch_size, len(self.buffer)))
-        self._update_critics(batch)
-        if self.n_critic_updates % cfg.policy_frequency == 0:
-            self._update_actor_and_alpha(batch)
-        if self.n_critic_updates % cfg.target_network_frequency == 0:
-            for tc, c in zip(self.target_critics, self.critics):
-                soft_update(tc.parameters(), c.parameters(), cfg.tau)
+    def actor_value(self, s: Tensor, action: Tensor) -> Tensor:
+        return reduce(minimum, [c.q_tensor(s, action) for c in self.critics]).reshape(-1)

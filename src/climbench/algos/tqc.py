@@ -1,22 +1,24 @@
-"""Truncated quantile critics: distributional twin of SAC.
+"""Truncated quantile critics: SAC with distributional critics.
 
 Each of the N_c critics outputs N_q quantiles at the fractions
 tau_k = (2k-1)/(2 N_q). Targets pool every target critic's quantiles at the
 next state, sort them, drop the largest n_drop_per_critic * N_c, and shift by
 the entropy term; every critic then regresses the shared truncated target set
 under the quantile Huber loss. The actor maximizes the mean over all critics'
-mean quantiles minus the entropy penalty.
+mean quantiles minus the entropy penalty (Kuznetsov et al. 2020). The shared
+off-policy core runs the schedule, the actor step and the alpha tuning; this
+module supplies the targets, the loss and the actor's value.
 """
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
+
 import numpy as np
 
-from ..nn import Optimizer, Tensor
-from ..nn.optim import soft_update
-from ..rollout import ReplayBuffer, Transition
+from ..nn import Tensor
 from .base import OffPolicyTrainer
-from .common import QNet, SquashedGaussianPolicy
 
 __all__ = ["TqcTrainer", "quantile_huber_loss", "truncated_quantile_loss",
            "quantile_fractions"]
@@ -31,8 +33,8 @@ def quantile_huber_loss(u: Tensor, tau: np.ndarray, kappa: float = 1.0) -> Tenso
     """rho_tau(u) = |tau - 1{u<0}| * L_kappa(u), elementwise.
 
     ``u`` is (batch, n_quantiles, n_targets) of residuals target - predicted;
-    ``tau`` broadcasts along the quantile axis. Fused into one graph node:
-    these arrays are the largest in any update.
+    ``tau`` broadcasts along the quantile axis. The tests check
+    ``truncated_quantile_loss`` against this elementwise form.
     """
     data = u.data
     abs_u = np.abs(data)
@@ -79,46 +81,23 @@ def truncated_quantile_loss(q: Tensor, targets: np.ndarray, tau: np.ndarray,
 
 class TqcTrainer(OffPolicyTrainer):
     algorithm = "tqc"
-
-    def _build(self) -> None:
-        cfg = self.cfg
-        obs_dim = self.env.observation_space.dim
-        act_dim = self.env.action_space.dim
-        init = self.streams.init.generator
-        self.actor = SquashedGaussianPolicy(obs_dim, self.env.action_space,
-                                            cfg.actor_critic_layer_size, init)
-        self.critics = [QNet(obs_dim, act_dim, cfg.actor_critic_layer_size, init,
-                             out_dim=cfg.n_quantiles) for _ in range(cfg.n_critics)]
-        self.target_critics = [QNet(obs_dim, act_dim, cfg.actor_critic_layer_size,
-                                    init, out_dim=cfg.n_quantiles)
-                               for _ in range(cfg.n_critics)]
-        for tc, c in zip(self.target_critics, self.critics):
-            soft_update(tc.parameters(), c.parameters(), 1.0)
-        self.actor_opt = Optimizer(self.actor.parameters(), cfg.actor_adam_lr)
-        critic_params = [p for c in self.critics for p in c.parameters()]
-        self.critic_opt = Optimizer(critic_params, cfg.critic_adam_lr)
-        self.log_alpha = Tensor(np.array([np.log(cfg.alpha)]), requires_grad=True)
-        self.alpha_opt = Optimizer([self.log_alpha], cfg.alpha_adam_lr)
-        self.target_entropy = -float(act_dim)
-        self.fractions = quantile_fractions(cfg.n_quantiles)[None, :, None]
-        # a run can never store more transitions than its step budget
-        capacity = max(1, min(cfg.buffer_size, cfg.total_timesteps))
-        self.buffer = ReplayBuffer(capacity, obs_dim, act_dim, self.streams.buffer)
-        self.n_critic_updates = 0
-        self.n_actor_updates = 0
+    stochastic_actor = True
+    lr_fields = ("actor_adam_lr", "critic_adam_lr", "alpha_adam_lr")
 
     @property
-    def alpha(self) -> float:
-        return float(np.exp(self.log_alpha.data[0]))
+    def n_critics(self) -> int:
+        return self.cfg.n_critics
 
-    def select_action(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
-        action = self.actor.sample_np(np.asarray(obs),
-                                      self.streams.explore if explore else None,
-                                      deterministic=not explore)
-        return self.env.action_space.clip(action)
+    @property
+    def critic_width(self) -> int:
+        return self.cfg.n_quantiles
 
-    def truncated_target_quantiles(self, batch: dict[str, np.ndarray],
-                                   alpha: float | None = None) -> np.ndarray:
+    def _build(self) -> None:
+        super()._build()
+        self.fractions = quantile_fractions(self.cfg.n_quantiles)[None, :, None]
+
+    def compute_target(self, batch: dict[str, np.ndarray],
+                       alpha: float | None = None) -> np.ndarray:
         """Pooled, sorted, truncated target quantiles y of shape (B, kept)."""
         cfg = self.cfg
         alpha = self.alpha if alpha is None else alpha
@@ -132,60 +111,11 @@ class TqcTrainer(OffPolicyTrainer):
         shifted = kept - alpha * logp_next[:, None]
         return batch["r"][:, None] + cfg.gamma * (1.0 - batch["d"][:, None]) * shifted
 
-    def _update_critics(self, batch: dict[str, np.ndarray]) -> None:
-        y = self.truncated_target_quantiles(batch)        # (B, kept)
-        s, a = Tensor(batch["s"]), Tensor(batch["a"])
-        loss = None
-        for critic in self.critics:
-            q = critic.q_tensor(s, a)
-            term = truncated_quantile_loss(q, y, self.fractions)
-            loss = term if loss is None else loss + term
-        self._check_finite_loss(float(loss.data), "tqc critic loss")
-        loss.backward()
-        self.critic_opt.step()
-        self.critic_opt.zero_grad()
-        self.n_critic_updates += 1
+    def critic_loss(self, q: Tensor, y: np.ndarray) -> Tensor:
+        return truncated_quantile_loss(q, y, self.fractions)
 
-    def _update_actor_and_alpha(self, batch: dict[str, np.ndarray]) -> None:
-        cfg = self.cfg
-        s = Tensor(batch["s"])
-        xi = self.streams.explore.normal(size=(batch["s"].shape[0],
-                                               self.env.action_space.dim))
-        action, logp = self.actor.rsample_tensor(s, xi)
-        q_mean = None
-        for critic in self.critics:
-            term = critic.q_tensor(s, action).mean(axis=1)
-            q_mean = term if q_mean is None else q_mean + term
-        q_mean = q_mean * (1.0 / cfg.n_critics)
-        actor_loss = (logp * self.alpha - q_mean).mean()
-        self._check_finite_loss(float(actor_loss.data), "tqc actor loss")
-        actor_loss.backward()
-        actor_grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
-                       for p in self.actor.parameters()]
-        self.actor_opt.step(actor_grads)
-        for c in self.critics:
-            for p in c.parameters():
-                p.grad = None
-        for p in self.actor.parameters():
-            p.grad = None
-        self.actor.net.clamp_log_std()
-        self.n_actor_updates += 1
-        if cfg.autotune_alpha:
-            alpha_loss = (self.log_alpha.exp()
-                          * Tensor(logp.data + self.target_entropy)).mean() * (-1.0)
-            alpha_loss.backward()
-            self.alpha_opt.step()
-            self.alpha_opt.zero_grad()
-
-    def _on_transition(self, transition: Transition) -> None:
-        cfg = self.cfg
-        self.buffer.push(transition)
-        if self.global_step < cfg.learning_starts:
-            return
-        batch = self.buffer.sample(min(cfg.batch_size, len(self.buffer)))
-        self._update_critics(batch)
-        if self.n_critic_updates % cfg.policy_frequency == 0:
-            self._update_actor_and_alpha(batch)
-        if self.n_critic_updates % cfg.target_network_frequency == 0:
-            for tc, c in zip(self.target_critics, self.critics):
-                soft_update(tc.parameters(), c.parameters(), cfg.tau)
+    def actor_value(self, s: Tensor, action: Tensor) -> Tensor:
+        """The mean over all critics of each critic's mean quantile."""
+        total = reduce(operator.add, [c.q_tensor(s, action).mean(axis=1)
+                                      for c in self.critics])
+        return total * (1.0 / self.cfg.n_critics)

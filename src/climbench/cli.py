@@ -13,10 +13,9 @@ from pathlib import Path
 
 from .algos.config import ALGORITHM_TAGS
 from .configio import parse_config_file, parse_seeds
-from .evalharness import (aggregate_scores, confidence_curves, delta_from_final,
-                          frequency_table, n_to_threshold, rank_algorithms,
-                          threshold_for_experiment, top1_table, top3_lists,
-                          variance_after_threshold)
+from .evalharness import (confidence_curves, delta_from_final, frequency_table,
+                          n_to_threshold, rank_algorithms, threshold_for_experiment,
+                          top1_table, top3_lists, variance_after_threshold)
 from .experiments import EXPERIMENTS, experiment_spec, run_experiment_suite
 from .records import load_records_dir
 from .tuner import tune_algorithm
@@ -209,19 +208,15 @@ def cmd_evaluate(args) -> int:
             _fmt(variance_after_threshold(rec, spec)),
             _fmt(delta_from_final(rec, spec)),
         ]))
-    grouped: dict[tuple[str, str], list] = {}
-    for rec in records:
-        grouped.setdefault((rec.experiment_id, rec.algorithm), []).append(rec)
     lines.append("")
     lines.append("experiment_id,algorithm,seeds,median_n_to_threshold,"
                  "mean_variance,mean_delta")
-    for (experiment_id, algo), recs in sorted(grouped.items()):
-        spec = threshold_for_experiment(experiment_id)
-        agg = aggregate_scores(recs, spec)
-        lines.append(",".join([
-            experiment_id, algo, str(agg.seeds),
-            _fmt(agg.median_n_to_threshold), _fmt(agg.mean_variance),
-            _fmt(agg.mean_delta)]))
+    for experiment_id, scores in rank_algorithms(records).items():
+        for agg in sorted(scores, key=lambda s: s.algorithm):
+            lines.append(",".join([
+                experiment_id, agg.algorithm, str(agg.seeds),
+                _fmt(agg.median_n_to_threshold), _fmt(agg.mean_variance),
+                _fmt(agg.mean_delta)]))
     text = "\n".join(lines) + "\n"
     print(text, end="")
     if args.out:

@@ -65,9 +65,6 @@ class BoxSpace:
         return x.shape == self.low.shape and bool(
             np.all(x >= self.low) and np.all(x <= self.high))
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(self.low, self.high)
-
 
 @dataclass
 class StepResult:
@@ -91,9 +88,6 @@ class RngStream:
         key = np.array([self.seed & 0xFFFFFFFFFFFFFFFF,
                         self.stream & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
         self.generator = np.random.Generator(np.random.Philox(key=key))
-
-    def spawn(self, stream: int) -> "RngStream":
-        return RngStream(self.seed, stream)
 
     def normal(self, loc=0.0, scale=1.0, size=None):
         return self.generator.normal(loc, scale, size)

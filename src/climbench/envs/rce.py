@@ -107,7 +107,9 @@ def _column_geometry(params: "RcePhysicsParams") -> _ColumnGeometry:
                            params.r_gas / params.g, tuple(to_centre), tuple(across))
 
 
-@dataclass(frozen=True)
+# eq=False: field-wise equality would compare the pressure_levels arrays, whose
+# truth value numpy refuses; params compare and hash by identity.
+@dataclass(frozen=True, eq=False)
 class RcePhysicsParams:
     insolation: float = 120.0          # S0/4 of a dim sun: keeps the whole
                                        # action box inside (100, 400) K

@@ -30,7 +30,7 @@ __all__ = [
     "AggregateScore", "aggregate_scores", "rank_algorithms", "frequency_table",
     "top1_table", "REFERENCE_TOP3_BIASCORR", "REFERENCE_TOP3_RCE",
     "REFERENCE_TOP3_FREQUENCIES", "REFERENCE_TOP1_FREQUENCIES",
-    "confidence_curves", "state_action_correlation",
+    "confidence_curves",
 ]
 
 
@@ -243,9 +243,3 @@ def confidence_curves(records: list[RunRecord], bucket_width: int | None = None)
         out[algo] = rows
     return out
 
-
-def state_action_correlation(observations: np.ndarray, actions: np.ndarray) -> float:
-    """Pearson correlation between scalar states and the actions they provoked."""
-    obs = np.asarray(observations).reshape(len(observations), -1)[:, 0]
-    act = np.asarray(actions).reshape(len(actions), -1)[:, 0]
-    return float(np.corrcoef(obs, act)[0, 1])

@@ -21,7 +21,6 @@ __all__ = [
     "concat",
     "minimum",
     "maximum",
-    "where",
 ]
 
 
@@ -371,15 +370,3 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
 
     return Tensor._from_op(np.where(mask, a.data, b.data), (a, b), backward)
 
-
-def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    """Select elementwise by a boolean array (no gradient through condition)."""
-    cond = np.asarray(condition, dtype=bool)
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate_fresh(_unbroadcast(np.where(cond, g, 0.0), a.data.shape))
-        if b.requires_grad:
-            b._accumulate_fresh(_unbroadcast(np.where(cond, 0.0, g), b.data.shape))
-
-    return Tensor._from_op(np.where(cond, a.data, b.data), (a, b), backward)

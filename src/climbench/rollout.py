@@ -10,8 +10,6 @@ from .envs.core import RngStream
 
 __all__ = ["Transition", "ReplayBuffer", "TrajectoryBatch", "discounted_returns", "gae"]
 
-DEFAULT_LEARNING_STARTS = 1000  # env steps before off-policy updates begin
-
 
 @dataclass
 class Transition:
@@ -63,11 +61,6 @@ class ReplayBuffer:
             "s_next": self._s_next[idx].copy(),
             "d": self._d[idx].copy(),
         }
-
-    def recent_states(self, n: int) -> np.ndarray:
-        n = min(n, self._size)
-        idx = (self._cursor - 1 - np.arange(n)) % self.capacity
-        return self._s[idx].copy()
 
 
 def discounted_returns(rewards: np.ndarray, gamma: float) -> np.ndarray:

@@ -59,9 +59,7 @@ def test_single_update_deterministic_on_frozen_batch():
                 trainer.buffer.push(batch_transition)
             trainer.global_step = 200
             trainer._on_transition(batch_transition)
-            outs.append([p.data.copy() for p in trainer.critics[0].parameters()
-                         ] if hasattr(trainer, "critics")
-                        else [p.data.copy() for p in trainer.critic.parameters()])
+            outs.append([p.data.copy() for p in trainer.critics[0].parameters()])
         for x, y in zip(outs[0], outs[1]):
             assert np.array_equal(x, y)
 
@@ -70,11 +68,7 @@ def test_single_update_deterministic_on_frozen_batch():
 def test_non_finite_poisoning_aborts_with_diagnostic(tag):
     trainer = short_trainer(tag, steps=600)
     # poison one weight: forward values become NaN, the run must mark abort
-    if hasattr(trainer, "actor"):
-        net = trainer.actor.net
-    else:
-        net = trainer.policy.net
-    net.weights[0].data[0, 0] = np.nan
+    trainer.actor_mlp().weights[0].data[0, 0] = np.nan
     rec = trainer.train()
     assert rec.aborted
     assert "non-finite" in rec.abort_reason
@@ -128,11 +122,3 @@ def test_off_policy_never_recomputes_stored_log_probs():
     batch_keys = set(trainer.buffer.sample(1))
     assert batch_keys == {"s", "a", "r", "s_next", "d"}
 
-
-def test_greedy_episode_interface():
-    trainer = short_trainer("ddpg", steps=300)
-    trainer.train()
-    obs, actions, total = trainer.greedy_episode(n_last=25)
-    assert obs.shape == (25, 1)
-    assert actions.shape == (25, 1)
-    assert np.isfinite(total)

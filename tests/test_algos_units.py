@@ -5,13 +5,12 @@ import pytest
 
 from climbench.algos import make_config, make_trainer
 from climbench.algos.common import GaussianPolicy, SquashedGaussianPolicy
-from climbench.algos.deterministic import deterministic_actor_step
 from climbench.algos.onpolicy import (conjugate_gradient, flat_grads, flat_params,
                                       set_flat_params)
 from climbench.algos.tqc import (quantile_fractions, quantile_huber_loss,
                                  truncated_quantile_loss)
 from climbench.envs import BiasCorrectionEnv, BoxSpace, ClimateEnv, RngStream
-from climbench.nn import Optimizer, Tensor
+from climbench.nn import Tensor
 from climbench.rollout import discounted_returns
 
 
@@ -87,9 +86,10 @@ def test_reinforce_loss_gradient_matches_finite_differences():
 
 
 def test_dpg_has_no_target_networks():
+    # DPG bootstraps from its online nets and keeps no separate targets.
     trainer = make("dpg")
-    assert not hasattr(trainer, "target_actor")
-    assert not hasattr(trainer, "target_critic")
+    assert trainer.target_actor is trainer.actor
+    assert trainer.target_critics is trainer.critics
 
 
 def test_dpg_target_is_reward_when_done():
@@ -102,15 +102,11 @@ def test_dpg_target_is_reward_when_done():
 
 def test_actor_ascends_frozen_quadratic_critic():
     # Q(s, a) = -(a - 0.3)^2 has its maximum at a = 0.3.
-    trainer = make("dpg")
-    opt = Optimizer(trainer.actor.parameters(), 3e-3)
-    states = np.full((16, 1), 0.5)
-
-    def q_fn(s, a):
-        return -((a - 0.3) ** 2)
-
+    trainer = make("dpg", learning_rate=3e-3)
+    trainer.actor_value = lambda s, a: -((a - 0.3) ** 2)
+    batch = {"s": np.full((16, 1), 0.5)}
     for _ in range(500):
-        deterministic_actor_step(trainer.actor, q_fn, states, opt)
+        trainer._update_actor(batch)
     assert trainer.actor.act_np(np.array([0.5]))[0] == pytest.approx(0.3, abs=0.02)
 
 
@@ -139,7 +135,7 @@ def test_ddpg_target_uses_target_networks():
              "r": np.array([0.5]), "s_next": np.array([[0.5]]),
              "d": np.array([0.0])}
     y_before = trainer.compute_target(batch)
-    for p in trainer.actor.parameters() + trainer.critic.parameters():
+    for p in trainer.actor.parameters() + trainer.critics[0].parameters():
         p.data = p.data + 0.37  # perturb online nets only
     y_after = trainer.compute_target(batch)
     assert np.array_equal(y_before, y_after)
@@ -403,7 +399,7 @@ def test_tqc_degenerates_to_sac_scalar_target():
              "r": np.array([0.7]), "s_next": np.array([[0.6]]),
              "d": np.array([0.0])}
     state = trainer.streams.explore.generator.bit_generator.state
-    y = trainer.truncated_target_quantiles(batch, alpha=0.2)
+    y = trainer.compute_target(batch, alpha=0.2)
     trainer.streams.explore.generator.bit_generator.state = state
     a_next, logp = trainer.actor.sample_with_log_prob_np(batch["s_next"],
                                                          trainer.streams.explore)
@@ -418,7 +414,7 @@ def test_tqc_truncation_drops_largest_quantiles():
     batch = {"s": np.zeros((4, 1)), "a": np.zeros((4, 1)),
              "r": np.zeros(4), "s_next": np.random.default_rng(0).uniform(0, 1, (4, 1)),
              "d": np.zeros(4)}
-    y = trainer.truncated_target_quantiles(batch, alpha=0.0)
+    y = trainer.compute_target(batch, alpha=0.0)
     assert y.shape == (4, 4)  # 6 pooled - 2 dropped
     rows_sorted = np.all(np.diff(y, axis=1) >= 0)
     assert rows_sorted

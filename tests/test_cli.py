@@ -126,6 +126,37 @@ def test_evaluate_output_columns(tmp_path, capsys):
     assert row[:4] == ["v0-homo-64L", "dpg", "1", "400"]
 
 
+def test_evaluate_summary_table(tmp_path, capsys):
+    # td3 outranks ddpg on v0, so rank order and name order differ there; the
+    # summary lists rows by experiment, then algorithm name.
+    returns = {
+        ("v0-homo-64L", "ddpg", 1): [-1.0, -0.5],
+        ("v0-homo-64L", "ddpg", 2): [-1.0, -0.25],
+        ("v0-homo-64L", "td3", 1): [-0.125, -0.125],
+        ("v0-homo-64L", "td3", 2): [-0.5, 0.0],
+        ("v2-homo-64L", "ddpg", 1): [-170.0, -160.0, -150.0],
+        ("v2-homo-64L", "ddpg", 2): [-160.0, -170.0, -170.0],
+        ("v2-homo-64L", "td3", 1): [-200.0, -180.0, -170.0],
+        ("v2-homo-64L", "td3", 2): [-190.0, -180.0, -162.0],
+    }
+    records_dir = tmp_path / "records"
+    records_dir.mkdir()
+    for (experiment_id, algo, seed), values in returns.items():
+        rec = RunRecord(experiment_id, algo, seed)
+        for episode, value in enumerate(values, start=1):
+            rec.add(200 * episode, value)
+        rec.save(records_dir / record_filename(experiment_id, algo, seed))
+    assert run_cli("evaluate", "--records", str(records_dir)) == 0
+    summary = capsys.readouterr().out.split("\n\n")[1].splitlines()
+    assert summary == [
+        "experiment_id,algorithm,seeds,median_n_to_threshold,mean_variance,mean_delta",
+        "v0-homo-64L,ddpg,2,inf,0.0,-0.125",
+        "v0-homo-64L,td3,2,300.0,0.0,0.1875",
+        "v2-homo-64L,ddpg,2,300.0,23.611111111111107,2.7179999999999893",
+        "v2-homo-64L,td3,2,inf,0.0,-3.2820000000000107",
+    ]
+
+
 def test_export_curves_ci_halfwidth(tmp_path):
     records_dir = tmp_path / "records"
     records_dir.mkdir()

@@ -338,6 +338,13 @@ def test_params_cannot_change_under_their_geometry():
     assert PRESSURE_LEVELS_HPA[0] == 1000.0
 
 
+def test_params_compare_and_hash_by_identity():
+    params = RcePhysicsParams()
+    assert params == params
+    assert params != RcePhysicsParams()
+    assert len({params, params, RcePhysicsParams()}) == 2
+
+
 # -- environment behaviour --------------------------------------------------------
 
 

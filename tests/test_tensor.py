@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from climbench.nn import (GraphConsumedError, Head, Mlp, Tensor, concat, minimum,
-                          where)
+from climbench.nn import GraphConsumedError, Mlp, Tensor, concat, minimum
 
 
 def finite_difference_grads(f, params, h=1e-5):
@@ -164,15 +163,10 @@ def test_minimum_routes_gradient_to_smaller():
     assert np.array_equal(b.grad, np.array([0.0, 1.0]))
 
 
-def test_where_and_clip_grads():
+def test_clip_grads():
     x = Tensor(np.array([-2.0, 0.5, 3.0]), requires_grad=True)
     x.clip(-1.0, 1.0).sum().backward()
     assert np.array_equal(x.grad, np.array([0.0, 1.0, 0.0]))
-    y = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    z = Tensor(np.array([3.0, 4.0]), requires_grad=True)
-    where(np.array([True, False]), y, z).sum().backward()
-    assert np.array_equal(y.grad, np.array([1.0, 0.0]))
-    assert np.array_equal(z.grad, np.array([0.0, 1.0]))
 
 
 def test_log_exp_abs_grads_fd():
