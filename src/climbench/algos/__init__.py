@@ -9,8 +9,7 @@ from .config import (ALGORITHM_TAGS, CONFIG_CLASSES, TUNABLE_FIELDS,
                      SacConfig, Td3Config, TqcConfig, TrpoConfig, config_repr,
                      make_config)
 from .deterministic import DdpgTrainer, DpgTrainer, Td3Trainer
-from .onpolicy import PpoTrainer, TrpoTrainer
-from .reinforce import ReinforceTrainer
+from .onpolicy import OnPolicyTrainer, PpoTrainer, ReinforceTrainer, TrpoTrainer
 from .sac import SacTrainer
 from .tqc import TqcTrainer
 
@@ -37,7 +36,7 @@ __all__ = [
     "ALGORITHM_TAGS", "TUNABLE_FIELDS", "CONFIG_CLASSES",
     "TRAINER_CLASSES", "BaseConfig", "ReinforceConfig", "DpgConfig", "DdpgConfig",
     "Td3Config", "PpoConfig", "TrpoConfig", "SacConfig", "TqcConfig", "make_config",
-    "make_trainer", "config_repr", "Trainer", "OffPolicyTrainer",
+    "make_trainer", "config_repr", "Trainer", "OffPolicyTrainer", "OnPolicyTrainer",
     "ReinforceTrainer", "DpgTrainer", "DdpgTrainer", "Td3Trainer", "TrpoTrainer",
     "PpoTrainer", "SacTrainer", "TqcTrainer",
 ]

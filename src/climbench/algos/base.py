@@ -1,7 +1,8 @@
 """Trainer base classes.
 
 ``Trainer`` is one (algorithm, environment, seed) run: record keeping and
-abort handling around an algorithm's ``_run`` loop.
+abort handling around an algorithm's ``_run`` loop. The on-policy core behind
+REINFORCE, PPO and TRPO is ``OnPolicyTrainer`` in ``onpolicy.py``.
 
 ``OffPolicyTrainer`` is the one actor-critic core behind DPG, DDPG, TD3, SAC
 and TQC. It builds the networks, their Adam optimizers, the replay buffer and
@@ -56,9 +57,6 @@ class Trainer:
         raise NotImplementedError
 
     def _run(self, total_steps: int) -> None:
-        raise NotImplementedError
-
-    def select_action(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
         raise NotImplementedError
 
     def actor_mlp(self):
@@ -265,9 +263,8 @@ class OffPolicyTrainer(Trainer):
         self.n_actor_updates += 1
         if self.stochastic_actor:
             self.actor.net.clamp_log_std()
-            if self.cfg.autotune_alpha:
-                alpha_loss = (self.log_alpha.exp()
-                              * Tensor(logp.data + self.target_entropy)).mean() * (-1.0)
-                alpha_loss.backward()
-                self.alpha_opt.step()
-                self.alpha_opt.zero_grad()
+            alpha_loss = (self.log_alpha.exp()
+                          * Tensor(logp.data + self.target_entropy)).mean() * (-1.0)
+            alpha_loss.backward()
+            self.alpha_opt.step()
+            self.alpha_opt.zero_grad()

@@ -72,10 +72,6 @@ class GaussianPolicy:
     def parameters(self):
         return self.net.parameters()
 
-    @property
-    def log_std(self) -> Tensor:
-        return self.net.log_std
-
     def std_np(self) -> np.ndarray:
         return np.exp(self.net.log_std.data)
 
@@ -84,9 +80,6 @@ class GaussianPolicy:
 
     def to_env(self, raw: np.ndarray) -> np.ndarray:
         return self.action_space.clip(self.center + self.half * raw)
-
-    def greedy_np(self, obs: np.ndarray) -> np.ndarray:
-        return self.to_env(self.net.forward_np(obs))
 
     def sample_np(self, obs: np.ndarray, rng: RngStream):
         """One step's sample: (env action, raw action, log_prob, raw mean)."""
@@ -109,16 +102,10 @@ class GaussianPolicy:
         per_dim = z * z * (-0.5) - log_std - 0.5 * LOG_2PI
         return per_dim.sum(axis=1)
 
-    def entropy(self) -> Tensor:
-        # Per-action entropy of the diagonal Gaussian, constant across states.
-        return (self.net.log_std + 0.5 * (LOG_2PI + 1.0)).sum()
-
     def kl_old_new_np(self, old_means: np.ndarray, old_log_std: np.ndarray,
-                      new_means: np.ndarray,
-                      new_log_std: np.ndarray | None = None) -> float:
-        """Mean analytic KL(old || new) over a batch of states."""
-        if new_log_std is None:
-            new_log_std = self.net.log_std.data
+                      new_means: np.ndarray) -> float:
+        """Mean analytic KL(old || new) over a batch of states, new = this policy."""
+        new_log_std = self.net.log_std.data
         var_old = np.exp(2.0 * old_log_std)
         var_new = np.exp(2.0 * new_log_std)
         per_dim = (new_log_std - old_log_std

@@ -107,9 +107,7 @@ class PpoConfig(BaseConfig):
     max_grad_norm: float = 0.5
     gae_lambda: float = 0.95
     vf_coef: float = 0.5           # c1
-    entropy_coef: float = 0.0      # c2
     kl_limit: float = 0.02         # delta
-    normalize_advantages: bool = True
 
 
 @dataclass
@@ -125,7 +123,6 @@ class TrpoConfig(BaseConfig):
     cg_iterations: int = 10
     cg_damping: float = 0.1
     backtrack_steps: int = 10
-    normalize_advantages: bool = True
 
 
 @dataclass
@@ -141,7 +138,6 @@ class SacConfig(BaseConfig):
     alpha: float = 0.2
     buffer_size: int = 100_000
     learning_starts: int = 1000
-    autotune_alpha: bool = True
 
 
 @dataclass
@@ -160,7 +156,6 @@ class TqcConfig(BaseConfig):
     alpha: float = 0.2
     buffer_size: int = 100_000
     learning_starts: int = 1000
-    autotune_alpha: bool = True
 
 
 CONFIG_CLASSES = {

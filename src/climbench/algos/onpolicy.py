@@ -1,15 +1,18 @@
-"""On-policy actor-critic trainers: PPO and TRPO.
+"""On-policy trainers: REINFORCE, PPO and TRPO.
 
-Both collect one full episode per iteration, estimate advantages with GAE, and
+All three collect one full episode per iteration with a diagonal-Gaussian
+policy and ascend a likelihood-ratio gradient on it. REINFORCE takes one Adam
+step on  -mean_t G_t log pi(a_t | s_t)  with the discounted returns G_t and
+no critic. PPO and TRPO fit a value net, estimate advantages with GAE, and
 sweep shuffled minibatches for several epochs, breaking out early once the
 analytic Gaussian KL against the collection policy exceeds the limit.
 
-PPO minimizes  -L_clip + c1 * L_value - c2 * entropy  with Adam and a global
-gradient-norm clip. TRPO takes natural-gradient steps: conjugate gradient on
-Fisher-vector products (computed exactly for diagonal-Gaussian policies via a
-forward-tangent JVP and a reverse VJP), step length sqrt(2*delta / xHx), and
-backtracking by halving that accepts only surrogate-improving steps inside the
-KL region.
+PPO minimizes  -L_clip + c1 * L_value  with Adam and a global gradient-norm
+clip. TRPO fits its value net the same way and moves the policy by
+natural-gradient steps: conjugate gradient on Fisher-vector products
+(computed exactly for diagonal-Gaussian policies via a forward-tangent JVP and
+a reverse VJP), step length sqrt(2*delta / xHx), and backtracking by halving
+that accepts only surrogate-improving steps inside the KL region.
 """
 
 from __future__ import annotations
@@ -17,12 +20,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn import Mlp, Optimizer, Tensor, clip_grad_norm, minimum
-from ..rollout import TrajectoryBatch
+from ..rollout import TrajectoryBatch, discounted_returns
 from .base import Trainer
 from .common import GaussianPolicy, hidden_layers
 
-__all__ = ["PpoTrainer", "TrpoTrainer", "conjugate_gradient", "flat_params",
-           "set_flat_params", "flat_grads"]
+__all__ = ["OnPolicyTrainer", "ReinforceTrainer", "PpoTrainer", "TrpoTrainer",
+           "conjugate_gradient", "flat_params", "set_flat_params", "flat_grads"]
 
 
 # -- flat parameter-vector utilities ------------------------------------------------
@@ -77,25 +80,46 @@ def conjugate_gradient(matvec, b: np.ndarray, iterations: int = 10,
     return x
 
 
-# -- rollout collection shared by PPO and TRPO ---------------------------------------
+# -- the on-policy core -------------------------------------------------------------
 
 
-class _OnPolicyBase(Trainer):
-    def _build_policy_value(self) -> None:
+class OnPolicyTrainer(Trainer):
+    """The episode loop shared by REINFORCE, PPO and TRPO.
+
+    Each iteration collects one full episode with the Gaussian policy and
+    hands the batch to ``update_from_batch``. For PPO and TRPO that runs GAE,
+    normalizes the advantages and sweeps ``update_epochs`` epochs of shuffled
+    minibatches through ``minibatch_step``, stopping early once the KL from
+    the collection policy exceeds ``kl_limit``.
+    """
+
+    # the nets one Adam optimizer steps; a value net is built only if listed
+    # (REINFORCE has none, TRPO moves its policy by natural-gradient steps)
+    adam_nets = ("policy", "value")
+    # Adam steps on the policy (REINFORCE, PPO)
+    n_updates = 0
+
+    def _build(self) -> None:
         cfg = self.cfg
         obs_dim = self.env.observation_space.dim
         init = self.streams.init.generator
+        # The init stream draws in this order: policy, value net.
         self.policy = GaussianPolicy(obs_dim, self.env.action_space,
                                      cfg.actor_critic_layer_size, init)
-        self.value_net = Mlp(hidden_layers(obs_dim, cfg.actor_critic_layer_size, 1),
-                             rng=init)
+        nets = {"policy": self.policy}
+        self.value_net = None
+        if "value" in self.adam_nets:
+            self.value_net = nets["value"] = Mlp(
+                hidden_layers(obs_dim, cfg.actor_critic_layer_size, 1), rng=init)
+        self.optimizer = Optimizer([p for name in self.adam_nets
+                                    for p in nets[name].parameters()],
+                                   cfg.learning_rate)
 
-    def select_action(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
-        if explore:
-            action, _, _, _ = self.policy.sample_np(np.asarray(obs),
-                                                    self.streams.explore)
-            return action
-        return self.policy.greedy_np(np.asarray(obs))
+    def _value(self, obs: np.ndarray) -> float:
+        # REINFORCE never reads the values of its batch
+        if self.value_net is None:
+            return 0.0
+        return float(self.value_net.forward_np(obs)[0])
 
     def collect_episode(self) -> TrajectoryBatch:
         batch = TrajectoryBatch()
@@ -105,7 +129,7 @@ class _OnPolicyBase(Trainer):
             obs_arr = np.asarray(obs, dtype=np.float64)
             env_action, raw_action, logp, mean = self.policy.sample_np(
                 obs_arr, self.streams.explore)
-            value = float(self.value_net.forward_np(obs_arr)[0])
+            value = self._value(obs_arr)
             res = self.env.step(env_action)
             self.global_step += 1
             episode_return += res.reward
@@ -114,43 +138,65 @@ class _OnPolicyBase(Trainer):
                       mean)
             obs = res.observation
             if res.truncated:
-                batch.bootstrap_value = float(self.value_net.forward_np(
-                    np.asarray(obs, dtype=np.float64))[0])
+                batch.bootstrap_value = self._value(np.asarray(obs, dtype=np.float64))
                 break
         self.record.add(self.global_step, episode_return)
-        batch.estimate_advantages(self.cfg.gamma, self.cfg.gae_lambda)
         return batch
 
-    def _prepared_arrays(self, batch: TrajectoryBatch):
+    def _run(self, total_steps: int) -> None:
+        while self.global_step < total_steps:
+            self.update_from_batch(self.collect_episode())
+
+    def update_from_batch(self, batch: TrajectoryBatch) -> None:
+        cfg = self.cfg
+        batch.estimate_advantages(cfg.gamma, cfg.gae_lambda)
         arrays = batch.arrays()
         adv = batch.advantages
-        if self.cfg.normalize_advantages:
-            adv = (adv - adv.mean()) / (adv.std() + 1e-8)
-        return arrays, adv, batch.returns
-
-    def _minibatch_indices(self, n: int) -> list[np.ndarray]:
-        order = self.streams.shuffle.shuffled_indices(n)
-        return [idx for idx in np.array_split(order, self.cfg.num_minibatches)
-                if idx.size > 0]
-
-    def _kl_from_collection(self, arrays) -> float:
-        new_means = self.policy.mean_np(arrays["obs"])
-        return self.policy.kl_old_new_np(arrays["means"], self._log_std_at_collect,
-                                         new_means)
-
-    def _remember_collection_policy(self) -> None:
+        arrays["advantages"] = (adv - adv.mean()) / (adv.std() + 1e-8)
+        arrays["returns"] = batch.returns
         self._log_std_at_collect = self.policy.net.log_std.data.copy()
+        for _epoch in range(cfg.update_epochs):
+            order = self.streams.shuffle.shuffled_indices(len(batch))
+            for idx in np.array_split(order, cfg.num_minibatches):
+                if idx.size > 0:
+                    self.minibatch_step({k: v[idx] for k, v in arrays.items()})
+            new_means = self.policy.mean_np(arrays["obs"])
+            if self.policy.kl_old_new_np(arrays["means"], self._log_std_at_collect,
+                                         new_means) > cfg.kl_limit:
+                break
+
+    def _adam_step(self, loss: Tensor, what: str) -> None:
+        self._check_finite_loss(float(loss.data), what)
+        loss.backward()
+        clip_grad_norm(self.optimizer.params, self.cfg.max_grad_norm)
+        self.optimizer.step()
+        self.optimizer.zero_grad()
 
 
-class PpoTrainer(_OnPolicyBase):
+class ReinforceTrainer(OnPolicyTrainer):
+    algorithm = "reinforce"
+    adam_nets = ("policy",)
+
+    def episode_loss(self, obs: np.ndarray, actions: np.ndarray,
+                     rewards: np.ndarray) -> Tensor:
+        """-mean_t G_t log pi(a_t | s_t); minimizing it ascends the return."""
+        returns = discounted_returns(rewards, self.cfg.gamma)
+        logp = self.policy.log_prob_tensor(Tensor(obs), actions)
+        return -(logp * Tensor(returns)).mean()
+
+    def update_from_batch(self, batch: TrajectoryBatch) -> None:
+        arrays = batch.arrays()
+        loss = self.episode_loss(arrays["obs"], arrays["actions"], arrays["rewards"])
+        self._check_finite_loss(float(loss.data), "reinforce loss")
+        loss.backward()
+        self.optimizer.step()
+        self.optimizer.zero_grad()
+        self.policy.net.clamp_log_std()
+        self.n_updates += 1
+
+
+class PpoTrainer(OnPolicyTrainer):
     algorithm = "ppo"
-
-    def _build(self) -> None:
-        self._build_policy_value()
-        self.optimizer = Optimizer(
-            self.policy.parameters() + self.value_net.parameters(),
-            self.cfg.learning_rate)
-        self.n_updates = 0
 
     def minibatch_loss(self, obs, actions, old_logp, adv, returns) -> Tensor:
         cfg = self.cfg
@@ -161,44 +207,21 @@ class PpoTrainer(_OnPolicyBase):
                             ratio.clip(1.0 - cfg.clip_coef, 1.0 + cfg.clip_coef) * adv_t)
         value = self.value_net.forward(Tensor(obs)).reshape(-1)
         value_loss = ((value - Tensor(returns)) ** 2).mean()
-        loss = -surrogate.mean() + cfg.vf_coef * value_loss
-        if cfg.entropy_coef:
-            loss = loss - cfg.entropy_coef * self.policy.entropy()
-        return loss
+        return -surrogate.mean() + cfg.vf_coef * value_loss
 
-    def update_from_batch(self, batch: TrajectoryBatch) -> None:
-        cfg = self.cfg
-        arrays, adv, returns = self._prepared_arrays(batch)
-        self._remember_collection_policy()
-        params = self.policy.parameters() + self.value_net.parameters()
-        for _epoch in range(cfg.update_epochs):
-            for idx in self._minibatch_indices(len(batch)):
-                loss = self.minibatch_loss(arrays["obs"][idx], arrays["actions"][idx],
-                                           arrays["log_probs"][idx], adv[idx],
-                                           returns[idx])
-                self._check_finite_loss(float(loss.data), "ppo loss")
-                loss.backward()
-                clip_grad_norm(params, cfg.max_grad_norm)
-                self.optimizer.step()
-                self.optimizer.zero_grad()
-                self.policy.net.clamp_log_std()
-                self.n_updates += 1
-            if self._kl_from_collection(arrays) > cfg.kl_limit:
-                break
-
-    def _run(self, total_steps: int) -> None:
-        while self.global_step < total_steps:
-            self.update_from_batch(self.collect_episode())
+    def minibatch_step(self, mb: dict[str, np.ndarray]) -> None:
+        self._adam_step(self.minibatch_loss(mb["obs"], mb["actions"], mb["log_probs"],
+                                            mb["advantages"], mb["returns"]),
+                        "ppo loss")
+        self.policy.net.clamp_log_std()
+        self.n_updates += 1
 
 
-class TrpoTrainer(_OnPolicyBase):
+class TrpoTrainer(OnPolicyTrainer):
     algorithm = "trpo"
-
-    def _build(self) -> None:
-        self._build_policy_value()
-        self.value_opt = Optimizer(self.value_net.parameters(), self.cfg.learning_rate)
-        self.n_natural_steps = 0
-        self.n_rejected_steps = 0
+    adam_nets = ("value",)
+    n_natural_steps = 0
+    n_rejected_steps = 0
 
     # -- Fisher-vector product over a state minibatch --------------------------------
 
@@ -219,8 +242,7 @@ class TrpoTrainer(_OnPolicyBase):
         mu = self.policy.net.forward(Tensor(obs))
         mu.backward(weighted)
         fv_mean = flat_grads(mean_params)
-        for p in self.policy.parameters():
-            p.grad = None
+        self.policy.net.zero_grad()
         return np.concatenate([fv_mean, 2.0 * v_logstd]) \
             + self.cfg.cg_damping * vector
 
@@ -236,8 +258,7 @@ class TrpoTrainer(_OnPolicyBase):
         ratio = (logp - Tensor(old_logp)).exp()
         (ratio * Tensor(adv)).mean().backward()
         g = flat_grads(self.policy.parameters())
-        for p in self.policy.parameters():
-            p.grad = None
+        self.policy.net.zero_grad()
         return g
 
     def natural_step(self, obs, actions, old_logp, old_means, adv) -> bool:
@@ -272,26 +293,9 @@ class TrpoTrainer(_OnPolicyBase):
         self.n_rejected_steps += 1
         return False
 
-    def update_from_batch(self, batch: TrajectoryBatch) -> None:
-        cfg = self.cfg
-        arrays, adv, returns = self._prepared_arrays(batch)
-        self._remember_collection_policy()
-        for _epoch in range(cfg.update_epochs):
-            for idx in self._minibatch_indices(len(batch)):
-                obs = arrays["obs"][idx]
-                value = self.value_net.forward(Tensor(obs)).reshape(-1)
-                value_loss = ((value - Tensor(returns[idx])) ** 2).mean() * 0.5
-                self._check_finite_loss(float(value_loss.data), "trpo value loss")
-                value_loss.backward()
-                clip_grad_norm(self.value_net.parameters(), cfg.max_grad_norm)
-                self.value_opt.step()
-                self.value_opt.zero_grad()
-                self.natural_step(obs, arrays["actions"][idx],
-                                  arrays["log_probs"][idx],
-                                  arrays["means"][idx], adv[idx])
-            if self._kl_from_collection(arrays) > cfg.kl_limit:
-                break
-
-    def _run(self, total_steps: int) -> None:
-        while self.global_step < total_steps:
-            self.update_from_batch(self.collect_episode())
+    def minibatch_step(self, mb: dict[str, np.ndarray]) -> None:
+        value = self.value_net.forward(Tensor(mb["obs"])).reshape(-1)
+        value_loss = ((value - Tensor(mb["returns"])) ** 2).mean() * 0.5
+        self._adam_step(value_loss, "trpo value loss")
+        self.natural_step(mb["obs"], mb["actions"], mb["log_probs"], mb["means"],
+                          mb["advantages"])

@@ -47,21 +47,10 @@ def parse_seeds(spec: str) -> list[int]:
     return seeds
 
 
-def _coerce(value: str, target_type) -> object:
-    if target_type is bool:
-        lowered = value.strip().lower()
-        if lowered in ("true", "1", "yes", "on"):
-            return True
-        if lowered in ("false", "0", "no", "off"):
-            return False
-        raise ValueError(f"not a boolean: {value!r}")
-    return target_type(value)
-
-
 def coerce_overrides(raw: dict[str, str], target) -> dict[str, object]:
     """Coerce string values to the field types of a dataclass (type or instance)."""
     field_types = {f.name: f.type for f in dataclasses.fields(target)}
-    concrete = {"float": float, "int": int, "bool": bool, "str": str}
+    concrete = {"float": float, "int": int, "str": str}
     out: dict[str, object] = {}
     for key, value in raw.items():
         if key not in field_types:
@@ -73,9 +62,9 @@ def coerce_overrides(raw: dict[str, str], target) -> dict[str, object]:
         t = field_types[key]
         if isinstance(t, str):
             t = concrete.get(t)
-        if t not in (float, int, bool, str):
+        if t not in (float, int, str):
             raise ValueError(f"field {key!r} cannot be overridden from a config file")
-        out[key] = _coerce(value, t)
+        out[key] = t(value)
     return out
 
 

@@ -153,10 +153,6 @@ class ClimateEnv:
         return StepResult(observation=observation, reward=float(reward),
                           terminated=False, truncated=truncated, info=info)
 
-    @property
-    def step_index(self) -> int:
-        return self._step_index
-
     # -- subclass hooks ------------------------------------------------------
 
     def _reset_state(self) -> np.ndarray:

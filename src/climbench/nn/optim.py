@@ -1,4 +1,4 @@
-"""Parameter updates: SGD, bias-corrected Adam, and target-network blending."""
+"""Parameter updates: bias-corrected Adam and target-network blending."""
 
 from __future__ import annotations
 
@@ -8,32 +8,25 @@ from .tensor import NonFiniteError, Tensor
 
 __all__ = ["Optimizer", "soft_update", "clip_grad_norm", "global_grad_norm"]
 
+BETA1, BETA2 = 0.9, 0.999
+EPSILON = 1e-8
+
 
 class Optimizer:
-    """SGD or Adam over a fixed parameter list.
+    """Adam over a fixed parameter list.
 
     Moment accumulators mirror the parameter shapes. Non-finite gradients are
     rejected before any parameter is touched.
     """
 
-    def __init__(self, params: list[Tensor], learning_rate: float, kind: str = "adam",
-                 betas: tuple[float, float] = (0.9, 0.999), epsilon: float = 1e-8):
-        if kind not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer kind {kind!r}")
+    def __init__(self, params: list[Tensor], learning_rate: float):
         if learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        self.kind = kind
         self.params = list(params)
         self.learning_rate = float(learning_rate)
-        self.betas = betas
-        self.epsilon = epsilon
         self.step_count = 0
-        if kind == "adam":
-            self.m = [np.zeros_like(p.data) for p in self.params]
-            self.v = [np.zeros_like(p.data) for p in self.params]
-        else:
-            self.m = []
-            self.v = []
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self, grads: list[np.ndarray] | None = None) -> None:
         """Apply one update from ``grads`` (default: the params' .grad fields)."""
@@ -50,19 +43,14 @@ class Optimizer:
                     f"non-finite gradient (max |g| over finite entries: "
                     f"{np.max(np.abs(g[np.isfinite(g)])) if np.any(np.isfinite(g)) else 'n/a'})")
         self.step_count += 1
-        if self.kind == "sgd":
-            for p, g in zip(self.params, grads):
-                p.data -= self.learning_rate * g
-            return
-        b1, b2 = self.betas
-        bc1 = 1.0 - b1 ** self.step_count
-        bc2 = 1.0 - b2 ** self.step_count
+        bc1 = 1.0 - BETA1 ** self.step_count
+        bc2 = 1.0 - BETA2 ** self.step_count
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p.data -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.epsilon)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            p.data -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + EPSILON)
 
     def zero_grad(self) -> None:
         for p in self.params:

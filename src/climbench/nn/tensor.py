@@ -82,17 +82,6 @@ class Tensor:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def assert_finite(self, what: str = "tensor") -> "Tensor":
-        if not np.all(np.isfinite(self.data)):
-            raise NonFiniteError(f"non-finite values in {what}")
-        return self
-
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other) -> "Tensor":
@@ -211,14 +200,6 @@ class Tensor:
             self._accumulate_fresh(g / self.data)
 
         return Tensor._from_op(np.log(self.data), (self,), backward)
-
-    def abs(self) -> "Tensor":
-        sign = np.sign(self.data)
-
-        def backward(g: np.ndarray) -> None:
-            self._accumulate_fresh(g * sign)
-
-        return Tensor._from_op(np.abs(self.data), (self,), backward)
 
     def clip(self, low: float, high: float) -> "Tensor":
         """Clamp values; gradient is zero outside (low, high)."""

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from climbench.algos import make_config, make_trainer
-from climbench.algos.common import GaussianPolicy, SquashedGaussianPolicy
+from climbench.algos.common import SquashedGaussianPolicy
 from climbench.algos.onpolicy import (conjugate_gradient, flat_grads, flat_params,
                                       set_flat_params)
 from climbench.algos.tqc import (quantile_fractions, quantile_huber_loss,
@@ -278,12 +278,34 @@ def test_trpo_no_op_on_unimprovable_surrogate():
 # -- PPO ------------------------------------------------------------------------
 
 
-def test_ppo_clip_algebra_single_sample():
-    eps = 0.2
-    adv = 1.7
-    ratio = 1.0 + 2 * eps
-    clipped = np.clip(ratio, 1 - eps, 1 + eps)
-    assert min(ratio * adv, clipped * adv) == pytest.approx((1 + eps) * adv)
+def _ppo_batch_with_ratios(trainer, ratios, rng):
+    # old log-probs chosen so that pi_new / pi_old equals each given ratio
+    obs = rng.uniform(0, 1, size=(len(ratios), 1))
+    actions = trainer.policy.mean_np(obs) + 0.1 * rng.normal(size=(len(ratios), 1))
+    logp = trainer.policy.log_prob_np(trainer.policy.mean_np(obs), actions)
+    return obs, actions, logp - np.log(ratios)
+
+
+def test_ppo_loss_clips_ratios_outside_band():
+    trainer = make("ppo", clip_coef=0.2)
+    rng = np.random.default_rng(8)
+    ratios = np.array([0.5, 0.7, 0.95, 1.1, 1.5, 2.0, 0.5, 0.7, 0.95, 1.1, 1.5, 2.0])
+    adv = np.array([1.3, 0.4, 0.9, 2.0, 0.8, 1.1, -1.3, -0.4, -0.9, -2.0, -0.8, -1.1])
+    obs, actions, old_logp = _ppo_batch_with_ratios(trainer, ratios, rng)
+    returns = rng.normal(size=ratios.size)
+    loss = trainer.minibatch_loss(obs, actions, old_logp, adv, returns)
+    surrogate = np.minimum(ratios * adv, np.clip(ratios, 0.8, 1.2) * adv)
+    value = trainer.value_net.forward_np(obs)[:, 0]
+    expected = -surrogate.mean() + trainer.cfg.vf_coef * np.mean((value - returns) ** 2)
+    assert float(loss.data) == pytest.approx(float(expected), rel=1e-10)
+
+    # Where the clipped term is the minimum, the surrogate is constant in the
+    # policy: ratio above 1 + eps with A > 0, below 1 - eps with A < 0.
+    ratios = np.array([1.5, 2.0, 0.5, 0.7])
+    adv = np.array([0.8, 1.1, -1.3, -0.4])
+    obs, actions, old_logp = _ppo_batch_with_ratios(trainer, ratios, rng)
+    trainer.minibatch_loss(obs, actions, old_logp, adv, np.zeros(4)).backward()
+    assert all(np.all(p.grad == 0.0) for p in trainer.policy.parameters())
 
 
 def test_ppo_ratio_one_surrogate_is_mean_advantage():
@@ -299,13 +321,6 @@ def test_ppo_ratio_one_surrogate_is_mean_advantage():
     expected = -float(adv.mean()) + trainer.cfg.vf_coef * float(
         np.mean((value - returns) ** 2))
     assert float(loss.data) == pytest.approx(expected, rel=1e-10)
-
-
-def test_gaussian_entropy_closed_form():
-    trainer = make("ppo")
-    trainer.policy.net.log_std.data[:] = 0.0  # sigma = 1, one action dim
-    expected = 0.5 * np.log(2 * np.pi * np.e)
-    assert float(trainer.policy.entropy().data) == pytest.approx(expected, abs=1e-10)
 
 
 # -- SAC ------------------------------------------------------------------------
@@ -446,9 +461,16 @@ def test_exploration_noise_std_measured():
 
 
 def test_select_action_always_in_box():
-    for tag in ("dpg", "ddpg", "td3", "sac", "tqc", "reinforce", "ppo", "trpo"):
+    for tag in ("dpg", "ddpg", "td3", "sac", "tqc"):
         trainer = make(tag, exploration_noise=2.0) if tag in ("dpg", "ddpg", "td3") \
             else make(tag)
         for _ in range(200):
             a = trainer.select_action(np.array([0.5]), explore=True)
+            assert -1.0 <= a[0] <= 1.0
+    # The on-policy trainers act through their Gaussian policy's sample.
+    for tag in ("reinforce", "ppo", "trpo"):
+        trainer = make(tag)
+        trainer.policy.net.log_std.data[:] = 1.0  # most raw samples leave the box
+        for _ in range(200):
+            a, _, _, _ = trainer.policy.sample_np(np.array([0.5]), trainer.streams.explore)
             assert -1.0 <= a[0] <= 1.0

@@ -8,7 +8,7 @@ import pytest
 from climbench.evalharness import (REFERENCE_TOP1_FREQUENCIES,
                                    REFERENCE_TOP3_BIASCORR,
                                    REFERENCE_TOP3_FREQUENCIES, REFERENCE_TOP3_RCE,
-                                   THRESHOLDS, AggregateScore, aggregate_scores,
+                                   THRESHOLDS, aggregate_scores,
                                    confidence_curves, delta_from_final,
                                    frequency_table, n_to_threshold, rank_algorithms,
                                    threshold_consistency, threshold_for_experiment,

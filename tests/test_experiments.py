@@ -1,6 +1,5 @@
 """Experiment registry, config resolution, and the suite runner."""
 
-import numpy as np
 import pytest
 
 from climbench.configio import write_algo_fragment

@@ -1,9 +1,13 @@
-"""Every name a climbench module exports in ``__all__`` exists."""
+"""Module hygiene: every exported name exists and every imported name is used."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import climbench
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_exported_name_resolves():
@@ -14,3 +18,37 @@ def test_every_exported_name_resolves():
                for name in getattr(m, "__all__", ()) if not hasattr(m, name)]
     assert len(modules) > 20
     assert missing == []
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and neither reads nor lists in ``__all__``."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:          # re-exports, as in the package __init__ files
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return [f"{line}: {name}" for name, line in sorted(imported.items(),
+                                                       key=lambda kv: kv[1])
+            if name not in used]
+
+
+def test_unused_imports_scan_finds_them():
+    source = ("import os\nimport numpy as np\nfrom a import b, c\n"
+              "__all__ = ['c']\nprint(np.pi)\n")
+    assert unused_imports(source) == ["1: os", "3: b"]
+
+
+def test_no_unused_imports():
+    found = [f"{path.relative_to(ROOT)}:{hit}"
+             for tree in ("src", "tests") for path in sorted((ROOT / tree).rglob("*.py"))
+             for hit in unused_imports(path.read_text(encoding="utf-8"))]
+    assert found == []

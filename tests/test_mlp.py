@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from climbench.nn import LOG_STD_MAX, LOG_STD_MIN, Head, Mlp, Tensor, load_mlp, save_mlp
+from climbench.nn import LOG_STD_MAX, LOG_STD_MIN, Head, Mlp, load_mlp, save_mlp
 
 
 def test_tanh_scaled_head_stays_in_box():

@@ -7,25 +7,17 @@ from climbench.nn import Mlp, NonFiniteError, Optimizer, Tensor, soft_update
 
 
 def test_zero_gradient_leaves_params_unchanged():
-    for kind in ("sgd", "adam"):
-        p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
-        opt = Optimizer([p], learning_rate=0.1, kind=kind)
-        opt.step([np.zeros(2)])
-        assert np.array_equal(p.data, np.array([1.0, -2.0]))
-        assert opt.step_count == 1
-
-
-def test_sgd_definition():
-    p = Tensor(np.array([0.0]), requires_grad=True)
-    opt = Optimizer([p], learning_rate=0.1, kind="sgd")
-    opt.step([np.array([1.0])])
-    assert np.allclose(p.data, [-0.1])
+    p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    opt = Optimizer([p], learning_rate=0.1)
+    opt.step([np.zeros(2)])
+    assert np.array_equal(p.data, np.array([1.0, -2.0]))
+    assert opt.step_count == 1
 
 
 def test_adam_matches_textbook_scalar_loop_and_descends_quadratic():
     # Oracle: an independent textbook Adam recursion on f(x) = x^2.
     p = Tensor(np.array([1.0]), requires_grad=True)
-    opt = Optimizer([p], learning_rate=0.1, kind="adam")
+    opt = Optimizer([p], learning_rate=0.1)
     x, m, v = 1.0, 0.0, 0.0
     b1, b2, eps = 0.9, 0.999, 1e-8
     for t in range(1, 201):

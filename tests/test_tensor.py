@@ -169,13 +169,12 @@ def test_clip_grads():
     assert np.array_equal(x.grad, np.array([0.0, 1.0, 0.0]))
 
 
-def test_log_exp_abs_grads_fd():
+def test_log_exp_grads_fd():
     x = Tensor(np.array([0.5, 1.5, 2.5]), requires_grad=True)
 
     def loss_value():
-        d = np.exp(np.log(x.data) * 2) + np.abs(x.data)
-        return float(d.sum())
+        return float(np.exp(np.log(x.data) * 2).sum())
 
-    ((x.log() * 2).exp() + x.abs()).sum().backward()
+    (x.log() * 2).exp().sum().backward()
     fd = finite_difference_grads(loss_value, [x])[0]
     assert np.max(np.abs(x.grad - fd)) < 1e-6

@@ -1,13 +1,12 @@
 """Search spaces, median pruning, and study determinism."""
 
 import numpy as np
-import pytest
 
 from climbench.algos.config import TUNABLE_FIELDS
 from climbench.envs.core import RngStream
-from climbench.tuner import (PARAMETER_RANGES, STREAM_TUNER, SearchSpace, Trial,
-                             TrainingTrialRunner, build_search_space, run_study,
-                             sample_config, sample_parameters, tune_algorithm)
+from climbench.tuner import (PARAMETER_RANGES, STREAM_TUNER, build_search_space,
+                             run_study, sample_config, sample_parameters,
+                             tune_algorithm)
 
 
 class CurveRunner:
