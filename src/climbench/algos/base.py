@@ -151,13 +151,13 @@ class OffPolicyTrainer(Trainer):
                 pairs.append((self.target_actor, self.actor))
             self.target_critics = make_critics()
             pairs += zip(self.target_critics, self.critics)
-        self._target_params = [(t.parameters(), o.parameters()) for t, o in pairs]
+        self._target_params = [(t.net.flat, o.net.flat) for t, o in pairs]
         for target, online in self._target_params:
             soft_update(target, online, 1.0)
         lrs = [getattr(cfg, name) for name in self.lr_fields]
-        self.actor_opt = Optimizer(self.actor.parameters(), lrs[0])
-        self.critic_opt = Optimizer([p for c in self.critics for p in c.parameters()],
-                                    lrs[1])
+        self.actor_opt = Optimizer(self.actor.net.parameters(), lrs[0])
+        self.critic_opt = Optimizer(
+            [p for c in self.critics for p in c.net.parameters()], lrs[1])
         if self.stochastic_actor:
             self.log_alpha = Tensor(np.array([np.log(cfg.alpha)]), requires_grad=True)
             self.alpha_opt = Optimizer([self.log_alpha], lrs[2])

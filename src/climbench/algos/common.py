@@ -46,9 +46,6 @@ class DeterministicPolicy:
     def forward(self, obs: Tensor) -> Tensor:
         return self.net.forward(obs)
 
-    def parameters(self):
-        return self.net.parameters()
-
 
 class GaussianPolicy:
     """Diagonal-Gaussian policy: affine mean net, free per-dim log-std.
@@ -68,9 +65,6 @@ class GaussianPolicy:
         self.action_space = action_space
         self.center = (action_space.high + action_space.low) / 2.0
         self.half = (action_space.high - action_space.low) / 2.0
-
-    def parameters(self):
-        return self.net.parameters()
 
     def std_np(self) -> np.ndarray:
         return np.exp(self.net.log_std.data)
@@ -124,9 +118,6 @@ class SquashedGaussianPolicy:
         self.center = (action_space.high + action_space.low) / 2.0
         self.half = (action_space.high - action_space.low) / 2.0
 
-    def parameters(self):
-        return self.net.parameters()
-
     def sample_np(self, obs: np.ndarray, rng: RngStream | None = None,
                   deterministic: bool = False) -> np.ndarray:
         mean = self.net.forward_np(obs)
@@ -168,9 +159,6 @@ class QNet:
     def __init__(self, obs_dim: int, act_dim: int, layer_size: int,
                  rng: np.random.Generator, out_dim: int = 1):
         self.net = Mlp(hidden_layers(obs_dim + act_dim, layer_size, out_dim), rng=rng)
-
-    def parameters(self):
-        return self.net.parameters()
 
     def q_np(self, s: np.ndarray, a: np.ndarray) -> np.ndarray:
         return self.net.forward_np(np.concatenate([s, a], axis=-1))

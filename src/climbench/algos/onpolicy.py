@@ -25,37 +25,7 @@ from .base import Trainer
 from .common import GaussianPolicy, hidden_layers
 
 __all__ = ["OnPolicyTrainer", "ReinforceTrainer", "PpoTrainer", "TrpoTrainer",
-           "conjugate_gradient", "flat_params", "set_flat_params", "flat_grads"]
-
-
-# -- flat parameter-vector utilities ------------------------------------------------
-
-
-def flat_params(params) -> np.ndarray:
-    return np.concatenate([p.data.ravel() for p in params])
-
-
-def set_flat_params(params, vector: np.ndarray) -> None:
-    offset = 0
-    for p in params:
-        n = p.data.size
-        p.data = vector[offset:offset + n].reshape(p.data.shape).copy()
-        offset += n
-
-
-def flat_grads(params) -> np.ndarray:
-    return np.concatenate([
-        (p.grad if p.grad is not None else np.zeros_like(p.data)).ravel()
-        for p in params])
-
-
-def split_like(params, vector: np.ndarray) -> list[np.ndarray]:
-    out, offset = [], 0
-    for p in params:
-        n = p.data.size
-        out.append(vector[offset:offset + n].reshape(p.data.shape))
-        offset += n
-    return out
+           "conjugate_gradient"]
 
 
 def conjugate_gradient(matvec, b: np.ndarray, iterations: int = 10,
@@ -106,7 +76,7 @@ class OnPolicyTrainer(Trainer):
         # The init stream draws in this order: policy, value net.
         self.policy = GaussianPolicy(obs_dim, self.env.action_space,
                                      cfg.actor_critic_layer_size, init)
-        nets = {"policy": self.policy}
+        nets = {"policy": self.policy.net}
         self.value_net = None
         if "value" in self.adam_nets:
             self.value_net = nets["value"] = Mlp(
@@ -229,21 +199,19 @@ class TrpoTrainer(OnPolicyTrainer):
         """F v for the diagonal-Gaussian policy Fisher (Gauss-Newton KL Hessian).
 
         Mean block: (1/B) sum_s J(s)^T diag(1/sigma^2) J(s) v via JVP + VJP.
-        Log-std block: the per-dimension Fisher is the constant 2.
+        Log-std block: the per-dimension Fisher is the constant 2. The log-std
+        is last in the policy net's ``flat``.
         """
-        mean_params = [p for p in self.policy.parameters()
-                       if p is not self.policy.net.log_std]
-        n_mean = sum(p.data.size for p in mean_params)
-        v_mean, v_logstd = vector[:n_mean], vector[n_mean:]
-        tangents = split_like(mean_params, v_mean)
-        jv = self.policy.net.jvp(obs, tangents)          # (B, act_dim)
-        inv_var = np.exp(-2.0 * self.policy.net.log_std.data)
+        net = self.policy.net
+        n_mean = net.flat.size - net.log_std.data.size
+        jv = net.jvp(obs, net.unflatten(vector))          # (B, act_dim)
+        inv_var = np.exp(-2.0 * net.log_std.data)
         weighted = jv * inv_var / obs.shape[0]
-        mu = self.policy.net.forward(Tensor(obs))
+        mu = net.forward(Tensor(obs))
         mu.backward(weighted)
-        fv_mean = flat_grads(mean_params)
-        self.policy.net.zero_grad()
-        return np.concatenate([fv_mean, 2.0 * v_logstd]) \
+        fv_mean = net.flat_grad()[:n_mean]
+        net.zero_grad()
+        return np.concatenate([fv_mean, 2.0 * vector[n_mean:]]) \
             + self.cfg.cg_damping * vector
 
     # -- surrogate objective ------------------------------------------------------
@@ -257,14 +225,14 @@ class TrpoTrainer(OnPolicyTrainer):
         logp = self.policy.log_prob_tensor(Tensor(obs), actions)
         ratio = (logp - Tensor(old_logp)).exp()
         (ratio * Tensor(adv)).mean().backward()
-        g = flat_grads(self.policy.parameters())
+        g = self.policy.net.flat_grad()
         self.policy.net.zero_grad()
         return g
 
     def natural_step(self, obs, actions, old_logp, old_means, adv) -> bool:
         """One trust-region update on a minibatch; returns True if accepted."""
         cfg = self.cfg
-        params = self.policy.parameters()
+        flat = self.policy.net.flat
         g = self.surrogate_grad(obs, actions, old_logp, adv)
         if not np.all(np.isfinite(g)):
             return False
@@ -275,11 +243,11 @@ class TrpoTrainer(OnPolicyTrainer):
             self.n_rejected_steps += 1
             return False
         step = np.sqrt(2.0 * cfg.kl_limit / xhx) * x
-        old_vector = flat_params(params)
+        old_vector = flat.copy()
         base_surrogate = self.surrogate_np(obs, actions, old_logp, adv)
         scale = 1.0
         for _ in range(cfg.backtrack_steps):
-            set_flat_params(params, old_vector + scale * step)
+            flat[:] = old_vector + scale * step
             self.policy.net.clamp_log_std()
             new_means = self.policy.mean_np(obs)
             kl = self.policy.kl_old_new_np(old_means, self._log_std_at_collect,
@@ -289,7 +257,7 @@ class TrpoTrainer(OnPolicyTrainer):
                 self.n_natural_steps += 1
                 return True
             scale *= 0.5
-        set_flat_params(params, old_vector)  # no acceptable step: no-op update
+        flat[:] = old_vector  # no acceptable step: no-op update
         self.n_rejected_steps += 1
         return False
 

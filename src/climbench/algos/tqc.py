@@ -20,8 +20,7 @@ import numpy as np
 from ..nn import Tensor
 from .base import OffPolicyTrainer
 
-__all__ = ["TqcTrainer", "quantile_huber_loss", "truncated_quantile_loss",
-           "quantile_fractions"]
+__all__ = ["TqcTrainer", "truncated_quantile_loss", "quantile_fractions"]
 
 
 def quantile_fractions(n_quantiles: int) -> np.ndarray:
@@ -29,35 +28,15 @@ def quantile_fractions(n_quantiles: int) -> np.ndarray:
     return (2.0 * k - 1.0) / (2.0 * n_quantiles)
 
 
-def quantile_huber_loss(u: Tensor, tau: np.ndarray, kappa: float = 1.0) -> Tensor:
-    """rho_tau(u) = |tau - 1{u<0}| * L_kappa(u), elementwise.
-
-    ``u`` is (batch, n_quantiles, n_targets) of residuals target - predicted;
-    ``tau`` broadcasts along the quantile axis. The tests check
-    ``truncated_quantile_loss`` against this elementwise form.
-    """
-    data = u.data
-    abs_u = np.abs(data)
-    small = abs_u <= kappa
-    huber = np.where(small, 0.5 * data * data, kappa * (abs_u - 0.5 * kappa))
-    weight = np.abs(tau - (data < 0.0))
-    out = weight * huber
-
-    def backward(g: np.ndarray) -> None:
-        d_huber = np.where(small, data, kappa * np.sign(data))
-        u._accumulate_fresh(g * weight * d_huber)
-
-    return Tensor._from_op(out, (u,), backward)
-
-
 def truncated_quantile_loss(q: Tensor, targets: np.ndarray, tau: np.ndarray,
                             kappa: float = 1.0) -> Tensor:
     """mean over (batch, quantiles, targets) of rho_tau(target - quantile).
 
-    Single fused graph node equal to
-    ``quantile_huber_loss(Tensor(targets)[:,None,:] - q[:,:,None], tau).mean()``;
-    the pairwise residual array is the largest object in a TQC update, so the
-    intermediate nodes are collapsed by hand.
+    rho_tau(u) = |tau - 1{u<0}| * L_kappa(u) with the Huber loss L_kappa, on
+    residuals u = target - quantile. One fused graph node: the pairwise
+    residual array is the largest object in a TQC update, so the elementwise
+    steps are collapsed by hand. The tests check it against the elementwise
+    composition.
     """
     u = targets[:, None, :] - q.data[:, :, None]
     abs_u = np.abs(u)

@@ -100,6 +100,13 @@ def _parse_algos(values) -> list[str]:
     return tags
 
 
+def _require_positive(**values) -> None:
+    """Reject a count or step budget below 1; None means the default."""
+    for name, value in values.items():
+        if value is not None and value < 1:
+            raise UsageError(f"--{name} must be at least 1, got {value}")
+
+
 def _merge_run_section(args) -> dict:
     """defaults < config-file [run] < command-line flags."""
     merged = {"experiment": None, "algos": None, "seeds": "1..10", "steps": None,
@@ -154,6 +161,7 @@ def cmd_train(args) -> int:
         raise UsageError(str(exc)) from exc
     algos = _parse_algos(merged["algos"])
     seeds = parse_seeds(merged["seeds"])
+    _require_positive(steps=merged["steps"], workers=merged["workers"])
     records = run_experiment_suite(
         spec.experiment_id, algos, seeds, out_dir=merged["out"],
         workers=int(merged["workers"]), env_overrides=merged["env_overrides"],
@@ -169,6 +177,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_tune(args) -> int:
+    _require_positive(trials=args.trials, workers=args.workers, budget=args.budget)
     env_overrides = {}
     if args.config:
         env_overrides = dict(parse_config_file(args.config).get("env", {}))

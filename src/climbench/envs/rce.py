@@ -81,7 +81,6 @@ def _interface_pressures(levels: np.ndarray) -> np.ndarray:
 class _ColumnGeometry(NamedTuple):
     """Constants of the pressure grid that every step reuses."""
 
-    interfaces: np.ndarray       # hPa, read-only
     layer_dp: np.ndarray         # hPa, read-only
     weights: tuple[float, ...]   # surface weight, then layer_dp (hPa)
     r_over_g: float              # m/K
@@ -100,10 +99,9 @@ def _column_geometry(params: "RcePhysicsParams") -> _ColumnGeometry:
             top = levels[i] / 2.0  # top interface at 0 hPa: finite log span
         to_centre.append(math.log(iface[i] / levels[i]))
         across.append(math.log(iface[i] / top))
-    iface.flags.writeable = False
     layer_dp.flags.writeable = False
     surface = params.surface_heat_capacity * params.g / (params.cp * 100.0)
-    return _ColumnGeometry(iface, layer_dp, (surface, *layer_dp.tolist()),
+    return _ColumnGeometry(layer_dp, (surface, *layer_dp.tolist()),
                            params.r_gas / params.g, tuple(to_centre), tuple(across))
 
 
@@ -137,10 +135,6 @@ class RcePhysicsParams:
         levels.flags.writeable = False
         object.__setattr__(self, "pressure_levels", levels)
         object.__setattr__(self, "_geometry", _column_geometry(self))
-
-    @property
-    def interfaces(self) -> np.ndarray:
-        return self._geometry.interfaces
 
     @property
     def layer_dp(self) -> np.ndarray:

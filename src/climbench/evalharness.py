@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .experiments import experiment_spec
 from .records import RunRecord
 
 __all__ = [
@@ -62,19 +63,10 @@ THRESHOLDS = {
         "RadiativeConvectiveModel-v0", -43_900.0, 9.37, 500),
 }
 
-_EXPERIMENT_ENV_PREFIXES = {
-    "v0": "SimpleClimateBiasCorrection-v0",
-    "v1": "SimpleClimateBiasCorrection-v1",
-    "v2": "SimpleClimateBiasCorrection-v2",
-    "rce-v0": "RadiativeConvectiveModel-v0",
-}
-
 
 def threshold_for_experiment(experiment_id: str) -> ThresholdSpec:
-    for prefix in ("rce-v0", "v0", "v1", "v2"):
-        if experiment_id.startswith(prefix):
-            return THRESHOLDS[_EXPERIMENT_ENV_PREFIXES[prefix]]
-    raise KeyError(f"no threshold known for experiment {experiment_id!r}")
+    """The threshold of the experiment's environment; KeyError for unknown ids."""
+    return THRESHOLDS[experiment_spec(experiment_id).environment_id]
 
 
 def threshold_consistency(specs=None, tolerance: float = 0.02) -> bool:

@@ -88,7 +88,7 @@ def tuned_fragment_path(tuned_dir, env_version: str, algorithm: str) -> Path:
 def resolve_config(spec: ExperimentSpec, algorithm: str,
                    algo_overrides: dict | None = None,
                    tuned_dir=None, steps: int | None = None) -> BaseConfig:
-    cfg = make_config(algorithm, total_timesteps=steps or spec.steps)
+    cfg = make_config(algorithm, total_timesteps=spec.steps if steps is None else steps)
     if spec.layer_policy == "homo-64":
         cfg.actor_critic_layer_size = 64
     else:

@@ -1,10 +1,9 @@
-from .tensor import (GraphConsumedError, NonFiniteError, Tensor, concat, maximum,
-                     minimum)
+from .tensor import GraphConsumedError, NonFiniteError, Tensor, concat, minimum
 from .mlp import LOG_STD_MAX, LOG_STD_MIN, Head, Mlp, load_mlp, save_mlp
-from .optim import Optimizer, clip_grad_norm, global_grad_norm, soft_update
+from .optim import Optimizer, clip_grad_norm, soft_update
 
 __all__ = [
-    "Tensor", "GraphConsumedError", "NonFiniteError", "concat", "minimum", "maximum",
+    "Tensor", "GraphConsumedError", "NonFiniteError", "concat", "minimum",
     "Mlp", "Head", "LOG_STD_MIN", "LOG_STD_MAX", "save_mlp", "load_mlp",
-    "Optimizer", "soft_update", "clip_grad_norm", "global_grad_norm",
+    "Optimizer", "soft_update", "clip_grad_norm",
 ]

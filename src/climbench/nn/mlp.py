@@ -9,22 +9,28 @@ Heads:
 
 Weights init uniform in +-1/sqrt(fan_in); the output layer can be down-scaled
 (``final_scale``) so freshly built policies emit near-zero actions.
+
+Every net owns one contiguous float64 vector, ``flat``: each layer's weights
+then biases, input to output, then the log-std. Each parameter ``Tensor`` is a
+view into it, so an optimizer, a target blend, TRPO's natural step or a
+checkpoint can treat the whole net as one vector. Write parameters in place;
+rebinding ``p.data`` would detach ``p`` from ``flat``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, gather_grads
 
 __all__ = ["Head", "Mlp", "LOG_STD_MIN", "LOG_STD_MAX", "save_mlp", "load_mlp"]
 
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
 
-_ACTIVATIONS = ("tanh", "relu")
 _HEADS = ("linear", "tanh_scaled", "gaussian")
 
 CHECKPOINT_MAGIC = "climbench-mlp"
@@ -46,22 +52,17 @@ class Head:
 
 
 class Mlp:
-    """Feed-forward net: len(layer_sizes)-1 affine layers, hidden activation between."""
+    """Feed-forward net: len(layer_sizes)-1 affine layers, tanh between."""
 
-    def __init__(self, layer_sizes: list[int], hidden_activation: str = "tanh",
-                 head: Head | None = None, rng: np.random.Generator | None = None,
-                 final_scale: float = 1.0):
+    def __init__(self, layer_sizes: list[int], head: Head | None = None,
+                 rng: np.random.Generator | None = None, final_scale: float = 1.0):
         if len(layer_sizes) < 2:
             raise ValueError("need at least input and output sizes")
-        if hidden_activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {hidden_activation!r}")
         self.layer_sizes = list(layer_sizes)
-        self.hidden_activation = hidden_activation
         self.head = head or Head()
         if rng is None:
             rng = np.random.default_rng(0)
-        self.weights: list[Tensor] = []
-        self.biases: list[Tensor] = []
+        arrays = []
         n_layers = len(layer_sizes) - 1
         for i, (fan_in, fan_out) in enumerate(zip(layer_sizes[:-1], layer_sizes[1:])):
             bound = 1.0 / np.sqrt(fan_in)
@@ -70,24 +71,45 @@ class Mlp:
             if i == n_layers - 1 and final_scale != 1.0:
                 w *= final_scale
                 b *= final_scale
-            self.weights.append(Tensor(w, requires_grad=True))
-            self.biases.append(Tensor(b, requires_grad=True))
-        self.log_std: Tensor | None = None
-        if self.head.kind == "gaussian":
-            self.log_std = Tensor(np.full(layer_sizes[-1], -0.5), requires_grad=True)
+            arrays += (w, b)
+        gaussian = self.head.kind == "gaussian"
+        if gaussian:
+            arrays.append(np.full(layer_sizes[-1], -0.5))
+        self._shapes = [a.shape for a in arrays]
+        self.flat = np.concatenate([a.ravel() for a in arrays])
+        self._params = [Tensor(view, requires_grad=True)
+                        for view in self.unflatten(self.flat)]
+        self.weights = self._params[0:2 * n_layers:2]
+        self.biases = self._params[1:2 * n_layers:2]
+        self.log_std: Tensor | None = self._params[-1] if gaussian else None
+
+    def __setstate__(self, state):
+        # Pickle copies each parameter's array apart from ``flat``: point the
+        # same Tensor objects, which the optimizers also hold, back into it.
+        self.__dict__.update(state)
+        for p, view in zip(self._params, self.unflatten(self.flat)):
+            p.data = view
 
     # -- parameter access --------------------------------------------------------
 
+    def unflatten(self, vector: np.ndarray) -> list[np.ndarray]:
+        """Views into a ``flat``-sized vector, shaped like the parameters."""
+        views, offset = [], 0
+        for shape in self._shapes:
+            n = math.prod(shape)
+            views.append(vector[offset:offset + n].reshape(shape))
+            offset += n
+        return views
+
     def parameters(self) -> list[Tensor]:
-        params: list[Tensor] = []
-        for w, b in zip(self.weights, self.biases):
-            params.extend((w, b))
-        if self.log_std is not None:
-            params.append(self.log_std)
-        return params
+        return list(self._params)
+
+    def flat_grad(self) -> np.ndarray:
+        """The parameters' gradients in ``flat`` order; zero where there is none."""
+        return gather_grads(self._params)
 
     def zero_grad(self) -> None:
-        for p in self.parameters():
+        for p in self._params:
             p.grad = None
 
     def clamp_log_std(self) -> None:
@@ -97,10 +119,6 @@ class Mlp:
     @property
     def in_dim(self) -> int:
         return self.layer_sizes[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.layer_sizes[-1]
 
     # -- forward -------------------------------------------------------------------
 
@@ -117,7 +135,7 @@ class Mlp:
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             h = h @ w + b
             if i < last:
-                h = h.tanh() if self.hidden_activation == "tanh" else h.relu()
+                h = h.tanh()
         if self.head.kind == "tanh_scaled":
             center = (self.head.high + self.head.low) / 2.0
             half = (self.head.high - self.head.low) / 2.0
@@ -136,7 +154,7 @@ class Mlp:
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             h = h @ w.data + b.data
             if i < last:
-                h = np.tanh(h) if self.hidden_activation == "tanh" else np.maximum(h, 0.0)
+                h = np.tanh(h)
         if self.head.kind == "tanh_scaled":
             center = (self.head.high + self.head.low) / 2.0
             half = (self.head.high - self.head.low) / 2.0
@@ -146,7 +164,8 @@ class Mlp:
     def jvp(self, x: np.ndarray, tangents: list[np.ndarray]) -> np.ndarray:
         """Directional derivative of the pre-head output w.r.t. the affine
         parameters, in the direction ``tangents`` (one array per weight/bias in
-        declaration order). Used for Fisher-vector products.
+        declaration order; any log-std tangent after them is ignored). Used for
+        Fisher-vector products.
         """
         x = np.asarray(x, dtype=np.float64)
         self._check_input(x)
@@ -158,14 +177,8 @@ class Mlp:
             pre = h @ w.data + b.data
             t = t @ w.data + h @ dw + db
             if i < last:
-                if self.hidden_activation == "tanh":
-                    h = np.tanh(pre)
-                    t = t * (1.0 - h * h)
-                else:
-                    h = np.maximum(pre, 0.0)
-                    t = t * (pre > 0)
-            else:
-                h = pre
+                h = np.tanh(pre)
+                t = t * (1.0 - h * h)
         return t
 
 
@@ -174,16 +187,16 @@ class Mlp:
 # Text, one value per line after a fixed preamble:
 #   line 1: "<magic> <version>"
 #   line 2: layer sizes, space separated
-#   line 3: "<activation> <head-kind>"
+#   line 3: "tanh <head-kind>" (the hidden activation; tanh is the only one)
 #   line 4: head bounds ("-" when absent): low values ';' high values
 #   line 5: "log_std" or "-"
-#   then every parameter value as float.hex() in declaration order.
+#   then every value of ``flat`` as float.hex(), in order.
 
 
 def save_mlp(net: Mlp, path) -> None:
     lines = [f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}",
              " ".join(str(s) for s in net.layer_sizes),
-             f"{net.hidden_activation} {net.head.kind}"]
+             f"tanh {net.head.kind}"]
     if net.head.kind == "tanh_scaled":
         low = " ".join(v.hex() for v in net.head.low.tolist())
         high = " ".join(v.hex() for v in net.head.high.tolist())
@@ -191,8 +204,7 @@ def save_mlp(net: Mlp, path) -> None:
     else:
         lines.append("-")
     lines.append("log_std" if net.log_std is not None else "-")
-    for p in net.parameters():
-        lines.extend(v.hex() for v in p.data.ravel().tolist())
+    lines.extend(v.hex() for v in net.flat.tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -207,6 +219,8 @@ def load_mlp(path) -> Mlp:
         raise ValueError(f"unsupported checkpoint version {version}")
     layer_sizes = [int(s) for s in lines[1].split()]
     activation, head_kind = lines[2].split()
+    if activation != "tanh":
+        raise ValueError(f"unsupported activation {activation!r}")
     if lines[3] == "-":
         head = Head(head_kind) if head_kind != "tanh_scaled" else None
         if head is None:
@@ -216,21 +230,15 @@ def load_mlp(path) -> Mlp:
         head = Head(head_kind,
                     low=np.array([float.fromhex(v) for v in low_s.split()]),
                     high=np.array([float.fromhex(v) for v in high_s.split()]))
-    net = Mlp(layer_sizes, activation, head)
+    net = Mlp(layer_sizes, head)
     if lines[4] == "log_std" and net.log_std is None:
         raise ValueError("checkpoint has log_std but head is not gaussian")
     values = [float.fromhex(v) for v in lines[5:] if v]
-    offset = 0
-    for p in net.parameters():
-        n = p.data.size
-        chunk = np.array(values[offset:offset + n])
-        if chunk.size != n:
-            raise ValueError("checkpoint truncated")
-        p.data = chunk.reshape(p.data.shape)
-        offset += n
-    if offset != len(values):
+    if len(values) < net.flat.size:
+        raise ValueError("checkpoint truncated")
+    if len(values) > net.flat.size:
         raise ValueError("checkpoint has trailing values")
-    for p in net.parameters():
-        if not np.all(np.isfinite(p.data)):
-            raise ValueError("checkpoint contains non-finite parameters")
+    net.flat[:] = values
+    if not np.all(np.isfinite(net.flat)):
+        raise ValueError("checkpoint contains non-finite parameters")
     return net

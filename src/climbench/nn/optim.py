@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import NonFiniteError, Tensor
+from .tensor import NonFiniteError, Tensor, gather_grads
 
-__all__ = ["Optimizer", "soft_update", "clip_grad_norm", "global_grad_norm"]
+__all__ = ["Optimizer", "soft_update", "clip_grad_norm"]
 
 BETA1, BETA2 = 0.9, 0.999
 EPSILON = 1e-8
@@ -15,8 +15,10 @@ EPSILON = 1e-8
 class Optimizer:
     """Adam over a fixed parameter list.
 
-    Moment accumulators mirror the parameter shapes. Non-finite gradients are
-    rejected before any parameter is touched.
+    The first and second moments are one vector each, over the parameters in
+    list order. The gradient is gathered into one vector and rejected if any
+    entry is non-finite, before anything is written; the update is computed
+    once and written back through each parameter's slice of it.
     """
 
     def __init__(self, params: list[Tensor], learning_rate: float):
@@ -25,62 +27,56 @@ class Optimizer:
         self.params = list(params)
         self.learning_rate = float(learning_rate)
         self.step_count = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self._offsets = np.cumsum([0] + [p.data.size for p in self.params])
+        self.m = np.zeros(self._offsets[-1])
+        self.v = np.zeros(self._offsets[-1])
 
-    def step(self, grads: list[np.ndarray] | None = None) -> None:
-        """Apply one update from ``grads`` (default: the params' .grad fields)."""
-        if grads is None:
-            grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
-                     for p in self.params]
-        if len(grads) != len(self.params):
-            raise ValueError("gradient list length does not match parameters")
-        for g, p in zip(grads, self.params):
-            if g.shape != p.data.shape:
-                raise ValueError(f"gradient shape {g.shape} != param shape {p.data.shape}")
-            if not np.all(np.isfinite(g)):
-                raise NonFiniteError(
-                    f"non-finite gradient (max |g| over finite entries: "
-                    f"{np.max(np.abs(g[np.isfinite(g)])) if np.any(np.isfinite(g)) else 'n/a'})")
+    def step(self) -> None:
+        """Apply one update from the params' .grad fields (None counts as zero)."""
+        g = gather_grads(self.params)
+        if not np.all(np.isfinite(g)):
+            finite = g[np.isfinite(g)]
+            raise NonFiniteError(
+                f"non-finite gradient (max |g| over finite entries: "
+                f"{np.max(np.abs(finite)) if finite.size else 'n/a'})")
         self.step_count += 1
         bc1 = 1.0 - BETA1 ** self.step_count
         bc2 = 1.0 - BETA2 ** self.step_count
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= BETA1
-            m += (1.0 - BETA1) * g
-            v *= BETA2
-            v += (1.0 - BETA2) * g * g
-            p.data -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + EPSILON)
+        m, v = self.m, self.v
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        update = self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + EPSILON)
+        for p, lo, hi in zip(self.params, self._offsets[:-1], self._offsets[1:]):
+            np.subtract(p.data, update[lo:hi].reshape(p.data.shape), out=p.data)
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None
 
 
-def soft_update(target_params: list[Tensor], online_params: list[Tensor], tau: float) -> None:
+def soft_update(target: np.ndarray, online: np.ndarray, tau: float) -> None:
     """target <- tau * online + (1 - tau) * target, elementwise in place."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0, 1], got {tau}")
-    if len(target_params) != len(online_params):
-        raise ValueError("parameter lists differ in length")
-    for t, o in zip(target_params, online_params):
-        if t.data.shape != o.data.shape:
-            raise ValueError("parameter shapes differ")
-        t.data *= 1.0 - tau
-        t.data += tau * o.data
+    if target.shape != online.shape:
+        raise ValueError("parameter shapes differ")
+    target *= 1.0 - tau
+    target += tau * online
 
 
-def global_grad_norm(params: list[Tensor]) -> float:
+def clip_grad_norm(params: list[Tensor], max_norm: float) -> float:
+    """Scale gradients in place so their global L2 norm is at most ``max_norm``.
+
+    The squared norm is summed tensor by tensor: one dot over the gathered
+    vector would sum in another order and move the on-policy trajectories.
+    """
     total = 0.0
     for p in params:
         if p.grad is not None:
             total += float(np.sum(p.grad * p.grad))
-    return float(np.sqrt(total))
-
-
-def clip_grad_norm(params: list[Tensor], max_norm: float) -> float:
-    """Scale gradients in place so their global L2 norm is at most ``max_norm``."""
-    norm = global_grad_norm(params)
+    norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0:
         scale = max_norm / norm
         for p in params:

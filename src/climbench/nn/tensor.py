@@ -20,7 +20,7 @@ __all__ = [
     "NonFiniteError",
     "concat",
     "minimum",
-    "maximum",
+    "gather_grads",
 ]
 
 
@@ -30,11 +30,6 @@ class GraphConsumedError(RuntimeError):
 
 class NonFiniteError(ValueError):
     """A value that must be finite (gradient, loss, parameter) is not."""
-
-
-def _as_array(value) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
-    return arr
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -56,7 +51,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_consumed")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_array(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
@@ -74,13 +69,6 @@ class Tensor:
             out._parents = tuple(parents)
             out._backward = backward
         return out
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -116,9 +104,6 @@ class Tensor:
 
         return Tensor._from_op(data, (self, other), backward)
 
-    def __rsub__(self, other) -> "Tensor":
-        return Tensor(other) - self
-
     def __mul__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
         data = self.data * other.data
@@ -132,23 +117,6 @@ class Tensor:
         return Tensor._from_op(data, (self, other), backward)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        data = self.data / other.data
-
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate_fresh(_unbroadcast(g / other.data, self.data.shape))
-            if other.requires_grad:
-                other._accumulate_fresh(
-                    _unbroadcast(-g * self.data / (other.data * other.data),
-                                 other.data.shape))
-
-        return Tensor._from_op(data, (self, other), backward)
-
-    def __rtruediv__(self, other) -> "Tensor":
-        return Tensor(other) / self
 
     def __pow__(self, power: float) -> "Tensor":
         data = self.data ** power
@@ -178,14 +146,6 @@ class Tensor:
             self._accumulate_fresh(g * (1.0 - out_data * out_data))
 
         return Tensor._from_op(out_data, (self,), backward)
-
-    def relu(self) -> "Tensor":
-        mask = self.data > 0
-
-        def backward(g: np.ndarray) -> None:
-            self._accumulate_fresh(g * mask)
-
-        return Tensor._from_op(np.where(mask, self.data, 0.0), (self,), backward)
 
     def exp(self) -> "Tensor":
         out_data = np.exp(self.data)
@@ -277,7 +237,7 @@ class Tensor:
         if output_grad is None:
             output_grad = np.ones_like(self.data)
         else:
-            output_grad = _as_array(output_grad)
+            output_grad = np.asarray(output_grad, dtype=np.float64)
             if output_grad.shape != self.data.shape:
                 raise ValueError(
                     f"output_grad shape {output_grad.shape} != output shape {self.data.shape}")
@@ -311,6 +271,12 @@ class Tensor:
                     node.grad = None
 
 
+def gather_grads(tensors: Sequence[Tensor]) -> np.ndarray:
+    """The tensors' gradients raveled into one vector; zeros where there is none."""
+    return np.concatenate([(t.grad if t.grad is not None
+                            else np.zeros_like(t.data)).ravel() for t in tensors])
+
+
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     """Concatenate along ``axis``; gradient splits back to the inputs."""
     datas = [t.data for t in tensors]
@@ -330,18 +296,6 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
 def minimum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise minimum; the smaller branch receives the gradient."""
     mask = a.data <= b.data
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate_fresh(_unbroadcast(g * mask, a.data.shape))
-        if b.requires_grad:
-            b._accumulate_fresh(_unbroadcast(g * ~mask, b.data.shape))
-
-    return Tensor._from_op(np.where(mask, a.data, b.data), (a, b), backward)
-
-
-def maximum(a: Tensor, b: Tensor) -> Tensor:
-    mask = a.data >= b.data
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:

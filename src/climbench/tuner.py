@@ -221,7 +221,7 @@ def tune_algorithm(algorithm: str, experiment_id: str, n_trials: int = 32,
                    env_overrides: dict | None = None) -> StudyResult:
     """Run a study and write the best config fragment for *-optim-L runs."""
     spec = experiment_spec(experiment_id)
-    budget = trial_budget or spec.steps
+    budget = spec.steps if trial_budget is None else trial_budget
     space = build_search_space(algorithm)
     runner = TrainingTrialRunner(algorithm, experiment_id, env_overrides)
     result = run_study(runner, space, n_trials, budget, workers=workers, seed=seed)

@@ -1,10 +1,13 @@
 """Cross-algorithm behaviour: record schema, determinism, abort handling."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from climbench.algos import TRAINER_CLASSES, make_config, make_trainer
 from climbench.envs import BiasCorrectionEnv, RceEnv, RcePhysicsParams
+from climbench.nn import Mlp
 from climbench.rollout import Transition
 
 ALL_TAGS = tuple(TRAINER_CLASSES)
@@ -59,9 +62,8 @@ def test_single_update_deterministic_on_frozen_batch():
                 trainer.buffer.push(batch_transition)
             trainer.global_step = 200
             trainer._on_transition(batch_transition)
-            outs.append([p.data.copy() for p in trainer.critics[0].parameters()])
-        for x, y in zip(outs[0], outs[1]):
-            assert np.array_equal(x, y)
+            outs.append(trainer.critics[0].net.flat.copy())
+        assert np.array_equal(outs[0], outs[1])
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS)
@@ -122,3 +124,43 @@ def test_off_policy_never_recomputes_stored_log_probs():
     batch_keys = set(trainer.buffer.sample(1))
     assert batch_keys == {"s", "a", "r", "s_next", "d"}
 
+
+
+def nets_of(trainer):
+    """Every distinct network a trainer holds, online and target."""
+    nets = {}
+    for value in vars(trainer).values():
+        for item in value if isinstance(value, list) else [value]:
+            net = item if isinstance(item, Mlp) else getattr(item, "net", None)
+            if isinstance(net, Mlp):
+                nets[id(net)] = net
+    return list(nets.values())
+
+
+def assert_params_view_flat(trainer):
+    for net in nets_of(trainer):
+        for p in net.parameters():
+            assert np.shares_memory(p.data, net.flat)
+
+
+# policy (+ value net); actor + critics (+ target actor) + target critics
+NET_COUNTS = {"reinforce": 1, "ppo": 2, "trpo": 2, "dpg": 2, "ddpg": 4, "td3": 6,
+              "sac": 5, "tqc": 5}
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_parameters_stay_views_into_flat_through_training_and_pickle(tag):
+    trainer = short_trainer(tag, steps=400)
+    assert len(nets_of(trainer)) == NET_COUNTS[tag]
+    trainer.train(300)
+    assert_params_view_flat(trainer)
+    # The tuner ships trainers between processes by pickle and trains on.
+    resumed = pickle.loads(pickle.dumps(trainer))
+    assert_params_view_flat(resumed)
+    resumed.train(400)
+    assert_params_view_flat(resumed)
+    whole = short_trainer(tag, steps=400)
+    whole.train(400)
+    assert resumed.record.body_bytes() == whole.record.body_bytes()
+    for a, b in zip(nets_of(resumed), nets_of(whole)):
+        assert a.flat.tobytes() == b.flat.tobytes()

@@ -5,10 +5,8 @@ import pytest
 
 from climbench.algos import make_config, make_trainer
 from climbench.algos.common import SquashedGaussianPolicy
-from climbench.algos.onpolicy import (conjugate_gradient, flat_grads, flat_params,
-                                      set_flat_params)
-from climbench.algos.tqc import (quantile_fractions, quantile_huber_loss,
-                                 truncated_quantile_loss)
+from climbench.algos.onpolicy import conjugate_gradient
+from climbench.algos.tqc import quantile_fractions, truncated_quantile_loss
 from climbench.envs import BiasCorrectionEnv, BoxSpace, ClimateEnv, RngStream
 from climbench.nn import Tensor
 from climbench.rollout import discounted_returns
@@ -68,7 +66,7 @@ def test_reinforce_loss_gradient_matches_finite_differences():
     loss = trainer.episode_loss(obs, actions, rewards)
     loss.backward()
     h = 1e-6
-    for p in trainer.policy.parameters():
+    for p in trainer.policy.net.parameters():
         flat = p.data.ravel()
         gflat = p.grad.ravel()
         for i in range(min(flat.size, 5)):
@@ -125,8 +123,7 @@ def test_zero_noise_trajectories_replay_identically():
 def test_ddpg_tau_one_makes_targets_track_online():
     trainer = make("ddpg", total_timesteps=1200, tau=1.0, learning_starts=100)
     trainer.train()
-    for t, o in zip(trainer.target_actor.parameters(), trainer.actor.parameters()):
-        assert np.array_equal(t.data, o.data)
+    assert np.array_equal(trainer.target_actor.net.flat, trainer.actor.net.flat)
 
 
 def test_ddpg_target_uses_target_networks():
@@ -135,8 +132,8 @@ def test_ddpg_target_uses_target_networks():
              "r": np.array([0.5]), "s_next": np.array([[0.5]]),
              "d": np.array([0.0])}
     y_before = trainer.compute_target(batch)
-    for p in trainer.actor.parameters() + trainer.critics[0].parameters():
-        p.data = p.data + 0.37  # perturb online nets only
+    trainer.actor.net.flat[:] += 0.37  # perturb online nets only
+    trainer.critics[0].net.flat[:] += 0.37
     y_after = trainer.compute_target(batch)
     assert np.array_equal(y_before, y_after)
 
@@ -230,29 +227,28 @@ def test_fisher_vector_product_matches_kl_gradient_differences():
     trainer = make("trpo", actor_critic_layer_size=8)
     rng = np.random.default_rng(4)
     obs = rng.uniform(0, 1, size=(16, 1))
-    params = trainer.policy.parameters()
+    net = trainer.policy.net
     old_means = trainer.policy.mean_np(obs)
-    old_log_std = trainer.policy.net.log_std.data.copy()
+    old_log_std = net.log_std.data.copy()
     trainer.cfg.cg_damping = 0.0
 
     def kl_grad(vector):
-        saved = flat_params(params)
-        set_flat_params(params, vector)
-        mean = trainer.policy.net.forward(Tensor(obs))
-        log_std = trainer.policy.net.log_std
+        saved = net.flat.copy()
+        net.flat[:] = vector
+        mean = net.forward(Tensor(obs))
+        log_std = net.log_std
         var_old = np.exp(2.0 * old_log_std)
         diff = Tensor(old_means) - mean
         inv_var_new = (log_std * (-2.0)).exp()
         per_dim = (log_std - Tensor(old_log_std)
                    + (diff * diff + var_old) * inv_var_new * 0.5 - 0.5)
         per_dim.sum(axis=1).mean().backward()
-        g = flat_grads(params)
-        for p in params:
-            p.grad = None
-        set_flat_params(params, saved)
+        g = net.flat_grad()
+        net.zero_grad()
+        net.flat[:] = saved
         return g
 
-    theta = flat_params(params)
+    theta = net.flat.copy()
     v = rng.normal(size=theta.size)
     h = 1e-5
     fd = (kl_grad(theta + h * v) - kl_grad(theta - h * v)) / (2 * h)
@@ -268,11 +264,10 @@ def test_trpo_no_op_on_unimprovable_surrogate():
     actions = means + 0.05 * rng.normal(size=(16, 1))
     logp = trainer.policy.log_prob_np(means, actions)
     trainer._log_std_at_collect = trainer.policy.net.log_std.data.copy()
-    before = flat_params(trainer.policy.parameters())
+    before = trainer.policy.net.flat.copy()
     accepted = trainer.natural_step(obs, actions, logp, means, np.zeros(16))
-    after = flat_params(trainer.policy.parameters())
     assert not accepted
-    assert np.array_equal(before, after)
+    assert np.array_equal(before, trainer.policy.net.flat)
 
 
 # -- PPO ------------------------------------------------------------------------
@@ -305,7 +300,7 @@ def test_ppo_loss_clips_ratios_outside_band():
     adv = np.array([0.8, 1.1, -1.3, -0.4])
     obs, actions, old_logp = _ppo_batch_with_ratios(trainer, ratios, rng)
     trainer.minibatch_loss(obs, actions, old_logp, adv, np.zeros(4)).backward()
-    assert all(np.all(p.grad == 0.0) for p in trainer.policy.parameters())
+    assert all(np.all(p.grad == 0.0) for p in trainer.policy.net.parameters())
 
 
 def test_ppo_ratio_one_surrogate_is_mean_advantage():
@@ -371,6 +366,25 @@ def test_sac_holds_exactly_two_critics():
 
 
 # -- TQC ------------------------------------------------------------------------
+
+
+def quantile_huber_loss(u: Tensor, tau: np.ndarray, kappa: float = 1.0) -> Tensor:
+    """Oracle: rho_tau(u) = |tau - 1{u<0}| * L_kappa(u), elementwise.
+
+    ``u`` is (batch, n_quantiles, n_targets) of residuals target - predicted;
+    ``tau`` broadcasts along the quantile axis.
+    """
+    data = u.data
+    abs_u = np.abs(data)
+    small = abs_u <= kappa
+    huber = np.where(small, 0.5 * data * data, kappa * (abs_u - 0.5 * kappa))
+    weight = np.abs(tau - (data < 0.0))
+
+    def backward(g: np.ndarray) -> None:
+        d_huber = np.where(small, data, kappa * np.sign(data))
+        u._accumulate_fresh(g * weight * d_huber)
+
+    return Tensor._from_op(weight * huber, (u,), backward)
 
 
 def test_quantile_huber_hand_cases():

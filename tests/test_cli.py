@@ -34,6 +34,37 @@ def test_missing_required_flags_exit_1(tmp_path):
     assert run_cli("evaluate") == 1  # argparse error routed to exit 1
 
 
+@pytest.mark.parametrize("flag,value", [("--steps", "0"), ("--steps", "-5"),
+                                        ("--workers", "0")])
+def test_train_non_positive_count_is_usage_error(tmp_path, capsys, flag, value):
+    out = tmp_path / "records"
+    code = run_cli("train", "--experiment", "v0-homo-64L", "--algo", "reinforce",
+                   "--seeds", "1", flag, value, "--out", str(out))
+    assert code == 1
+    assert f"{flag} must be at least 1" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_train_non_positive_steps_in_config_file_is_usage_error(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\nsteps = 0\n")
+    out = tmp_path / "records"
+    code = run_cli("train", "--experiment", "v0-homo-64L", "--algo", "reinforce",
+                   "--seeds", "1", "--config", str(cfg), "--out", str(out))
+    assert code == 1
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--workers", "--budget"])
+def test_tune_non_positive_count_is_usage_error(tmp_path, capsys, flag):
+    out = tmp_path / "tuned"
+    code = run_cli("tune", "--experiment", "v0-homo-64L", "--algo", "reinforce",
+                   flag, "0", "--out", str(out))
+    assert code == 1
+    assert f"{flag} must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_writes_records_and_rerun_identical(tmp_path, capsys):
     out1 = tmp_path / "r1"
     out2 = tmp_path / "r2"

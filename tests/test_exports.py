@@ -52,3 +52,47 @@ def test_no_unused_imports():
              for tree in ("src", "tests") for path in sorted((ROOT / tree).rglob("*.py"))
              for hit in unused_imports(path.read_text(encoding="utf-8"))]
     assert found == []
+
+
+# Where a parameter's array may be bound: the constructor, and the unpickling
+# hook that points parameters back into their net's ``flat`` vector.
+DATA_BINDERS = {("Tensor", "__init__"), ("Mlp", "__setstate__")}
+
+
+def data_rebinds(source: str) -> list[str]:
+    """Stores to an attribute named ``data`` outside ``DATA_BINDERS``.
+
+    A parameter's ``data`` is a view into its net's ``flat`` vector; binding a
+    new array detaches it, so optimizers and target blends stop moving it.
+    Writes through the array (``p.data[...] = x``) are not stores to the
+    attribute and pass.
+    """
+    hits = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = (scope[-1], node.name) if scope else (node.name,)
+        if (isinstance(node, ast.Attribute) and node.attr == "data"
+                and isinstance(node.ctx, ast.Store) and scope not in DATA_BINDERS):
+            hits.append(f"{node.lineno}: {ast.unparse(node)}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return hits
+
+
+def test_data_rebind_scan_finds_them():
+    source = ("class Tensor:\n"
+              "    def __init__(self, d):\n        self.data = d\n"
+              "    def reset(self, d):\n        self.data = d\n"
+              "def f(p, q, x):\n    p.data += x\n    p.data[...] = x\n"
+              "    q.grad, p.data = x, x\n")
+    assert data_rebinds(source) == ["5: self.data", "7: p.data", "9: p.data"]
+
+
+def test_no_parameter_data_rebinds():
+    found = [f"{path.relative_to(ROOT)}:{hit}"
+             for tree in ("src", "tests") for path in sorted((ROOT / tree).rglob("*.py"))
+             for hit in data_rebinds(path.read_text(encoding="utf-8"))]
+    assert found == []

@@ -1,9 +1,14 @@
 """Head behaviour, initialization, JVP, and the checkpoint round-trip."""
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from climbench.nn import LOG_STD_MAX, LOG_STD_MIN, Head, Mlp, load_mlp, save_mlp
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def test_tanh_scaled_head_stays_in_box():
@@ -36,44 +41,78 @@ def test_gaussian_head_log_std_param_and_clamp():
     assert np.array_equal(net.log_std.data, [LOG_STD_MIN, LOG_STD_MAX])
 
 
+def test_parameters_are_views_into_flat():
+    net = Mlp([3, 4, 2], head=Head("gaussian"), rng=np.random.default_rng(0))
+    assert net.flat.dtype == np.float64 and net.flat.flags.c_contiguous
+    assert net.flat.size == sum(p.data.size for p in net.parameters())
+    for p, view in zip(net.parameters(), net.unflatten(net.flat)):
+        assert np.shares_memory(p.data, net.flat) and np.array_equal(p.data, view)
+    assert np.array_equal(net.flat[-2:], net.log_std.data)  # log-std is last
+    net.flat[:] = np.arange(net.flat.size)
+    assert net.weights[0].data[0, 1] == 1.0 and net.biases[0].data[0] == 12.0
+
+
 def test_jvp_matches_finite_difference_directional_derivative():
     rng = np.random.default_rng(11)
-    net = Mlp([3, 6, 2], hidden_activation="tanh", rng=rng)
+    net = Mlp([3, 6, 2], rng=rng)
     x = rng.normal(size=(5, 3))
-    tangents = [rng.normal(size=p.data.shape) for p in net.parameters()]
+    tangent = rng.normal(size=net.flat.size)
     h = 1e-6
-    saved = [p.data.copy() for p in net.parameters()]
-    for p, t in zip(net.parameters(), tangents):
-        p.data = p.data + h * t
+    saved = net.flat.copy()
+    net.flat[:] = saved + h * tangent
     up = net.forward_np(x)
-    for p, t, s in zip(net.parameters(), tangents, saved):
-        p.data = s - h * t
+    net.flat[:] = saved - h * tangent
     down = net.forward_np(x)
-    for p, s in zip(net.parameters(), saved):
-        p.data = s
+    net.flat[:] = saved
     fd = (up - down) / (2 * h)
-    jvp = net.jvp(x, tangents)
+    jvp = net.jvp(x, net.unflatten(tangent))
     assert np.max(np.abs(jvp - fd)) < 1e-6
 
 
 @pytest.mark.parametrize("head,act", [
     (Head("linear"), "tanh"),
-    (Head("tanh_scaled", low=[0.0, 5.5], high=[1.0, 9.8]), "relu"),
+    (Head("tanh_scaled", low=[0.0, 5.5], high=[1.0, 9.8]), "tanh"),
     (Head("gaussian"), "tanh"),
 ])
 def test_checkpoint_round_trip_bit_exact(tmp_path, head, act):
-    net = Mlp([4, 16, 2], hidden_activation=act, head=head,
-              rng=np.random.default_rng(9))
+    net = Mlp([4, 16, 2], head=head, rng=np.random.default_rng(9))
     path = tmp_path / "net.ckpt"
     save_mlp(net, path)
+    assert path.read_text().splitlines()[2] == f"{act} {head.kind}"
     loaded = load_mlp(path)
     assert loaded.layer_sizes == net.layer_sizes
-    assert loaded.hidden_activation == net.hidden_activation
     assert loaded.head.kind == net.head.kind
-    for a, b in zip(net.parameters(), loaded.parameters()):
-        assert np.array_equal(a.data, b.data)
+    assert loaded.flat.tobytes() == net.flat.tobytes()
+    for p in loaded.parameters():
+        assert np.shares_memory(p.data, loaded.flat)
     x = np.random.default_rng(1).normal(size=(3, 4))
     assert np.array_equal(net.forward_np(x), loaded.forward_np(x))
+
+
+@pytest.mark.parametrize("name,sha256", [
+    ("mlp_tanh_scaled.ckpt",
+     "764d5011c6951ffa409d0c92fff91ecbbc7f124534b9c43d1953e8f19f4f3b5c"),
+    ("mlp_gaussian.ckpt",
+     "bed2f08fc567b58a4809a055219f052fd03ff6c78652ac90bcaf0a5b00942e83"),
+])
+def test_checkpoint_from_per_tensor_layout_loads_same_bytes(tmp_path, name, sha256):
+    # Written by commit 01db5b2, when each parameter owned its own array; the
+    # digest is of those arrays' bytes, concatenated in declaration order.
+    net = load_mlp(FIXTURES / name)
+    assert hashlib.sha256(net.flat.tobytes()).hexdigest() == sha256
+    save_mlp(net, tmp_path / name)
+    assert (tmp_path / name).read_text() == (FIXTURES / name).read_text()
+
+
+def test_checkpoint_with_relu_activation_rejected(tmp_path):
+    net = Mlp([2, 3, 1], rng=np.random.default_rng(0))
+    path = tmp_path / "net.ckpt"
+    save_mlp(net, path)
+    lines = path.read_text().splitlines()
+    lines[2] = "relu linear"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="activation 'relu'"):
+        load_mlp(path)
 
 
 def test_checkpoint_bad_magic_rejected(tmp_path):

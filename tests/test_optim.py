@@ -9,7 +9,8 @@ from climbench.nn import Mlp, NonFiniteError, Optimizer, Tensor, soft_update
 def test_zero_gradient_leaves_params_unchanged():
     p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     opt = Optimizer([p], learning_rate=0.1)
-    opt.step([np.zeros(2)])
+    p.grad = np.zeros(2)
+    opt.step()
     assert np.array_equal(p.data, np.array([1.0, -2.0]))
     assert opt.step_count == 1
 
@@ -21,8 +22,8 @@ def test_adam_matches_textbook_scalar_loop_and_descends_quadratic():
     x, m, v = 1.0, 0.0, 0.0
     b1, b2, eps = 0.9, 0.999, 1e-8
     for t in range(1, 201):
-        g = 2.0 * p.data.copy()
-        opt.step([g])
+        p.grad = 2.0 * p.data.copy()
+        opt.step()
         go = 2.0 * x
         m = b1 * m + (1 - b1) * go
         v = b2 * v + (1 - b2) * go * go
@@ -33,35 +34,46 @@ def test_adam_matches_textbook_scalar_loop_and_descends_quadratic():
 
 def test_non_finite_gradient_rejected():
     p = Tensor(np.array([1.0]), requires_grad=True)
-    opt = Optimizer([p], learning_rate=0.1)
+    q = Tensor(np.array([2.0, 3.0]), requires_grad=True)
+    opt = Optimizer([p, q], learning_rate=0.1)
+    p.grad = np.array([0.5])
+    q.grad = np.array([1.0, np.nan])
     with pytest.raises(NonFiniteError):
-        opt.step([np.array([np.nan])])
-    assert p.data[0] == 1.0  # untouched
+        opt.step()
+    # nothing is written, not even to the parameter listed before the bad one
+    assert p.data[0] == 1.0 and np.array_equal(q.data, [2.0, 3.0])
+    assert not opt.m.any() and not opt.v.any() and opt.step_count == 0
 
 
-def test_accumulators_mirror_param_shapes():
-    net = Mlp([3, 4, 2])
-    opt = Optimizer(net.parameters(), learning_rate=1e-3)
-    for p, m, v in zip(opt.params, opt.m, opt.v):
-        assert m.shape == p.data.shape
-        assert v.shape == p.data.shape
+def test_moments_are_one_vector_of_total_size():
+    nets = [Mlp([3, 4, 2]), Mlp([2, 5, 1])]
+    opt = Optimizer([p for net in nets for p in net.parameters()], learning_rate=1e-3)
+    total = sum(net.flat.size for net in nets)
+    assert opt.m.shape == opt.v.shape == (total,)
+    before = [net.flat.copy() for net in nets]
+    for p in opt.params:
+        p.grad = np.ones_like(p.data)
+    opt.step()
+    # one step from zero moments moves every parameter by the learning rate
+    for net, flat in zip(nets, before):
+        assert np.allclose(flat - net.flat, 1e-3, rtol=1e-6)
 
 
 def test_soft_update_cases():
-    t = [Tensor(np.zeros(3), requires_grad=True)]
-    o = [Tensor(np.full(3, 2.0), requires_grad=True)]
+    t = np.zeros(3)
+    o = np.full(3, 2.0)
     soft_update(t, o, 0.5)
-    assert np.allclose(t[0].data, 1.0)
+    assert np.allclose(t, 1.0)
     soft_update(t, o, 1.0)
-    assert np.array_equal(t[0].data, o[0].data)
-    before = t[0].data.copy()
+    assert np.array_equal(t, o)
+    before = t.copy()
     soft_update(t, o, 0.0)
-    assert np.array_equal(t[0].data, before)
+    assert np.array_equal(t, before)
 
 
 def test_soft_update_tau_out_of_range():
-    t = [Tensor(np.zeros(1))]
-    o = [Tensor(np.ones(1))]
+    t = np.zeros(1)
+    o = np.ones(1)
     with pytest.raises(ValueError):
         soft_update(t, o, 1.5)
     with pytest.raises(ValueError):
@@ -71,11 +83,11 @@ def test_soft_update_tau_out_of_range():
 def test_soft_update_converges_geometrically():
     rng = np.random.default_rng(5)
     for tau in (0.1, 0.35, 0.9):
-        t = [Tensor(rng.normal(size=4))]
-        o = [Tensor(rng.normal(size=4))]
-        gap = np.linalg.norm(t[0].data - o[0].data)
+        t = rng.normal(size=4)
+        o = rng.normal(size=4)
+        gap = np.linalg.norm(t - o)
         for _ in range(6):
             soft_update(t, o, tau)
-            new_gap = np.linalg.norm(t[0].data - o[0].data)
+            new_gap = np.linalg.norm(t - o)
             assert np.isclose(new_gap, (1 - tau) * gap, rtol=1e-10, atol=1e-12)
             gap = new_gap

@@ -27,14 +27,14 @@ def finite_difference_grads(f, params, h=1e-5):
 
 def test_identity_linear_forward():
     net = Mlp([2, 2])
-    net.weights[0].data = np.eye(2)
-    net.biases[0].data = np.zeros(2)
+    net.weights[0].data[...] = np.eye(2)
+    net.biases[0].data[...] = 0.0
     out = net.forward_np(np.array([1.0, 2.0]))
     assert np.array_equal(out, np.array([1.0, 2.0]))
 
 
 def test_zero_input_zero_bias_tanh_gives_zero():
-    net = Mlp([3, 5, 5, 2], hidden_activation="tanh")
+    net = Mlp([3, 5, 5, 2])
     for b in net.biases:
         b.data[:] = 0.0
     out = net.forward_np(np.zeros(3))
@@ -44,7 +44,7 @@ def test_zero_input_zero_bias_tanh_gives_zero():
 def test_forward_matches_hand_rolled_matrix_oracle():
     # Independent oracle: explicit matmul + tanh chain in plain numpy.
     rng = np.random.default_rng(1)
-    net = Mlp([2, 4, 1], hidden_activation="tanh", rng=rng)
+    net = Mlp([2, 4, 1], rng=rng)
     x = np.array([[0.3, -1.2], [0.9, 0.1]])
     h = np.tanh(x @ net.weights[0].data + net.biases[0].data)
     expected = h @ net.weights[1].data + net.biases[1].data
@@ -82,20 +82,6 @@ def test_backward_linear_identity_grad_is_input():
         assert np.max(np.abs(p.grad - g)) < 1e-6
 
 
-def test_zeroed_relu_net_has_zero_weight_grads():
-    net = Mlp([3, 4, 1], hidden_activation="relu")
-    for w in net.weights:
-        w.data[:] = 0.0
-    for b in net.biases:
-        b.data[:] = 0.0
-    out = net.forward(Tensor(np.ones((2, 3))))
-    out.sum().backward()
-    # All weight and hidden-bias grads vanish; the output bias is the constant's slope.
-    assert np.all(net.weights[0].grad == 0)
-    assert np.all(net.weights[1].grad == 0)
-    assert np.all(net.biases[0].grad == 0)
-
-
 def test_quadratic_loss_at_minimum_has_tiny_grad():
     w = Tensor(np.array([2.0]), requires_grad=True)
     loss = (w - 2.0) ** 2
@@ -103,14 +89,13 @@ def test_quadratic_loss_at_minimum_has_tiny_grad():
     assert np.linalg.norm(w.grad) < 1e-10
 
 
-@pytest.mark.parametrize("activation", ["tanh"])
-def test_backward_matches_finite_differences_many_nets(activation):
+def test_backward_matches_finite_differences_many_nets():
     # Spec invariant: smooth heads, 100 random (net, input) pairs, <=1e-4 relative.
     rng = np.random.default_rng(42)
     worst = 0.0
     for trial in range(100):
         sizes = [int(rng.integers(1, 5)) for _ in range(rng.integers(2, 5))]
-        net = Mlp(sizes, hidden_activation=activation, rng=rng)
+        net = Mlp(sizes, rng=rng)
         x = rng.normal(size=(int(rng.integers(1, 4)), sizes[0]))
         target = rng.normal(size=(x.shape[0], sizes[-1]))
 

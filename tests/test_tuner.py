@@ -150,5 +150,4 @@ def test_segmented_training_equals_unsegmented():
     full = make_trainer("ddpg", BiasCorrectionEnv("v0"), cfg2, seed=3)
     full.train(total_steps=800)
     assert seg.record.entries == full.record.entries
-    for a, b in zip(seg.actor.parameters(), full.actor.parameters()):
-        assert np.array_equal(a.data, b.data)
+    assert np.array_equal(seg.actor.net.flat, full.actor.net.flat)
