@@ -13,7 +13,9 @@ supplies up to three hooks:
   * ``compute_target(batch)``  the critic regression target, as a numpy array
   * ``critic_loss(q, y)``      one critic's loss against that target
                                (mean squared error unless overridden)
-  * ``actor_value(s, a)``      the per-state value the actor ascends
+  * ``actor_value(s, a)``      the per-state value the actor ascends; it
+                               calls the critics with ``param_grads=False``,
+                               so the actor loss gives the critics no gradient
 """
 
 from __future__ import annotations
@@ -257,9 +259,7 @@ class OffPolicyTrainer(Trainer):
         self._check_finite_loss(float(loss.data), f"{self.algorithm} actor loss")
         loss.backward()
         self.actor_opt.step()
-        # the critics took gradients through the actor loss; drop them
         self.actor_opt.zero_grad()
-        self.critic_opt.zero_grad()
         self.n_actor_updates += 1
         if self.stochastic_actor:
             self.actor.net.clamp_log_std()

@@ -163,5 +163,5 @@ class QNet:
     def q_np(self, s: np.ndarray, a: np.ndarray) -> np.ndarray:
         return self.net.forward_np(np.concatenate([s, a], axis=-1))
 
-    def q_tensor(self, s: Tensor, a: Tensor) -> Tensor:
-        return self.net.forward(concat([s, a], axis=1))
+    def q_tensor(self, s: Tensor, a: Tensor, param_grads: bool = True) -> Tensor:
+        return self.net.forward(concat([s, a], axis=1), param_grads)

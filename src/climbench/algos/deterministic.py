@@ -28,7 +28,7 @@ class DdpgTrainer(OffPolicyTrainer):
         return batch["r"] + self.cfg.gamma * (1.0 - batch["d"]) * q_next
 
     def actor_value(self, s: Tensor, action: Tensor) -> Tensor:
-        return self.critics[0].q_tensor(s, action)
+        return self.critics[0].q_tensor(s, action, param_grads=False)
 
 
 class DpgTrainer(DdpgTrainer):

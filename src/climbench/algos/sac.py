@@ -36,4 +36,5 @@ class SacTrainer(OffPolicyTrainer):
             q_next - alpha * logp_next)
 
     def actor_value(self, s: Tensor, action: Tensor) -> Tensor:
-        return reduce(minimum, [c.q_tensor(s, action) for c in self.critics]).reshape(-1)
+        return reduce(minimum, [c.q_tensor(s, action, param_grads=False)
+                                for c in self.critics]).reshape(-1)

@@ -95,6 +95,6 @@ class TqcTrainer(OffPolicyTrainer):
 
     def actor_value(self, s: Tensor, action: Tensor) -> Tensor:
         """The mean over all critics of each critic's mean quantile."""
-        total = reduce(operator.add, [c.q_tensor(s, action).mean(axis=1)
+        total = reduce(operator.add, [c.q_tensor(s, action, param_grads=False).mean(axis=1)
                                       for c in self.critics])
         return total * (1.0 / self.cfg.n_critics)

@@ -20,7 +20,7 @@ rebinding ``p.data`` would detach ``p`` from ``flat``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,6 +42,9 @@ class Head:
     kind: str = "linear"
     low: np.ndarray | None = None   # tanh_scaled box bounds
     high: np.ndarray | None = None
+    # the box's centre and half-width, from low and high
+    center: np.ndarray | None = field(default=None, init=False, repr=False)
+    half: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in _HEADS:
@@ -49,6 +52,8 @@ class Head:
         if self.kind == "tanh_scaled":
             self.low = np.asarray(self.low, dtype=np.float64)
             self.high = np.asarray(self.high, dtype=np.float64)
+            self.center = (self.high + self.low) / 2.0
+            self.half = (self.high - self.low) / 2.0
 
 
 class Mlp:
@@ -60,8 +65,7 @@ class Mlp:
             raise ValueError("need at least input and output sizes")
         self.layer_sizes = list(layer_sizes)
         self.head = head or Head()
-        if rng is None:
-            rng = np.random.default_rng(0)
+        rng = np.random.default_rng(0) if rng is None else rng
         arrays = []
         n_layers = len(layer_sizes) - 1
         for i, (fan_in, fan_out) in enumerate(zip(layer_sizes[:-1], layer_sizes[1:])):
@@ -116,31 +120,55 @@ class Mlp:
         if self.log_std is not None:
             np.clip(self.log_std.data, LOG_STD_MIN, LOG_STD_MAX, out=self.log_std.data)
 
-    @property
-    def in_dim(self) -> int:
-        return self.layer_sizes[0]
-
     # -- forward -------------------------------------------------------------------
 
     def _check_input(self, x: np.ndarray) -> None:
-        if x.ndim != 2 or x.shape[1] != self.in_dim:
-            raise ValueError(
-                f"input shape {x.shape} incompatible with net input width {self.in_dim}")
+        if x.ndim != 2 or x.shape[1] != self.layer_sizes[0]:
+            raise ValueError(f"input shape {x.shape} incompatible with net input "
+                             f"width {self.layer_sizes[0]}")
 
-    def forward(self, x: Tensor) -> Tensor:
-        """Graph-building forward pass; input shape (batch, in_dim)."""
-        self._check_input(x.data)
-        h = x
+    def _layers(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The numpy forward pass: the output, and each layer's input followed
+        (tanh_scaled head) by the head's tanh."""
+        h, inputs = x, []
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
+            inputs.append(h)
+            h = h @ w.data + b.data
             if i < last:
-                h = h.tanh()
+                h = np.tanh(h)
         if self.head.kind == "tanh_scaled":
-            center = (self.head.high + self.head.low) / 2.0
-            half = (self.head.high - self.head.low) / 2.0
-            h = h.tanh() * half + center
-        return h
+            h = np.tanh(h)
+            inputs.append(h)
+            h = h * self.head.half + self.head.center
+        return h, inputs
+
+    def forward(self, x: Tensor, param_grads: bool = True) -> Tensor:
+        """The forward pass as one graph node; input shape (batch, in_dim).
+
+        Its backward repeats a per-layer tape's numpy operations in order, over
+        the kept layer inputs. With ``param_grads`` false the weights and
+        biases are not parents of the node and only ``x`` takes a gradient.
+        """
+        self._check_input(x.data)
+        out, inputs = self._layers(x.data)
+        params = self._params[:2 * len(self.weights)] if param_grads else []
+
+        def backward(g: np.ndarray) -> None:
+            if self.head.kind == "tanh_scaled":
+                t = inputs[-1]
+                g = g * self.head.half * (1.0 - t * t)
+            for i in range(len(self.weights) - 1, -1, -1):
+                h, w = inputs[i], self.weights[i]
+                if param_grads:
+                    self.biases[i]._accumulate_fresh(g.sum(axis=0))
+                    w._accumulate_fresh(h.T @ g)
+                if i > 0:
+                    g = (g @ w.data.T) * (1.0 - h * h)
+                elif x.requires_grad:
+                    x._accumulate_fresh(g @ w.data.T)
+
+        return Tensor._from_op(out, (x, *params), backward)
 
     def forward_np(self, x: np.ndarray) -> np.ndarray:
         """Graph-free forward pass for targets and action selection."""
@@ -149,16 +177,7 @@ class Mlp:
         if squeeze:
             x = x[None, :]
         self._check_input(x)
-        h = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w.data + b.data
-            if i < last:
-                h = np.tanh(h)
-        if self.head.kind == "tanh_scaled":
-            center = (self.head.high + self.head.low) / 2.0
-            half = (self.head.high - self.head.low) / 2.0
-            h = np.tanh(h) * half + center
+        h = self._layers(x)[0]
         return h[0] if squeeze else h
 
     def jvp(self, x: np.ndarray, tangents: list[np.ndarray]) -> np.ndarray:
@@ -169,15 +188,13 @@ class Mlp:
         """
         x = np.asarray(x, dtype=np.float64)
         self._check_input(x)
-        h = x
-        t = np.zeros((x.shape[0], self.in_dim))
+        inputs = self._layers(x)[1]
+        t = np.zeros_like(x)
         last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            dw, db = tangents[2 * i], tangents[2 * i + 1]
-            pre = h @ w.data + b.data
-            t = t @ w.data + h @ dw + db
+        for i, w in enumerate(self.weights):
+            t = t @ w.data + inputs[i] @ tangents[2 * i] + tangents[2 * i + 1]
             if i < last:
-                h = np.tanh(pre)
+                h = inputs[i + 1]
                 t = t * (1.0 - h * h)
         return t
 

@@ -126,17 +126,6 @@ class Tensor:
 
         return Tensor._from_op(data, (self,), backward)
 
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        data = self.data @ other.data
-
-        def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate_fresh(g @ other.data.T)
-            if other.requires_grad:
-                other._accumulate_fresh(self.data.T @ g)
-
-        return Tensor._from_op(data, (self, other), backward)
-
     # -- elementwise functions ---------------------------------------------------
 
     def tanh(self) -> "Tensor":
@@ -173,23 +162,14 @@ class Tensor:
     # -- reductions / shape ----------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        data = self.data.sum(axis=axis, keepdims=keepdims)
-
-        def backward(g: np.ndarray) -> None:
-            g_arr = np.asarray(g)
-            if axis is not None and not keepdims:
-                g_arr = np.expand_dims(g_arr, axis)
-            self._accumulate_fresh(np.broadcast_to(g_arr, self.data.shape).copy())
-
-        return Tensor._from_op(data, (self,), backward)
+        return self._reduction(self.data.sum(axis=axis, keepdims=keepdims), axis, keepdims)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        if axis is None:
-            count = self.data.size
-        else:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            count = int(np.prod([self.data.shape[a] for a in axes]))
         data = self.data.mean(axis=axis, keepdims=keepdims)
+        return self._reduction(data, axis, keepdims, self.data.size // np.size(data))
+
+    def _reduction(self, data, axis, keepdims: bool, count: int = 1) -> "Tensor":
+        """A sum (count 1) or a mean over ``count`` values; the gradient spreads evenly."""
 
         def backward(g: np.ndarray) -> None:
             g_arr = np.asarray(g) / count

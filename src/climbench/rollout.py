@@ -54,12 +54,13 @@ class ReplayBuffer:
             raise ValueError(
                 f"cannot sample {batch_size} transitions from a buffer of {self._size}")
         idx = self.rng.choice(self._size, size=batch_size, replace=False)
+        # fancy indexing returns copies
         return {
-            "s": self._s[idx].copy(),
-            "a": self._a[idx].copy(),
-            "r": self._r[idx].copy(),
-            "s_next": self._s_next[idx].copy(),
-            "d": self._d[idx].copy(),
+            "s": self._s[idx],
+            "a": self._a[idx],
+            "r": self._r[idx],
+            "s_next": self._s_next[idx],
+            "d": self._d[idx],
         }
 
 

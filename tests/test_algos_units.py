@@ -108,6 +108,23 @@ def test_actor_ascends_frozen_quadratic_critic():
     assert trainer.actor.act_np(np.array([0.5]))[0] == pytest.approx(0.3, abs=0.02)
 
 
+@pytest.mark.parametrize("tag", ["ddpg", "td3", "sac", "tqc"])
+def test_actor_update_gives_critics_no_gradient(tag):
+    trainer = make(tag, total_timesteps=120, learning_starts=50)
+    critic_params = [p for c in trainer.critics for p in c.net.parameters()]
+    step = trainer.actor_opt.step
+    held = []
+
+    def spy():
+        held.append(sum(p.grad is not None for p in critic_params))
+        step()
+
+    trainer.actor_opt.step = spy
+    trainer.train()
+    assert len(held) == trainer.n_actor_updates > 0
+    assert held == [0] * len(held)
+
+
 def test_zero_noise_trajectories_replay_identically():
     outs = []
     for _ in range(2):

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from climbench.nn import GraphConsumedError, Mlp, Tensor, concat, minimum
+from climbench.nn import GraphConsumedError, Head, Mlp, Tensor, concat, minimum
 
 
 def finite_difference_grads(f, params, h=1e-5):
@@ -163,3 +165,96 @@ def test_log_exp_grads_fd():
     (x.log() * 2).exp().sum().backward()
     fd = finite_difference_grads(loss_value, [x])[0]
     assert np.max(np.abs(x.grad - fd)) < 1e-6
+
+
+# -- the MLP node against the per-layer tape ------------------------------------------
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Oracle: a matrix product as its own tape node."""
+
+    def backward(g: np.ndarray) -> None:
+        if a.requires_grad:
+            a._accumulate_fresh(g @ b.data.T)
+        if b.requires_grad:
+            b._accumulate_fresh(a.data.T @ g)
+
+    return Tensor._from_op(a.data @ b.data, (a, b), backward)
+
+
+def tape_forward(net: Mlp, x: Tensor) -> Tensor:
+    """Oracle: the MLP forward pass built from one tape node per operation."""
+    h = x
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        h = matmul(h, w) + b
+        if i < last:
+            h = h.tanh()
+    if net.head.kind == "tanh_scaled":
+        h = h.tanh() * net.head.half + net.head.center
+    return h
+
+
+def drawn_net(data, max_width: int, max_batch: int):
+    sizes = data.draw(st.lists(st.integers(1, max_width), min_size=2, max_size=4))
+    batch = data.draw(st.integers(1, max_batch))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    head = Head()
+    if data.draw(st.booleans()):
+        low = rng.uniform(-3.0, 1.0, size=sizes[-1])
+        head = Head("tanh_scaled", low=low, high=low + rng.uniform(0.1, 4.0, size=sizes[-1]))
+    net = Mlp(sizes, head=head, rng=rng)
+    x = rng.normal(scale=2.0, size=(batch, sizes[0]))
+    g = rng.normal(size=(batch, sizes[-1]))
+    return net, x, g
+
+
+@given(st.data())
+def test_mlp_node_matches_per_layer_tape_bytes(data):
+    net, x, g = drawn_net(data, max_width=64, max_batch=256)
+    x_grad = data.draw(st.booleans())
+    results = []
+    for forward in (net.forward, lambda t: tape_forward(net, t)):
+        xt = Tensor(x, requires_grad=x_grad)
+        out = forward(xt)
+        out.backward(g)
+        results.append([out.data.tobytes(), net.flat_grad().tobytes(),
+                        None if xt.grad is None else xt.grad.tobytes()])
+        net.zero_grad()
+    assert results[0] == results[1]
+    assert x_grad == (results[0][2] is not None)
+
+
+@given(st.data())
+def test_mlp_node_without_param_grads_gives_input_gradient_only(data):
+    net, x, g = drawn_net(data, max_width=64, max_batch=64)
+    xt = Tensor(x, requires_grad=True)
+    net.forward(xt, param_grads=False).backward(g)
+    xo = Tensor(x, requires_grad=True)
+    tape_forward(net, xo).backward(g)
+    assert xt.grad.tobytes() == xo.grad.tobytes()
+    net.zero_grad()
+    assert not net.forward(Tensor(x), param_grads=False).requires_grad
+
+
+@given(st.data())
+def test_mlp_node_gradients_match_central_differences(data):
+    net, x, g = drawn_net(data, max_width=6, max_batch=4)
+    xt = Tensor(x.copy(), requires_grad=True)
+    net.forward(xt).backward(g)
+    analytic = np.concatenate([net.flat_grad(), xt.grad.ravel()])
+    h = 1e-6
+    numeric = []
+    for vector in (net.flat, x):
+        flat = vector.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            up = float(np.sum(net.forward_np(x) * g))
+            flat[i] = orig - h
+            down = float(np.sum(net.forward_np(x) * g))
+            flat[i] = orig
+            numeric.append((up - down) / (2 * h))
+    numeric = np.array(numeric)
+    assert np.max(np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))) < 1e-6
