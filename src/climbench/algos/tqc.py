@@ -33,27 +33,56 @@ def truncated_quantile_loss(q: Tensor, targets: np.ndarray, tau: np.ndarray,
     """mean over (batch, quantiles, targets) of rho_tau(target - quantile).
 
     rho_tau(u) = |tau - 1{u<0}| * L_kappa(u) with the Huber loss L_kappa, on
-    residuals u = target - quantile. One fused graph node: the pairwise
-    residual array is the largest object in a TQC update, so the elementwise
-    steps are collapsed by hand. The tests check it against the elementwise
-    composition.
+    residuals u = target - quantile; ``tau`` holds the n_quantiles fractions.
+    Against one predicted quantile x, a row's sorted targets y fall into four
+    regions: y < x-kappa, x-kappa <= y < x, x <= y <= x+kappa, y > x+kappa.
+    On each, the summed loss and its slope in x follow from the region's count
+    and its sums of y and y^2, read off prefix sums, so no (batch, quantiles,
+    targets) array is built. Rows are centred on their median target first,
+    because Q-values reach about 1e4. The tests check it against the pairwise
+    sum.
     """
-    u = targets[:, None, :] - q.data[:, :, None]
-    abs_u = np.abs(u)
-    small = abs_u <= kappa
-    np.subtract(abs_u, 0.5 * kappa, out=abs_u)
-    np.multiply(abs_u, kappa, out=abs_u)          # linear branch in place
-    huber = np.where(small, 0.5 * u * u, abs_u)
-    weight = np.abs(tau - (u < 0.0))
-    np.multiply(huber, weight, out=huber)
-    out = huber.mean()
+    x, y = q.data, np.sort(targets, axis=1)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        # the regions are undefined; the loss and its gradient are NaN
+        nan = np.full_like(x, np.nan)
+        return Tensor._from_op(np.asarray(np.nan), (q,), lambda g: q._accumulate_fresh(nan))
+    (rows, n_q), n_y = x.shape, y.shape[1]
+    centre = y[:, n_y // 2, None]
+    x, y = x - centre, y - centre
+    # Sort each row's thresholds x-kappa, x, x+kappa among its targets; a
+    # threshold's count of targets below it indexes the row's prefix sums.
+    # Where a target equals a threshold either order will do: the loss and
+    # its slope agree there.
+    keys = np.concatenate([x - kappa, x, x + kappa, y], axis=1)
+    order = np.argsort(keys, axis=1)
+    # running count of targets over the flattened rows; row r holds r * n_y
+    # targets before it, and its prefix sums start at r * (n_y + 1)
+    row = np.arange(rows)[:, None]
+    below = np.cumsum(order >= 3 * n_q, axis=None).reshape(keys.shape) + row
+    order += row * keys.shape[1]
+    index = np.empty(keys.size, dtype=np.intp)
+    index[order.ravel()] = below.ravel()
+    index = index.reshape(keys.shape)[:, :3 * n_q]
+    s1, s2 = np.zeros((2, rows, n_y + 1))
+    np.cumsum(y, axis=1, out=s1[:, 1:])
+    np.cumsum(y * y, axis=1, out=s2[:, 1:])
+    (a1, a2, a3), (b1, b2, b3) = (np.split(s.take(index), 3, axis=1) for s in (s1, s2))
+    i1, i2, i3 = np.split(index - row * (n_y + 1), 3, axis=1)
+    # per region: counts n1..n4 and target sums m1..m4 (of y^2: b2-b1, b3-b2)
+    n1, n2, n3, n4 = i1, i2 - i1, i3 - i2, n_y - i3
+    m1, m2, m3, m4 = a1, a2 - a1, a3 - a2, s1[:, -1:] - a3
+    count = y.size * n_q
+    lower = (1.0 - tau) * (kappa * (n1 * (x - 0.5 * kappa) - m1)
+                           + 0.5 * (b2 - b1 - 2.0 * x * m2 + n2 * x * x))
+    upper = tau * (0.5 * (b3 - b2 - 2.0 * x * m3 + n3 * x * x)
+                   + kappa * (m4 - n4 * (x + 0.5 * kappa)))
+    out = (lower + upper).sum() / count
 
     def backward(g: np.ndarray) -> None:
-        d = np.where(small, u, kappa * np.sign(u))
-        np.multiply(d, weight, out=d)
-        # d loss / d q = -mean-scaled row sums of the weighted Huber slope
-        scale = -float(g) / u.size
-        q._accumulate_fresh(d.sum(axis=2) * scale)
+        slope = ((1.0 - tau) * (kappa * n1 - m2 + n2 * x)
+                 - tau * (m3 - n3 * x + kappa * n4))
+        q._accumulate_fresh(slope * (float(g) / count))
 
     return Tensor._from_op(np.asarray(out), (q,), backward)
 
@@ -73,7 +102,7 @@ class TqcTrainer(OffPolicyTrainer):
 
     def _build(self) -> None:
         super()._build()
-        self.fractions = quantile_fractions(self.cfg.n_quantiles)[None, :, None]
+        self.fractions = quantile_fractions(self.cfg.n_quantiles)
 
     def compute_target(self, batch: dict[str, np.ndarray],
                        alpha: float | None = None) -> np.ndarray:

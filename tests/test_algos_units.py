@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from climbench.algos import make_config, make_trainer
+from climbench.algos import make_config, make_trainer, tqc
 from climbench.algos.common import SquashedGaussianPolicy
 from climbench.algos.onpolicy import conjugate_gradient
 from climbench.algos.tqc import quantile_fractions, truncated_quantile_loss
 from climbench.envs import BiasCorrectionEnv, BoxSpace, ClimateEnv, RngStream
+from climbench.experiments import experiment_spec, make_experiment_env, resolve_config
 from climbench.nn import Tensor
 from climbench.rollout import discounted_returns
 
@@ -420,21 +423,113 @@ def test_quantile_huber_hand_cases():
     assert float(loss.data[0]) == 0.0
 
 
-def test_fused_loss_equals_composed_path():
+def pairwise_quantile_loss(q: Tensor, targets: np.ndarray, tau: np.ndarray,
+                           kappa: float = 1.0) -> Tensor:
+    """Oracle: the loss over the (batch, quantiles, targets) residual array.
+
+    One graph node, with the elementwise steps collapsed by hand; the TQC
+    trainer used it before the closed form.
+    """
+    tau = np.reshape(tau, (1, -1, 1))
+    u = targets[:, None, :] - q.data[:, :, None]
+    abs_u = np.abs(u)
+    small = abs_u <= kappa
+    np.subtract(abs_u, 0.5 * kappa, out=abs_u)
+    np.multiply(abs_u, kappa, out=abs_u)          # linear branch in place
+    huber = np.where(small, 0.5 * u * u, abs_u)
+    weight = np.abs(tau - (u < 0.0))
+    np.multiply(huber, weight, out=huber)
+    out = huber.mean()
+
+    def backward(g: np.ndarray) -> None:
+        d = np.where(small, u, kappa * np.sign(u))
+        np.multiply(d, weight, out=d)
+        scale = -float(g) / u.size
+        q._accumulate_fresh(d.sum(axis=2) * scale)
+
+    return Tensor._from_op(np.asarray(out), (q,), backward)
+
+
+def loss_and_grad(loss_fn, q_data, y, tau, kappa=1.0):
+    q = Tensor(q_data.copy(), requires_grad=True)
+    loss = loss_fn(q, y, tau, kappa)
+    loss.backward()
+    return float(loss.data), q.grad
+
+
+def test_pairwise_oracle_equals_composed_path():
     rng = np.random.default_rng(7)
     b, nq, k = 5, 7, 9
     tau = quantile_fractions(nq)[None, :, None]
     q_data = rng.normal(size=(b, nq))
     y = rng.normal(size=(b, k))
-    q1 = Tensor(q_data.copy(), requires_grad=True)
-    fused = truncated_quantile_loss(q1, y, tau)
-    fused.backward()
+    loss, grad = loss_and_grad(pairwise_quantile_loss, q_data, y, tau)
     q2 = Tensor(q_data.copy(), requires_grad=True)
     u = Tensor(y[:, None, :]) - q2.reshape(b, nq, 1)
     composed = quantile_huber_loss(u, tau).mean()
     composed.backward()
-    assert float(fused.data) == pytest.approx(float(composed.data), rel=1e-12)
-    assert np.max(np.abs(q1.grad - q2.grad.reshape(b, nq))) < 1e-12
+    assert loss == pytest.approx(float(composed.data), rel=1e-12)
+    assert np.max(np.abs(grad - q2.grad.reshape(b, nq))) < 1e-12
+
+
+@given(n_q=st.integers(1, 35), n_y=st.integers(1, 175), rows=st.integers(1, 6),
+       kappa=st.sampled_from([1.0, 0.5, 3.0]) | st.floats(0.01, 10.0),
+       offset=st.sampled_from([0.0, 1e4, -1e4]), spread=st.sampled_from([0.3, 3.0, 100.0]),
+       on_grid=st.booleans(), equal_rows=st.integers(0, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_closed_form_loss_matches_pairwise_oracle(n_q, n_y, rows, kappa, offset, spread,
+                                                  on_grid, equal_rows, seed):
+    rng = np.random.default_rng(seed)
+    if on_grid:
+        # multiples of kappa / 2: exact ties at u = 0 and |u| = kappa
+        q_data = rng.integers(-6, 7, size=(rows, n_q)) * (kappa / 2)
+        y = rng.integers(-6, 7, size=(rows, n_y)) * (kappa / 2)
+    else:
+        q_data = rng.normal(scale=spread, size=(rows, n_q))
+        y = rng.normal(scale=spread, size=(rows, n_y))
+    y[:equal_rows] = y[:equal_rows, :1]        # a done transition: one target value
+    q_data, y = q_data + offset, np.sort(y + offset, axis=1)
+    tau = quantile_fractions(n_q)
+    loss, grad = loss_and_grad(truncated_quantile_loss, q_data, y, tau, kappa)
+    ref_loss, ref_grad = loss_and_grad(pairwise_quantile_loss, q_data, y, tau, kappa)
+    assert abs(loss - ref_loss) <= 1e-10 * ref_loss
+    # each gradient entry against the sum of its terms' magnitudes
+    u = y[:, None, :] - q_data[:, :, None]
+    weight = np.abs(tau[None, :, None] - (u < 0.0))
+    scale = (weight * np.minimum(np.abs(u), kappa)).sum(axis=2) / u.size
+    assert np.all(np.abs(grad - ref_grad) <= 1e-10 * scale)
+
+
+def test_closed_form_loss_sorts_its_targets():
+    rng = np.random.default_rng(5)
+    q_data, y = rng.normal(size=(4, 6)), rng.normal(size=(4, 9))
+    tau = quantile_fractions(6)
+    loss, grad = loss_and_grad(truncated_quantile_loss, q_data, y, tau, 0.7)
+    ref_loss, ref_grad = loss_and_grad(pairwise_quantile_loss, q_data, y, tau, 0.7)
+    assert loss == pytest.approx(ref_loss, rel=1e-12)
+    assert np.max(np.abs(grad - ref_grad)) < 1e-14
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["q", "targets"])
+def test_closed_form_loss_of_non_finite_input_is_nan(bad, where):
+    q_data, y = np.zeros((3, 4)), np.zeros((3, 5))
+    (q_data if where == "q" else y)[1, 2] = bad
+    loss, grad = loss_and_grad(truncated_quantile_loss, q_data, y, quantile_fractions(4))
+    assert np.isnan(loss) and np.all(np.isnan(grad))
+
+
+def test_tqc_trajectory_with_closed_form_loss_matches_pairwise_oracle(monkeypatch):
+    spec = experiment_spec("v2-homo-64L")
+    runs = []
+    for loss_fn in (pairwise_quantile_loss, truncated_quantile_loss):
+        monkeypatch.setattr(tqc, "truncated_quantile_loss", loss_fn)
+        cfg = resolve_config(spec, "tqc", steps=400)
+        cfg.learning_starts = 50
+        trainer = make_trainer("tqc", make_experiment_env(spec), cfg, 3, spec.experiment_id)
+        runs.append((trainer.train().body_bytes(), trainer.actor.net.flat))
+    assert runs[0][0] == runs[1][0]
+    assert np.max(np.abs(runs[0][1] - runs[1][1])) <= 1e-12
 
 
 def test_tqc_degenerates_to_sac_scalar_target():

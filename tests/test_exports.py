@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -17,6 +18,18 @@ def test_every_exported_name_resolves():
     missing = [f"{m.__name__}.{name}" for m in modules
                for name in getattr(m, "__all__", ()) if not hasattr(m, name)]
     assert len(modules) > 20
+    assert missing == []
+
+
+def test_every_traced_name_exists():
+    # The benchmark's tracer wraps these names; a rename would break --trace 1.
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    targets = spans._targets()
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, *_ in targets if not callable(vars(owner).get(attr))]
+    assert len(targets) > 20
     assert missing == []
 
 

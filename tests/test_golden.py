@@ -49,7 +49,7 @@ GOLDEN = {
         "712e9e87b3b3b788365193137ba3102cf0af918732562a0aace405f77d1df604"],
     "v0-homo-64L/tqc": [
         "ea2c6dfb4a868df78fdda1adf490ef89cfd7cbfea28e2c18e7b5c810b1e823fb",
-        "8eaa6c8838ecaad0990f46a64ffeaa90b6cc1d7e64270b31b522eb2faf9efa7d"],
+        "dcea89941c8afe07d88886c7451d84d3d6d2521a1053375874c673e04f562d78"],
     "v2-homo-64L/reinforce": [
         "8a355d22e4d3d45cf64d1b127dd44282203b50465aa6ef05a04172c3258d813a",
         "3d983795138117abd5b4f46c1af720b2b3f10a5c283028d9bc20f355b86591dc"],
@@ -73,7 +73,7 @@ GOLDEN = {
         "646f5fbac6cebf8491ec34b05ca2044535acb23118a4e22ede4fd87f747af16a"],
     "v2-homo-64L/tqc": [
         "0120cd45e545dfba5ead62662d86ba18cb9400f9bc70594cdeb7167596fb8d76",
-        "342c3c679ed796da41668627c0cbf31e1de96b0c606f8a9144168ab2035287b6"],
+        "090e10e9183138c177d4a680703e9d5776b2fce9d4d237948d166b7b76ee49ba"],
     "rce-v0-homo-64L/reinforce": [
         "b42c80fa1484967479f54b80004154cfc2983a6f062b3b1062396d5b5183dd2b",
         "c5550ebd8e6764152771a35ea00e71927bc85dc2e2127f01e290fb5d07aeb380"],
@@ -97,7 +97,7 @@ GOLDEN = {
         "81d5fe8e0590549f125201c7aa0f9d69f7c1b331d2dfc2a0789219a0cb15b204"],
     "rce-v0-homo-64L/tqc": [
         "79a2f9b558eea491768579ffb4d388f76a833e3eec1b1dfc2400c8316b37e7e5",
-        "dd3a6eb9fb3a9b318d101bfdba86ddff219020a4630fe4f0413f72aa1ee5affd"],
+        "908f5008ccffadbb3e6257a78198fe7cbf88a6b1d33cb75419436b884d5c9fde"],
 }
 
 
