@@ -144,7 +144,7 @@ class SacConfig(BaseConfig):
 class TqcConfig(BaseConfig):
     algorithm: ClassVar[str] = "tqc"
     tau: float = 0.005
-    batch_size: int = 64   # the pairwise quantile arrays dominate update cost
+    batch_size: int = 64   # set when a pairwise quantile loss dominated update cost
     n_quantiles: int = 25
     n_critics: int = 2
     actor_adam_lr: float = 1e-3

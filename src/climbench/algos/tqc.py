@@ -43,8 +43,9 @@ def truncated_quantile_loss(q: Tensor, targets: np.ndarray, tau: np.ndarray,
     sum.
     """
     x, y = q.data, np.sort(targets, axis=1)
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        # the regions are undefined; the loss and its gradient are NaN
+    if not (y.shape[1] and np.isfinite(x).all() and np.isfinite(y).all()):
+        # with no targets, or a non-finite value, the regions are undefined:
+        # the loss and its gradient are NaN
         nan = np.full_like(x, np.nan)
         return Tensor._from_op(np.asarray(np.nan), (q,), lambda g: q._accumulate_fresh(nan))
     (rows, n_q), n_y = x.shape, y.shape[1]

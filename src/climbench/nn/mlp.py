@@ -65,7 +65,8 @@ class Mlp:
             raise ValueError("need at least input and output sizes")
         self.layer_sizes = list(layer_sizes)
         self.head = head or Head()
-        rng = np.random.default_rng(0) if rng is None else rng
+        if rng is None:
+            rng = np.random.default_rng(0)
         arrays = []
         n_layers = len(layer_sizes) - 1
         for i, (fan_in, fan_out) in enumerate(zip(layer_sizes[:-1], layer_sizes[1:])):

@@ -457,19 +457,22 @@ def loss_and_grad(loss_fn, q_data, y, tau, kappa=1.0):
     return float(loss.data), q.grad
 
 
-def test_pairwise_oracle_equals_composed_path():
+def test_fused_loss_equals_composed_path():
+    # both one-node losses, the pairwise oracle and the closed form, on
+    # unsorted targets
     rng = np.random.default_rng(7)
     b, nq, k = 5, 7, 9
-    tau = quantile_fractions(nq)[None, :, None]
+    tau = quantile_fractions(nq)
     q_data = rng.normal(size=(b, nq))
     y = rng.normal(size=(b, k))
-    loss, grad = loss_and_grad(pairwise_quantile_loss, q_data, y, tau)
     q2 = Tensor(q_data.copy(), requires_grad=True)
     u = Tensor(y[:, None, :]) - q2.reshape(b, nq, 1)
-    composed = quantile_huber_loss(u, tau).mean()
+    composed = quantile_huber_loss(u, tau[None, :, None]).mean()
     composed.backward()
-    assert loss == pytest.approx(float(composed.data), rel=1e-12)
-    assert np.max(np.abs(grad - q2.grad.reshape(b, nq))) < 1e-12
+    for loss_fn in (pairwise_quantile_loss, truncated_quantile_loss):
+        loss, grad = loss_and_grad(loss_fn, q_data, y, tau)
+        assert loss == pytest.approx(float(composed.data), rel=1e-12)
+        assert np.max(np.abs(grad - q2.grad.reshape(b, nq))) < 1e-12
 
 
 @given(n_q=st.integers(1, 35), n_y=st.integers(1, 175), rows=st.integers(1, 6),
@@ -500,22 +503,19 @@ def test_closed_form_loss_matches_pairwise_oracle(n_q, n_y, rows, kappa, offset,
     assert np.all(np.abs(grad - ref_grad) <= 1e-10 * scale)
 
 
-def test_closed_form_loss_sorts_its_targets():
-    rng = np.random.default_rng(5)
-    q_data, y = rng.normal(size=(4, 6)), rng.normal(size=(4, 9))
-    tau = quantile_fractions(6)
-    loss, grad = loss_and_grad(truncated_quantile_loss, q_data, y, tau, 0.7)
-    ref_loss, ref_grad = loss_and_grad(pairwise_quantile_loss, q_data, y, tau, 0.7)
-    assert loss == pytest.approx(ref_loss, rel=1e-12)
-    assert np.max(np.abs(grad - ref_grad)) < 1e-14
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", ["q", "targets"])
 def test_closed_form_loss_of_non_finite_input_is_nan(bad, where):
     q_data, y = np.zeros((3, 4)), np.zeros((3, 5))
     (q_data if where == "q" else y)[1, 2] = bad
     loss, grad = loss_and_grad(truncated_quantile_loss, q_data, y, quantile_fractions(4))
+    assert np.isnan(loss) and np.all(np.isnan(grad))
+
+
+def test_closed_form_loss_over_no_targets_is_nan():
+    # a config can truncate every pooled target away
+    loss, grad = loss_and_grad(truncated_quantile_loss, np.zeros((3, 4)), np.zeros((3, 0)),
+                               quantile_fractions(4))
     assert np.isnan(loss) and np.all(np.isnan(grad))
 
 
