@@ -23,7 +23,8 @@ def test_every_exported_name_resolves():
 
 def test_every_traced_name_exists():
     # The benchmark's tracer wraps these names; a rename would break --trace 1.
-    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    path = ROOT / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     targets = spans._targets()

@@ -203,7 +203,8 @@ def drawn_net(data, max_width: int, max_batch: int):
     head = Head()
     if data.draw(st.booleans()):
         low = rng.uniform(-3.0, 1.0, size=sizes[-1])
-        head = Head("tanh_scaled", low=low, high=low + rng.uniform(0.1, 4.0, size=sizes[-1]))
+        high = low + rng.uniform(0.1, 4.0, size=sizes[-1])
+        head = Head("tanh_scaled", low=low, high=high)
     net = Mlp(sizes, head=head, rng=rng)
     x = rng.normal(scale=2.0, size=(batch, sizes[0]))
     g = rng.normal(size=(batch, sizes[-1]))
