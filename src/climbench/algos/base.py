@@ -8,14 +8,19 @@ REINFORCE, PPO and TRPO is ``OnPolicyTrainer`` in ``onpolicy.py``.
 and TQC. It builds the networks, their Adam optimizers, the replay buffer and
 the entropy coefficient; selects actions for both actor kinds; and runs the
 per-step update schedule. An algorithm sets a few class attributes and
-supplies up to three hooks:
+supplies up to three numpy hooks:
 
-  * ``compute_target(batch)``  the critic regression target, as a numpy array
-  * ``critic_loss(q, y)``      one critic's loss against that target
+  * ``compute_target(batch)``  the critic regression target
+  * ``critic_losses(qs, y)``   (loss, [dL/dq]): the critics' summed loss from
+                               their outputs ``qs``, and its gradient in each
                                (mean squared error unless overridden)
-  * ``actor_value(s, a)``      the per-state value the actor ascends; it
-                               calls the critics with ``param_grads=False``,
-                               so the actor loss gives the critics no gradient
+  * ``actor_value(qs, g)``     (value, [dL/dq]): the per-state value the actor
+                               ascends, from the outputs of the first
+                               ``actor_critics`` critics, and the gradient in
+                               each given ``g`` = dL/d(value)
+
+Every critic and actor gradient is closed-form, written straight into one
+flat vector per optimizer; only the entropy coefficient's loss uses the tape.
 """
 
 from __future__ import annotations
@@ -122,6 +127,8 @@ class OffPolicyTrainer(Trainer):
     # config fields holding the actor, critic and (stochastic actors only)
     # entropy-coefficient learning rates
     lr_fields = ("learning_rate", "learning_rate")
+    # how many critics, from the first, the actor's value reads (None: all)
+    actor_critics: int | None = None
 
     _obs: np.ndarray | None = None
     _episode_return: float = 0.0
@@ -157,9 +164,9 @@ class OffPolicyTrainer(Trainer):
         for target, online in self._target_params:
             soft_update(target, online, 1.0)
         lrs = [getattr(cfg, name) for name in self.lr_fields]
-        self.actor_opt = Optimizer(self.actor.net.parameters(), lrs[0])
-        self.critic_opt = Optimizer(
-            [p for c in self.critics for p in c.net.parameters()], lrs[1])
+        # each optimizer steps whole ``flat`` vectors, writing once per net
+        self.actor_opt = Optimizer([Tensor(self.actor.net.flat)], lrs[0])
+        self.critic_opt = Optimizer([Tensor(c.net.flat) for c in self.critics], lrs[1])
         if self.stochastic_actor:
             self.log_alpha = Tensor(np.array([np.log(cfg.alpha)]), requires_grad=True)
             self.alpha_opt = Optimizer([self.log_alpha], lrs[2])
@@ -196,8 +203,12 @@ class OffPolicyTrainer(Trainer):
         return reduce(np.minimum, [tc.q_np(s_next, a_next)[:, 0]
                                    for tc in self.target_critics])
 
-    def critic_loss(self, q: Tensor, y: np.ndarray) -> Tensor:
-        return ((q - Tensor(y[:, None])) ** 2).mean()
+    def critic_losses(self, qs: list[np.ndarray], y: np.ndarray):
+        """Summed mean squared error of the (batch, 1) critic values against
+        the target, and its gradient in each critic's values."""
+        diffs = [q - y[:, None] for q in qs]
+        loss = sum(float(np.mean(d * d)) for d in diffs)
+        return loss, [d * (2.0 / d.size) for d in diffs]
 
     def _run(self, total_steps: int) -> None:
         while self.global_step < total_steps:
@@ -238,33 +249,47 @@ class OffPolicyTrainer(Trainer):
 
     def _update_critics(self, batch: dict[str, np.ndarray]) -> None:
         y = self.compute_target(batch)
-        s, a = Tensor(batch["s"]), Tensor(batch["a"])
-        loss = reduce(operator.add, [self.critic_loss(c.q_tensor(s, a), y)
-                                     for c in self.critics])
-        self._check_finite_loss(float(loss.data), f"{self.algorithm} critic loss")
-        loss.backward()
-        self.critic_opt.step()
-        self.critic_opt.zero_grad()
+        x = np.concatenate([batch["s"], batch["a"]], axis=1)
+        passes = [c.net.forward(x) for c in self.critics]
+        loss, grads = self.critic_losses([q for q, _ in passes], y)
+        self._check_finite_loss(loss, f"{self.algorithm} critic loss")
+        g = np.empty(self.critic_opt.m.size)
+        for c, (_, kept), dq, view in zip(self.critics, passes, grads,
+                                          g.reshape(len(self.critics), -1)):
+            c.net.backward(kept, dq, view)
+        self.critic_opt.step(g)
         self.n_critic_updates += 1
 
     def _update_actor(self, batch: dict[str, np.ndarray]) -> None:
-        s = Tensor(batch["s"])
+        s = batch["s"]
+        n = s.shape[0]
         if self.stochastic_actor:
-            xi = self.streams.explore.normal(size=(batch["s"].shape[0],
-                                                   self.env.action_space.dim))
-            action, logp = self.actor.rsample_tensor(s, xi)
-            loss = (logp * self.alpha - self.actor_value(s, action)).mean()
+            xi = self.streams.explore.normal(size=(n, self.env.action_space.dim))
+            action, logp, saved = self.actor.rsample(s, xi)
         else:
-            loss = -self.actor_value(s, self.actor.forward(s)).mean()
-        self._check_finite_loss(float(loss.data), f"{self.algorithm} actor loss")
-        loss.backward()
-        self.actor_opt.step()
-        self.actor_opt.zero_grad()
+            action, saved = self.actor.net.forward(s)
+        x = np.concatenate([s, action], axis=1)
+        passes = [c.net.forward(x) for c in self.critics[:self.actor_critics]]
+        # the loss is the mean over states of alpha * logp - value (no logp
+        # for a deterministic actor), so d(loss)/d(value) is -1/n
+        value, grads = self.actor_value([q for q, _ in passes], np.full(n, -1.0 / n))
+        loss = logp * self.alpha - value if self.stochastic_actor else -value
+        self._check_finite_loss(float(loss.mean()), f"{self.algorithm} actor loss")
+        # the critics pass the actor an action gradient and take none themselves
+        g_action = reduce(operator.add, [
+            c.net.backward(kept, dq, input_grad=True)[:, s.shape[1]:]
+            for c, (_, kept), dq in zip(self.critics, passes, grads)])
+        g = np.empty_like(self.actor.net.flat)
+        if self.stochastic_actor:
+            self.actor.rsample_backward(saved, g_action, np.full(n, 1.0 / n * self.alpha), g)
+        else:
+            self.actor.net.backward(saved, g_action, g)
+        self.actor_opt.step(g)
         self.n_actor_updates += 1
         if self.stochastic_actor:
             self.actor.net.clamp_log_std()
             alpha_loss = (self.log_alpha.exp()
-                          * Tensor(logp.data + self.target_entropy)).mean() * (-1.0)
+                          * Tensor(logp + self.target_entropy)).mean() * (-1.0)
             alpha_loss.backward()
             self.alpha_opt.step()
             self.alpha_opt.zero_grad()

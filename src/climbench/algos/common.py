@@ -6,7 +6,7 @@ import numpy as np
 
 from ..envs.core import (BoxSpace, RngStream, STREAM_BUFFER, STREAM_EXPLORE,
                          STREAM_INIT, STREAM_SHUFFLE)
-from ..nn import Head, Mlp, Tensor, concat
+from ..nn import Head, Mlp, Tensor
 
 __all__ = ["SeedStreams", "DeterministicPolicy", "GaussianPolicy",
            "SquashedGaussianPolicy", "QNet", "LOG_2PI", "hidden_layers"]
@@ -42,9 +42,6 @@ class DeterministicPolicy:
 
     def act_np(self, obs: np.ndarray) -> np.ndarray:
         return self.net.forward_np(obs)
-
-    def forward(self, obs: Tensor) -> Tensor:
-        return self.net.forward(obs)
 
 
 class GaussianPolicy:
@@ -89,7 +86,7 @@ class GaussianPolicy:
         return (-0.5 * z * z - np.log(std) - 0.5 * LOG_2PI).sum(axis=1)
 
     def log_prob_tensor(self, obs: Tensor, actions: np.ndarray) -> Tensor:
-        mean = self.net.forward(obs)
+        mean = self.net.node(obs)
         log_std = self.net.log_std
         inv_std = (-log_std).exp()
         z = (Tensor(actions) - mean) * inv_std
@@ -140,17 +137,37 @@ class SquashedGaussianPolicy:
                 - np.log(self.half * (1.0 - t * t) + 1e-6)).sum(axis=1)
         return action, logp
 
-    def rsample_tensor(self, obs: Tensor, xi: np.ndarray):
-        """Reparameterized sample as a graph node: (action, log_prob)."""
-        mean = self.net.forward(obs)
-        log_std = self.net.log_std
-        std = log_std.exp()
-        u = mean + std * Tensor(xi)
-        t = u.tanh()
+    def rsample(self, obs: np.ndarray, xi: np.ndarray):
+        """Reparameterized sample at noise ``xi`` for the actor step:
+        (action, log_prob, what ``rsample_backward`` needs)."""
+        mean, kept = self.net.forward(obs)
+        log_std = self.net.log_std.data
+        std = np.exp(log_std)
+        t = np.tanh(mean + std * xi)
         action = t * self.half + self.center
         correction = (t * t * (-1.0) + 1.0) * self.half + 1e-6
-        per_dim = Tensor(xi * xi) * (-0.5) - log_std - 0.5 * LOG_2PI - correction.log()
-        return action, per_dim.sum(axis=1)
+        per_dim = xi * xi * (-0.5) - log_std - 0.5 * LOG_2PI - np.log(correction)
+        return action, per_dim.sum(axis=1), (kept, xi, std, t, correction)
+
+    def rsample_backward(self, saved, g_action: np.ndarray, g_logp: np.ndarray,
+                         grad: np.ndarray) -> None:
+        """Write the gradient of a loss in the action and log-prob of
+        ``rsample`` into ``grad``, a ``flat``-shaped vector, log-std included.
+
+        Each step repeats the operations, in order, of differentiating
+        ``rsample``'s expression one operation at a time on the autodiff tape,
+        so the bytes match the tape's: into t = tanh(u) flow the two t*t terms
+        of the correction first, then the action's term.
+        """
+        kept, xi, std, t, correction = saved
+        g_per_dim = np.repeat(g_logp[:, None], t.shape[1], axis=1)
+        # -log(correction), correction = (t*t*(-1) + 1) * half + 1e-6
+        g_t = (-g_per_dim / correction * self.half * (-1.0)) * t
+        g_t += g_t                      # one term per factor of t*t
+        g_t += g_action * self.half     # action = t * half + center
+        g_u = g_t * (1.0 - t * t)
+        self.net.backward(kept, g_u, grad)
+        grad[-t.shape[1]:] = (-g_per_dim).sum(axis=0) + (g_u * xi).sum(axis=0) * std
 
 
 class QNet:
@@ -162,6 +179,3 @@ class QNet:
 
     def q_np(self, s: np.ndarray, a: np.ndarray) -> np.ndarray:
         return self.net.forward_np(np.concatenate([s, a], axis=-1))
-
-    def q_tensor(self, s: Tensor, a: Tensor, param_grads: bool = True) -> Tensor:
-        return self.net.forward(concat([s, a], axis=1), param_grads)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn import Tensor
 from .base import OffPolicyTrainer
 
 __all__ = ["DpgTrainer", "DdpgTrainer", "Td3Trainer"]
@@ -21,14 +20,16 @@ class DdpgTrainer(OffPolicyTrainer):
     """Replay buffer + target actor/critic with soft updates."""
 
     algorithm = "ddpg"
+    actor_critics = 1
 
     def compute_target(self, batch: dict[str, np.ndarray]) -> np.ndarray:
         q_next = self.min_target_q(batch["s_next"],
                                    self.target_actor.act_np(batch["s_next"]))
         return batch["r"] + self.cfg.gamma * (1.0 - batch["d"]) * q_next
 
-    def actor_value(self, s: Tensor, action: Tensor) -> Tensor:
-        return self.critics[0].q_tensor(s, action, param_grads=False)
+    def actor_value(self, qs: list[np.ndarray], g: np.ndarray):
+        """The first critic's value."""
+        return qs[0][:, 0], [g[:, None]]
 
 
 class DpgTrainer(DdpgTrainer):

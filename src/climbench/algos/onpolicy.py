@@ -175,7 +175,7 @@ class PpoTrainer(OnPolicyTrainer):
         adv_t = Tensor(adv)
         surrogate = minimum(ratio * adv_t,
                             ratio.clip(1.0 - cfg.clip_coef, 1.0 + cfg.clip_coef) * adv_t)
-        value = self.value_net.forward(Tensor(obs)).reshape(-1)
+        value = self.value_net.node(Tensor(obs)).reshape(-1)
         value_loss = ((value - Tensor(returns)) ** 2).mean()
         return -surrogate.mean() + cfg.vf_coef * value_loss
 
@@ -207,7 +207,7 @@ class TrpoTrainer(OnPolicyTrainer):
         jv = net.jvp(obs, net.unflatten(vector))          # (B, act_dim)
         inv_var = np.exp(-2.0 * net.log_std.data)
         weighted = jv * inv_var / obs.shape[0]
-        mu = net.forward(Tensor(obs))
+        mu = net.node(Tensor(obs))
         mu.backward(weighted)
         fv_mean = net.flat_grad()[:n_mean]
         net.zero_grad()
@@ -262,7 +262,7 @@ class TrpoTrainer(OnPolicyTrainer):
         return False
 
     def minibatch_step(self, mb: dict[str, np.ndarray]) -> None:
-        value = self.value_net.forward(Tensor(mb["obs"])).reshape(-1)
+        value = self.value_net.node(Tensor(mb["obs"])).reshape(-1)
         value_loss = ((value - Tensor(mb["returns"])) ** 2).mean() * 0.5
         self._adam_step(value_loss, "trpo value loss")
         self.natural_step(mb["obs"], mb["actions"], mb["log_probs"], mb["means"],

@@ -9,11 +9,8 @@ entropy of -dim(action).
 
 from __future__ import annotations
 
-from functools import reduce
-
 import numpy as np
 
-from ..nn import Tensor, minimum
 from .base import OffPolicyTrainer
 
 __all__ = ["SacTrainer"]
@@ -35,6 +32,12 @@ class SacTrainer(OffPolicyTrainer):
         return batch["r"] + self.cfg.gamma * (1.0 - batch["d"]) * (
             q_next - alpha * logp_next)
 
-    def actor_value(self, s: Tensor, action: Tensor) -> Tensor:
-        return reduce(minimum, [c.q_tensor(s, action, param_grads=False)
-                                for c in self.critics]).reshape(-1)
+    def actor_value(self, qs: list[np.ndarray], g: np.ndarray):
+        """The minimum over the critics, taken pairwise in critic order; the
+        gradient goes to the smaller of each pair, the first on a tie."""
+        value, grads = qs[0], [g[:, None]]
+        for q in qs[1:]:
+            mask = value <= q
+            value = np.where(mask, value, q)
+            grads = [d * mask for d in grads] + [g[:, None] * ~mask]
+        return value[:, 0], grads

@@ -17,7 +17,6 @@ from functools import reduce
 
 import numpy as np
 
-from ..nn import Tensor
 from .base import OffPolicyTrainer
 
 __all__ = ["TqcTrainer", "truncated_quantile_loss", "quantile_fractions"]
@@ -28,12 +27,13 @@ def quantile_fractions(n_quantiles: int) -> np.ndarray:
     return (2.0 * k - 1.0) / (2.0 * n_quantiles)
 
 
-def truncated_quantile_loss(q: Tensor, targets: np.ndarray, tau: np.ndarray,
-                            kappa: float = 1.0) -> Tensor:
-    """mean over (batch, quantiles, targets) of rho_tau(target - quantile).
+def truncated_quantile_loss(q: np.ndarray, targets: np.ndarray, tau: np.ndarray,
+                            kappa: float = 1.0) -> tuple[float, np.ndarray]:
+    """Sum over (batch, quantiles, targets) of rho_tau(target - quantile), and
+    its gradient in ``q``.
 
     rho_tau(u) = |tau - 1{u<0}| * L_kappa(u) with the Huber loss L_kappa, on
-    residuals u = target - quantile; ``tau`` holds the n_quantiles fractions.
+    residuals u = target - quantile; ``tau`` holds each column's fraction.
     Against one predicted quantile x, a row's sorted targets y fall into four
     regions: y < x-kappa, x-kappa <= y < x, x <= y <= x+kappa, y > x+kappa.
     On each, the summed loss and its slope in x follow from the region's count
@@ -42,12 +42,11 @@ def truncated_quantile_loss(q: Tensor, targets: np.ndarray, tau: np.ndarray,
     because Q-values reach about 1e4. The tests check it against the pairwise
     sum.
     """
-    x, y = q.data, np.sort(targets, axis=1)
+    x, y = q, np.sort(targets, axis=1)
     if not (y.shape[1] and np.isfinite(x).all() and np.isfinite(y).all()):
         # with no targets, or a non-finite value, the regions are undefined:
         # the loss and its gradient are NaN
-        nan = np.full_like(x, np.nan)
-        return Tensor._from_op(np.asarray(np.nan), (q,), lambda g: q._accumulate_fresh(nan))
+        return np.nan, np.full_like(x, np.nan)
     (rows, n_q), n_y = x.shape, y.shape[1]
     centre = y[:, n_y // 2, None]
     x, y = x - centre, y - centre
@@ -68,24 +67,20 @@ def truncated_quantile_loss(q: Tensor, targets: np.ndarray, tau: np.ndarray,
     s1, s2 = np.zeros((2, rows, n_y + 1))
     np.cumsum(y, axis=1, out=s1[:, 1:])
     np.cumsum(y * y, axis=1, out=s2[:, 1:])
-    (a1, a2, a3), (b1, b2, b3) = (np.split(s.take(index), 3, axis=1) for s in (s1, s2))
-    i1, i2, i3 = np.split(index - row * (n_y + 1), 3, axis=1)
+    # each as three (rows, n_q) views, one per threshold
+    (a1, a2, a3), (b1, b2, b3), (i1, i2, i3) = (
+        z.reshape(rows, 3, n_q).swapaxes(0, 1)
+        for z in (s1.take(index), s2.take(index), index - row * (n_y + 1)))
     # per region: counts n1..n4 and target sums m1..m4 (of y^2: b2-b1, b3-b2)
     n1, n2, n3, n4 = i1, i2 - i1, i3 - i2, n_y - i3
     m1, m2, m3, m4 = a1, a2 - a1, a3 - a2, s1[:, -1:] - a3
-    count = y.size * n_q
     lower = (1.0 - tau) * (kappa * (n1 * (x - 0.5 * kappa) - m1)
                            + 0.5 * (b2 - b1 - 2.0 * x * m2 + n2 * x * x))
     upper = tau * (0.5 * (b3 - b2 - 2.0 * x * m3 + n3 * x * x)
                    + kappa * (m4 - n4 * (x + 0.5 * kappa)))
-    out = (lower + upper).sum() / count
-
-    def backward(g: np.ndarray) -> None:
-        slope = ((1.0 - tau) * (kappa * n1 - m2 + n2 * x)
-                 - tau * (m3 - n3 * x + kappa * n4))
-        q._accumulate_fresh(slope * (float(g) / count))
-
-    return Tensor._from_op(np.asarray(out), (q,), backward)
+    slope = ((1.0 - tau) * (kappa * n1 - m2 + n2 * x)
+             - tau * (m3 - n3 * x + kappa * n4))
+    return float((lower + upper).sum()), slope
 
 
 class TqcTrainer(OffPolicyTrainer):
@@ -120,11 +115,20 @@ class TqcTrainer(OffPolicyTrainer):
         shifted = kept - alpha * logp_next[:, None]
         return batch["r"][:, None] + cfg.gamma * (1.0 - batch["d"][:, None]) * shifted
 
-    def critic_loss(self, q: Tensor, y: np.ndarray) -> Tensor:
-        return truncated_quantile_loss(q, y, self.fractions)
+    def critic_losses(self, qs: list[np.ndarray], y: np.ndarray):
+        """Summed over the critics, each critic's mean quantile Huber loss
+        against the shared targets, from one call over all their quantiles."""
+        n_q = self.cfg.n_quantiles
+        total, slope = truncated_quantile_loss(np.concatenate(qs, axis=1), y,
+                                               np.tile(self.fractions, len(qs)))
+        count = y.size * n_q        # the terms of one critic's mean
+        if not count:               # a config can truncate every target away
+            return total, []
+        return total / count, [slope[:, i * n_q:(i + 1) * n_q] * (1.0 / count)
+                               for i in range(len(qs))]
 
-    def actor_value(self, s: Tensor, action: Tensor) -> Tensor:
+    def actor_value(self, qs: list[np.ndarray], g: np.ndarray):
         """The mean over all critics of each critic's mean quantile."""
-        total = reduce(operator.add, [c.q_tensor(s, action, param_grads=False).mean(axis=1)
-                                      for c in self.critics])
-        return total * (1.0 / self.cfg.n_critics)
+        n, n_q = len(qs), self.cfg.n_quantiles
+        value = reduce(operator.add, [q.mean(axis=1) for q in qs]) * (1.0 / n)
+        return value, [np.repeat((g * (1.0 / n) / n_q)[:, None], n_q, axis=1)] * n

@@ -1,4 +1,4 @@
-"""Small fully-connected networks over the autodiff tensors.
+"""Small fully-connected networks with closed-form gradients.
 
 Heads:
   * ``linear``       — raw affine output (critics, value nets, policy means).
@@ -15,6 +15,11 @@ then biases, input to output, then the log-std. Each parameter ``Tensor`` is a
 view into it, so an optimizer, a target blend, TRPO's natural step or a
 checkpoint can treat the whole net as one vector. Write parameters in place;
 rebinding ``p.data`` would detach ``p`` from ``flat``.
+
+``forward`` keeps each layer's input and ``backward`` writes the parameter
+gradients straight into a ``flat``-shaped vector, which the off-policy
+learners hand to Adam; ``node`` wraps the pair as one autodiff tape node for
+the on-policy learners.
 """
 
 from __future__ import annotations
@@ -123,51 +128,67 @@ class Mlp:
 
     # -- forward -------------------------------------------------------------------
 
-    def _check_input(self, x: np.ndarray) -> None:
+    def _layers(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The numpy forward pass over a (batch, in_dim) array: the output, and
+        each layer's input followed (tanh_scaled head) by the head's tanh."""
         if x.ndim != 2 or x.shape[1] != self.layer_sizes[0]:
             raise ValueError(f"input shape {x.shape} incompatible with net input "
                              f"width {self.layer_sizes[0]}")
-
-    def _layers(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """The numpy forward pass: the output, and each layer's input followed
-        (tanh_scaled head) by the head's tanh."""
         h, inputs = x, []
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             inputs.append(h)
-            h = h @ w.data + b.data
+            h = h @ w.data
+            h += b.data
             if i < last:
-                h = np.tanh(h)
+                np.tanh(h, out=h)
         if self.head.kind == "tanh_scaled":
             h = np.tanh(h)
             inputs.append(h)
             h = h * self.head.half + self.head.center
         return h, inputs
 
-    def forward(self, x: Tensor, param_grads: bool = True) -> Tensor:
-        """The forward pass as one graph node; input shape (batch, in_dim).
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The training pass over a (batch, in_dim) array: the output, and what
+        ``backward`` needs (each layer's input, then any tanh_scaled head's
+        tanh). A profile of ``forward`` counts training passes only."""
+        return self._layers(x)
 
-        Its backward repeats a per-layer tape's numpy operations in order, over
-        the kept layer inputs. With ``param_grads`` false the weights and
-        biases are not parents of the node and only ``x`` takes a gradient.
+    def backward(self, kept: list[np.ndarray], g: np.ndarray,
+                 grad: np.ndarray | None = None, input_grad: bool = False):
+        """The closed-form backward pass from the output gradient ``g``.
+
+        With ``grad``, a ``flat``-shaped vector, the weight and bias gradients
+        are written into it (any log-std entries are left alone). Returns the
+        input gradient if ``input_grad``, else None. ``g`` is not modified.
         """
-        self._check_input(x.data)
-        out, inputs = self._layers(x.data)
-        params = self._params[:2 * len(self.weights)] if param_grads else []
+        if self.head.kind == "tanh_scaled":
+            t = kept[-1]
+            g = g * self.head.half * (1.0 - t * t)
+        views = None if grad is None else self.unflatten(grad)
+        for i in range(len(self.weights) - 1, -1, -1):
+            h, w = kept[i], self.weights[i].data
+            if views is not None:
+                np.sum(g, axis=0, out=views[2 * i + 1])
+                np.matmul(h.T, g, out=views[2 * i])
+            if i > 0:
+                g = g @ w.T
+                g *= 1.0 - h * h
+        return g @ w.T if input_grad else None
+
+    def node(self, x: Tensor) -> Tensor:
+        """The forward pass as one tape node, for the on-policy learners; its
+        backward is ``backward``. ``x`` takes a gradient if it requires one."""
+        out, kept = self.forward(x.data)
+        params = self._params[:2 * len(self.weights)]
 
         def backward(g: np.ndarray) -> None:
-            if self.head.kind == "tanh_scaled":
-                t = inputs[-1]
-                g = g * self.head.half * (1.0 - t * t)
-            for i in range(len(self.weights) - 1, -1, -1):
-                h, w = inputs[i], self.weights[i]
-                if param_grads:
-                    self.biases[i]._accumulate_fresh(g.sum(axis=0))
-                    w._accumulate_fresh(h.T @ g)
-                if i > 0:
-                    g = (g @ w.data.T) * (1.0 - h * h)
-                elif x.requires_grad:
-                    x._accumulate_fresh(g @ w.data.T)
+            grad = np.empty_like(self.flat)
+            dx = self.backward(kept, g, grad, x.requires_grad)
+            for p, view in zip(params, self.unflatten(grad)):
+                p._accumulate_fresh(view)
+            if dx is not None:
+                x._accumulate_fresh(dx)
 
         return Tensor._from_op(out, (x, *params), backward)
 
@@ -177,7 +198,6 @@ class Mlp:
         squeeze = x.ndim == 1
         if squeeze:
             x = x[None, :]
-        self._check_input(x)
         h = self._layers(x)[0]
         return h[0] if squeeze else h
 
@@ -188,7 +208,6 @@ class Mlp:
         Fisher-vector products.
         """
         x = np.asarray(x, dtype=np.float64)
-        self._check_input(x)
         inputs = self._layers(x)[1]
         t = np.zeros_like(x)
         last = len(self.weights) - 1

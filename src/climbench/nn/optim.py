@@ -16,9 +16,9 @@ class Optimizer:
     """Adam over a fixed parameter list.
 
     The first and second moments are one vector each, over the parameters in
-    list order. The gradient is gathered into one vector and rejected if any
-    entry is non-finite, before anything is written; the update is computed
-    once and written back through each parameter's slice of it.
+    list order. The gradient is one vector in that order too, rejected if any
+    entry is non-finite before anything is written; the update is computed in
+    place and written back through each parameter's slice of it.
     """
 
     def __init__(self, params: list[Tensor], learning_rate: float):
@@ -31,9 +31,11 @@ class Optimizer:
         self.m = np.zeros(self._offsets[-1])
         self.v = np.zeros(self._offsets[-1])
 
-    def step(self) -> None:
-        """Apply one update from the params' .grad fields (None counts as zero)."""
-        g = gather_grads(self.params)
+    def step(self, g: np.ndarray | None = None) -> None:
+        """Apply one update from the flat gradient ``g``, which it overwrites,
+        or else from the params' .grad fields (None counts as zero)."""
+        if g is None:
+            g = gather_grads(self.params)
         if not np.all(np.isfinite(g)):
             finite = g[np.isfinite(g)]
             raise NonFiniteError(
@@ -44,10 +46,19 @@ class Optimizer:
         bc2 = 1.0 - BETA2 ** self.step_count
         m, v = self.m, self.v
         m *= BETA1
-        m += (1.0 - BETA1) * g
+        update = (1.0 - BETA1) * g
+        m += update
         v *= BETA2
-        v += (1.0 - BETA2) * g * g
-        update = self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + EPSILON)
+        np.multiply(g, 1.0 - BETA2, out=update)
+        update *= g
+        v += update
+        # lr * (m / bc1) / (sqrt(v / bc2) + eps), with g as the denominator
+        np.divide(m, bc1, out=update)
+        update *= self.learning_rate
+        np.divide(v, bc2, out=g)
+        np.sqrt(g, out=g)
+        g += EPSILON
+        update /= g
         for p, lo, hi in zip(self.params, self._offsets[:-1], self._offsets[1:]):
             np.subtract(p.data, update[lo:hi].reshape(p.data.shape), out=p.data)
 

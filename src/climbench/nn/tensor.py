@@ -18,7 +18,6 @@ __all__ = [
     "Tensor",
     "GraphConsumedError",
     "NonFiniteError",
-    "concat",
     "minimum",
     "gather_grads",
 ]
@@ -128,14 +127,6 @@ class Tensor:
 
     # -- elementwise functions ---------------------------------------------------
 
-    def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
-
-        def backward(g: np.ndarray) -> None:
-            self._accumulate_fresh(g * (1.0 - out_data * out_data))
-
-        return Tensor._from_op(out_data, (self,), backward)
-
     def exp(self) -> "Tensor":
         out_data = np.exp(self.data)
 
@@ -143,12 +134,6 @@ class Tensor:
             self._accumulate_fresh(g * out_data)
 
         return Tensor._from_op(out_data, (self,), backward)
-
-    def log(self) -> "Tensor":
-        def backward(g: np.ndarray) -> None:
-            self._accumulate_fresh(g / self.data)
-
-        return Tensor._from_op(np.log(self.data), (self,), backward)
 
     def clip(self, low: float, high: float) -> "Tensor":
         """Clamp values; gradient is zero outside (low, high)."""
@@ -255,22 +240,6 @@ def gather_grads(tensors: Sequence[Tensor]) -> np.ndarray:
     """The tensors' gradients raveled into one vector; zeros where there is none."""
     return np.concatenate([(t.grad if t.grad is not None
                             else np.zeros_like(t.data)).ravel() for t in tensors])
-
-
-def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
-    """Concatenate along ``axis``; gradient splits back to the inputs."""
-    datas = [t.data for t in tensors]
-    sizes = [d.shape[axis] for d in datas]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g: np.ndarray) -> None:
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t._accumulate(g[tuple(idx)])
-
-    return Tensor._from_op(np.concatenate(datas, axis=axis), tuple(tensors), backward)
 
 
 def minimum(a: Tensor, b: Tensor) -> Tensor:

@@ -101,10 +101,27 @@ def test_dpg_target_is_reward_when_done():
     assert trainer.compute_target(batch)[0] == 3.0
 
 
+class FrozenQuadraticCritic:
+    """Q(s, a) = -(a - 0.3)^2 behind the critic net's forward/backward pair."""
+
+    def __init__(self, obs_dim: int):
+        self.net = self
+        self.obs_dim = obs_dim
+
+    def forward(self, x):
+        a = x[:, self.obs_dim:]
+        return -((a - 0.3) ** 2), a
+
+    def backward(self, a, g, grad=None, input_grad=False):
+        assert grad is None and input_grad     # an actor step reads the critic only
+        return np.concatenate([np.zeros((len(a), self.obs_dim)), -2.0 * (a - 0.3) * g],
+                              axis=1)
+
+
 def test_actor_ascends_frozen_quadratic_critic():
     # Q(s, a) = -(a - 0.3)^2 has its maximum at a = 0.3.
     trainer = make("dpg", learning_rate=3e-3)
-    trainer.actor_value = lambda s, a: -((a - 0.3) ** 2)
+    trainer.critics = [FrozenQuadraticCritic(1)]
     batch = {"s": np.full((16, 1), 0.5)}
     for _ in range(500):
         trainer._update_actor(batch)
@@ -113,19 +130,19 @@ def test_actor_ascends_frozen_quadratic_critic():
 
 @pytest.mark.parametrize("tag", ["ddpg", "td3", "sac", "tqc"])
 def test_actor_update_gives_critics_no_gradient(tag):
+    # An actor step leaves every critic and the critics' optimizer as it
+    # found them, and moves the actor.
     trainer = make(tag, total_timesteps=120, learning_starts=50)
-    critic_params = [p for c in trainer.critics for p in c.net.parameters()]
-    step = trainer.actor_opt.step
-    held = []
-
-    def spy():
-        held.append(sum(p.grad is not None for p in critic_params))
-        step()
-
-    trainer.actor_opt.step = spy
     trainer.train()
-    assert len(held) == trainer.n_actor_updates > 0
-    assert held == [0] * len(held)
+    opt = trainer.critic_opt
+    critics = [c.net.flat.copy() for c in trainer.critics]
+    moments, count = (opt.m.copy(), opt.v.copy()), opt.step_count
+    actor = trainer.actor.net.flat.copy()
+    trainer._update_actor(trainer.buffer.sample(trainer.cfg.batch_size))
+    assert [c.net.flat.tobytes() for c in trainer.critics] == [c.tobytes() for c in critics]
+    assert opt.m.tobytes() == moments[0].tobytes() and opt.v.tobytes() == moments[1].tobytes()
+    assert opt.step_count == count > 0
+    assert not np.array_equal(trainer.actor.net.flat, actor)
 
 
 def test_zero_noise_trajectories_replay_identically():
@@ -255,7 +272,7 @@ def test_fisher_vector_product_matches_kl_gradient_differences():
     def kl_grad(vector):
         saved = net.flat.copy()
         net.flat[:] = vector
-        mean = net.forward(Tensor(obs))
+        mean = net.node(Tensor(obs))
         log_std = net.log_std
         var_old = np.exp(2.0 * old_log_std)
         diff = Tensor(old_means) - mean
@@ -423,15 +440,14 @@ def test_quantile_huber_hand_cases():
     assert float(loss.data[0]) == 0.0
 
 
-def pairwise_quantile_loss(q: Tensor, targets: np.ndarray, tau: np.ndarray,
-                           kappa: float = 1.0) -> Tensor:
-    """Oracle: the loss over the (batch, quantiles, targets) residual array.
-
-    One graph node, with the elementwise steps collapsed by hand; the TQC
-    trainer used it before the closed form.
+def pairwise_quantile_loss(q: np.ndarray, targets: np.ndarray, tau: np.ndarray,
+                           kappa: float = 1.0) -> tuple[float, np.ndarray]:
+    """Oracle: the summed loss and its gradient in ``q``, over the (batch,
+    quantiles, targets) residual array; the TQC trainer used it before the
+    closed form.
     """
     tau = np.reshape(tau, (1, -1, 1))
-    u = targets[:, None, :] - q.data[:, :, None]
+    u = targets[:, None, :] - q[:, :, None]
     abs_u = np.abs(u)
     small = abs_u <= kappa
     np.subtract(abs_u, 0.5 * kappa, out=abs_u)
@@ -439,27 +455,20 @@ def pairwise_quantile_loss(q: Tensor, targets: np.ndarray, tau: np.ndarray,
     huber = np.where(small, 0.5 * u * u, abs_u)
     weight = np.abs(tau - (u < 0.0))
     np.multiply(huber, weight, out=huber)
-    out = huber.mean()
-
-    def backward(g: np.ndarray) -> None:
-        d = np.where(small, u, kappa * np.sign(u))
-        np.multiply(d, weight, out=d)
-        scale = -float(g) / u.size
-        q._accumulate_fresh(d.sum(axis=2) * scale)
-
-    return Tensor._from_op(np.asarray(out), (q,), backward)
+    d = np.where(small, u, kappa * np.sign(u))
+    np.multiply(d, weight, out=d)
+    return float(huber.sum()), -d.sum(axis=2)
 
 
 def loss_and_grad(loss_fn, q_data, y, tau, kappa=1.0):
-    q = Tensor(q_data.copy(), requires_grad=True)
-    loss = loss_fn(q, y, tau, kappa)
-    loss.backward()
-    return float(loss.data), q.grad
+    """The loss's mean over (batch, quantiles, targets), and its gradient."""
+    total, grad = loss_fn(q_data.copy(), y, tau, kappa)
+    count = y.size * q_data.shape[1]
+    return total / count, grad * (1.0 / count)
 
 
 def test_fused_loss_equals_composed_path():
-    # both one-node losses, the pairwise oracle and the closed form, on
-    # unsorted targets
+    # both losses, the pairwise oracle and the closed form, on unsorted targets
     rng = np.random.default_rng(7)
     b, nq, k = 5, 7, 9
     tau = quantile_fractions(nq)
@@ -508,15 +517,19 @@ def test_closed_form_loss_matches_pairwise_oracle(n_q, n_y, rows, kappa, offset,
 def test_closed_form_loss_of_non_finite_input_is_nan(bad, where):
     q_data, y = np.zeros((3, 4)), np.zeros((3, 5))
     (q_data if where == "q" else y)[1, 2] = bad
-    loss, grad = loss_and_grad(truncated_quantile_loss, q_data, y, quantile_fractions(4))
+    loss, grad = truncated_quantile_loss(q_data, y, quantile_fractions(4))
     assert np.isnan(loss) and np.all(np.isnan(grad))
 
 
 def test_closed_form_loss_over_no_targets_is_nan():
     # a config can truncate every pooled target away
-    loss, grad = loss_and_grad(truncated_quantile_loss, np.zeros((3, 4)), np.zeros((3, 0)),
-                               quantile_fractions(4))
+    loss, grad = truncated_quantile_loss(np.zeros((3, 4)), np.zeros((3, 0)),
+                                         quantile_fractions(4))
     assert np.isnan(loss) and np.all(np.isnan(grad))
+    trainer = make("tqc", total_timesteps=120, learning_starts=50, n_quantiles=2,
+                   n_drop_per_critic=2)
+    record = trainer.train()
+    assert record.aborted and "tqc critic loss = nan" in record.abort_reason
 
 
 def test_tqc_trajectory_with_closed_form_loss_matches_pairwise_oracle(monkeypatch):

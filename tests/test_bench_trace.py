@@ -1,0 +1,34 @@
+"""The benchmark's tracer over one tiny round of each workload.
+
+``bench/spans.py`` averages the per-call time of the nn functions it wraps
+(``Mlp.forward``, ``Tensor.backward``, ``Optimizer.step``, ...) over every
+call, and raises if a workload never calls one. A change that stops a
+workload from reaching a traced name would break ``bench/run.py --trace 1``;
+this catches it in the tests.
+"""
+
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.mark.parametrize("name", ["v2-offpolicy", "rce-onpolicy"])
+def test_traced_round_gives_layer_metrics(name, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import spans
+    import workloads
+
+    wl = workloads.make_workload(name, 3, tmp_path / name, tiny=True)
+    tracer = spans.Tracer(tmp_path)
+    spans.install(tracer)
+    try:
+        rnd = wl.run_round()
+    finally:
+        spans.uninstall()
+    assert rnd.failed == 0, rnd.errors
+    metrics = spans.layer_metrics(tracer, 1)
+    assert metrics["envs.steps"] == rnd.steps
+    for layer in ("nn.forward", "nn.forward_np", "nn.backward", "nn.optim_step"):
+        assert metrics[f"{layer}_calls"] > 0 and metrics[f"{layer}_us"] > 0

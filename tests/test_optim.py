@@ -91,3 +91,22 @@ def test_soft_update_converges_geometrically():
             new_gap = np.linalg.norm(t - o)
             assert np.isclose(new_gap, (1 - tau) * gap, rtol=1e-10, atol=1e-12)
             gap = new_gap
+
+
+def test_flat_gradient_step_matches_adam_expression_bytes():
+    # the in-place update from a flat gradient, against Adam written out as
+    # whole-array expressions in the same operation order, over two nets
+    rng = np.random.default_rng(3)
+    nets = [Mlp([3, 4, 2], rng=rng), Mlp([2, 5, 1], rng=rng)]
+    opt = Optimizer([p for net in nets for p in net.parameters()], learning_rate=1e-2)
+    theta = np.concatenate([net.flat for net in nets])
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    for t in range(1, 6):
+        g = rng.normal(size=theta.size)
+        m = m * b1 + (1 - b1) * g
+        v = v * b2 + (1 - b2) * g * g
+        theta = theta - 1e-2 * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
+        opt.step(g)
+        assert np.concatenate([net.flat for net in nets]).tobytes() == theta.tobytes()
+    assert opt.m.tobytes() == m.tobytes() and opt.v.tobytes() == v.tobytes()

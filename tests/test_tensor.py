@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from climbench.nn import GraphConsumedError, Head, Mlp, Tensor, concat, minimum
+from climbench.nn import GraphConsumedError, Head, Mlp, Tensor, minimum
+from tape_oracle import concat, log, tanh
 
 
 def finite_difference_grads(f, params, h=1e-5):
@@ -50,7 +51,7 @@ def test_forward_matches_hand_rolled_matrix_oracle():
     x = np.array([[0.3, -1.2], [0.9, 0.1]])
     h = np.tanh(x @ net.weights[0].data + net.biases[0].data)
     expected = h @ net.weights[1].data + net.biases[1].data
-    got = net.forward(Tensor(x)).data
+    got = net.forward(x)[0]
     assert np.max(np.abs(got - expected)) < 1e-12
 
 
@@ -76,7 +77,7 @@ def test_backward_linear_identity_grad_is_input():
     def loss_value():
         return float(net.forward_np(x).sum())
 
-    out = net.forward(Tensor(x))
+    out = net.node(Tensor(x))
     loss = out.sum()
     loss.backward()
     fd = finite_difference_grads(loss_value, net.parameters())
@@ -105,7 +106,7 @@ def test_backward_matches_finite_differences_many_nets():
             d = net.forward_np(x) - target
             return float((d * d).mean())
 
-        diff = net.forward(Tensor(x)) - Tensor(target)
+        diff = net.node(Tensor(x)) - Tensor(target)
         (diff * diff).mean().backward()
         fd = finite_difference_grads(loss_value, net.parameters())
         for p, g in zip(net.parameters(), fd):
@@ -162,7 +163,7 @@ def test_log_exp_grads_fd():
     def loss_value():
         return float(np.exp(np.log(x.data) * 2).sum())
 
-    (x.log() * 2).exp().sum().backward()
+    (log(x) * 2).exp().sum().backward()
     fd = finite_difference_grads(loss_value, [x])[0]
     assert np.max(np.abs(x.grad - fd)) < 1e-6
 
@@ -189,9 +190,9 @@ def tape_forward(net: Mlp, x: Tensor) -> Tensor:
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         h = matmul(h, w) + b
         if i < last:
-            h = h.tanh()
+            h = tanh(h)
     if net.head.kind == "tanh_scaled":
-        h = h.tanh() * net.head.half + net.head.center
+        h = tanh(h) * net.head.half + net.head.center
     return h
 
 
@@ -216,7 +217,7 @@ def test_mlp_node_matches_per_layer_tape_bytes(data):
     net, x, g = drawn_net(data, max_width=64, max_batch=256)
     x_grad = data.draw(st.booleans())
     results = []
-    for forward in (net.forward, lambda t: tape_forward(net, t)):
+    for forward in (net.node, lambda t: tape_forward(net, t)):
         xt = Tensor(x, requires_grad=x_grad)
         out = forward(xt)
         out.backward(g)
@@ -229,21 +230,35 @@ def test_mlp_node_matches_per_layer_tape_bytes(data):
 
 @given(st.data())
 def test_mlp_node_without_param_grads_gives_input_gradient_only(data):
+    # the closed-form backward with no gradient vector: the input gradient
+    # alone, as the critics give the actor its action gradient
     net, x, g = drawn_net(data, max_width=64, max_batch=64)
-    xt = Tensor(x, requires_grad=True)
-    net.forward(xt, param_grads=False).backward(g)
+    before = net.flat.copy()
+    out, kept = net.forward(x)
+    assert net.backward(kept, g) is None
+    dx = net.backward(kept, g, input_grad=True)
+    assert all(p.grad is None for p in net.parameters())
+    assert net.flat.tobytes() == before.tobytes()
     xo = Tensor(x, requires_grad=True)
     tape_forward(net, xo).backward(g)
-    assert xt.grad.tobytes() == xo.grad.tobytes()
-    net.zero_grad()
-    assert not net.forward(Tensor(x), param_grads=False).requires_grad
+    assert dx.tobytes() == xo.grad.tobytes()
+
+
+@given(st.data())
+def test_mlp_backward_writes_into_flat_shaped_vector(data):
+    net, x, g = drawn_net(data, max_width=64, max_batch=256)
+    out, kept = net.forward(x)
+    grad = np.full(net.flat.size, np.nan)
+    net.backward(kept, g, grad)
+    tape_forward(net, Tensor(x)).backward(g)
+    assert grad.tobytes() == net.flat_grad().tobytes()
 
 
 @given(st.data())
 def test_mlp_node_gradients_match_central_differences(data):
     net, x, g = drawn_net(data, max_width=6, max_batch=4)
     xt = Tensor(x.copy(), requires_grad=True)
-    net.forward(xt).backward(g)
+    net.node(xt).backward(g)
     analytic = np.concatenate([net.flat_grad(), xt.grad.ravel()])
     h = 1e-6
     numeric = []
