@@ -77,7 +77,8 @@ class GaussianPolicy:
         mean = self.net.forward_np(obs)
         std = self.std_np()
         raw = mean + std * rng.normal(size=self.act_dim)
-        logp = self.log_prob_np(mean[None, :], raw[None, :])[0]
+        z = (raw - mean) / std  # log_prob_np's operations, on one row
+        logp = (-0.5 * z * z - np.log(std) - 0.5 * LOG_2PI).sum()
         return self.to_env(raw), raw, float(logp), mean
 
     def log_prob_np(self, means: np.ndarray, actions: np.ndarray) -> np.ndarray:

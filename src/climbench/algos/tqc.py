@@ -110,8 +110,8 @@ class TqcTrainer(OffPolicyTrainer):
         pooled = np.concatenate(
             [tc.q_np(batch["s_next"], a_next) for tc in self.target_critics], axis=1)
         pooled.sort(axis=1)
-        drop = cfg.n_drop_per_critic * cfg.n_critics
-        kept = pooled[:, :pooled.shape[1] - drop] if drop else pooled
+        # a config may drop more than the pooled width: then nothing is kept
+        kept = pooled[:, :max(0, pooled.shape[1] - cfg.n_drop_per_critic * cfg.n_critics)]
         shifted = kept - alpha * logp_next[:, None]
         return batch["r"][:, None] + cfg.gamma * (1.0 - batch["d"][:, None]) * shifted
 

@@ -58,7 +58,8 @@ class BoxSpace:
         return self.low.size
 
     def clip(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(np.asarray(x, dtype=np.float64), self.low, self.high)
+        # ndarray.clip is what np.clip dispatches to, without its wrappers
+        return np.asarray(x, dtype=np.float64).clip(self.low, self.high)
 
     def contains(self, x: np.ndarray) -> bool:
         x = np.asarray(x)

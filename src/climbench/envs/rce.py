@@ -83,6 +83,7 @@ class _ColumnGeometry(NamedTuple):
 
     layer_dp: np.ndarray         # hPa, read-only
     weights: tuple[float, ...]   # surface weight, then layer_dp (hPa)
+    cp_dp: tuple[float, ...]     # cp * layer_dp * 100 (J/kg/K * Pa)
     r_over_g: float              # m/K
     log_to_centre: tuple[float, ...]  # ln(bottom interface / level)
     log_across: tuple[float, ...]     # ln(bottom interface / top interface)
@@ -102,6 +103,7 @@ def _column_geometry(params: "RcePhysicsParams") -> _ColumnGeometry:
     layer_dp.flags.writeable = False
     surface = params.surface_heat_capacity * params.g / (params.cp * 100.0)
     return _ColumnGeometry(layer_dp, (surface, *layer_dp.tolist()),
+                           tuple((params.cp * layer_dp * 100.0).tolist()),
                            params.r_gas / params.g, tuple(to_centre), tuple(across))
 
 
@@ -164,13 +166,17 @@ class AtmosphericColumn:
             raise ValueError(f"need exactly {N_LEVELS} temperatures")
 
     def validate(self) -> None:
-        temps = np.concatenate([self.temperatures, [self.surface_temperature]])
+        temps = self.temperatures.tolist()
+        temps.append(self.surface_temperature)
+        # NaN fails every comparison, so this one pass passes only good columns.
+        if all(TEMPERATURE_FLOOR < t < TEMPERATURE_CEILING for t in temps):
+            return
+        temps = np.array(temps)
         if not np.all(np.isfinite(temps)):
             raise ColumnStateError("non-finite temperature in column")
-        if np.any(temps <= TEMPERATURE_FLOOR) or np.any(temps >= TEMPERATURE_CEILING):
-            raise ColumnStateError(
-                f"temperature outside ({TEMPERATURE_FLOOR}, {TEMPERATURE_CEILING}) K: "
-                f"range [{temps.min():.2f}, {temps.max():.2f}]")
+        raise ColumnStateError(
+            f"temperature outside ({TEMPERATURE_FLOOR}, {TEMPERATURE_CEILING}) K: "
+            f"range [{temps.min():.2f}, {temps.max():.2f}]")
 
     def copy(self) -> "AtmosphericColumn":
         return AtmosphericColumn(self.temperatures.copy(),
@@ -202,21 +208,27 @@ def grey_longwave_step(column: AtmosphericColumn, emissivity: float):
     if not 0.0 <= emissivity <= 1.0:
         raise ValueError("emissivity must be in [0, 1]")
     p = column.params
-    t = column.temperatures
     eps = emissivity
-    emit = eps * p.sigma * t ** 4
-
-    up = np.empty(N_LEVELS + 1)
-    up[0] = p.sigma * column.surface_temperature ** 4
-    for i in range(N_LEVELS):
-        up[i + 1] = up[i] * (1.0 - eps) + emit[i]
-    down = np.empty(N_LEVELS + 1)
-    down[N_LEVELS] = 0.0
-    for i in range(N_LEVELS - 1, -1, -1):
-        down[i] = down[i + 1] * (1.0 - eps) + emit[i]
-
-    absorbed = eps * (up[:N_LEVELS] + down[1:]) - 2.0 * emit
-    heating = absorbed * p.g / (p.cp * p.layer_dp * 100.0)
+    keep = 1.0 - eps
+    # numpy's power does not round like libm's pow, so T^4 stays one array
+    # expression; the recurrences and heating run over Python floats, whose
+    # + - * / round exactly as numpy's elementwise ones do.
+    emit = (eps * p.sigma * column.temperatures ** 4).tolist()
+    flux = float(p.sigma * column.surface_temperature ** 4)
+    up = [flux]
+    for e in emit:
+        flux = flux * keep + e
+        up.append(flux)
+    flux = 0.0
+    down = [flux]
+    for e in reversed(emit):
+        flux = flux * keep + e
+        down.append(flux)
+    down.reverse()
+    g = p.g
+    heating = np.array([(eps * (u + d) - 2.0 * e) * g / cp_dp for u, d, e, cp_dp
+                        in zip(up, down[1:], emit, p._geometry.cp_dp)])
+    up, down = np.array(up), np.array(down)
     surface_net = p.absorbed_shortwave + down[0] - up[0]
     diagnostics = {
         "olr": up[N_LEVELS],
@@ -233,15 +245,26 @@ def grey_longwave_step(column: AtmosphericColumn, emissivity: float):
 # -- geometry and convection -----------------------------------------------------
 
 
-def _heights_from_lists(t: list[float], geometry: _ColumnGeometry) -> list[float]:
+def _static_temperatures(temps: list[float], gamma: float, geometry: _ColumnGeometry
+                         ) -> tuple[list[float], list[float], bool]:
+    """Heights z (m) of (surface, layer 0, ..., layer 16) at temperatures
+    ``temps`` in that order, s = T + gamma * z, and whether s falls upwards
+    across any adjacent pair by more than ``LAPSE_TOLERANCE_K``."""
     r_over_g = geometry.r_over_g
-    z: list[float] = []
     z_bot = 0.0
-    for t_i, to_centre, across in zip(t, geometry.log_to_centre, geometry.log_across):
+    heights = [z_bot]
+    s = [temps[0] + gamma * z_bot]
+    unstable = False
+    for t_i, to_centre, across in zip(temps[1:], geometry.log_to_centre, geometry.log_across):
         scale = r_over_g * t_i
-        z.append(z_bot + scale * to_centre)
+        z = z_bot + scale * to_centre
         z_bot = z_bot + scale * across
-    return z
+        s_i = t_i + gamma * z
+        if s[-1] - s_i > LAPSE_TOLERANCE_K:
+            unstable = True
+        heights.append(z)
+        s.append(s_i)
+    return heights, s, unstable
 
 
 def column_heights(column: AtmosphericColumn) -> np.ndarray:
@@ -250,8 +273,9 @@ def column_heights(column: AtmosphericColumn) -> np.ndarray:
     dz = -dp / (rho g) with rho = p / (R T), integrated interface to interface
     using each layer's current temperature.
     """
-    return np.array(_heights_from_lists(column.temperatures.tolist(),
-                                        column.params._geometry))
+    heights, _, _ = _static_temperatures([0.0] + column.temperatures.tolist(), 0.0,
+                                         column.params._geometry)
+    return np.array(heights[1:])
 
 
 def _pool_adjacent_violators(values: list[float],
@@ -295,9 +319,8 @@ def convective_adjustment(column: AtmosphericColumn,
     temps = [float(column.surface_temperature)] + column.temperatures.tolist()
 
     for _ in range(MAX_HEIGHT_PASSES):
-        heights = [0.0] + _heights_from_lists(temps[1:], geometry)
-        s = [t + gamma * z for t, z in zip(temps, heights)]
-        if not any(lower - upper > LAPSE_TOLERANCE_K for lower, upper in zip(s, s[1:])):
+        heights, s, unstable = _static_temperatures(temps, gamma, geometry)
+        if not unstable:
             return AtmosphericColumn(np.array(temps[1:]), temps[0], p)
         start = 0
         for total, mass, size in _pool_adjacent_violators(s, geometry.weights):
@@ -440,9 +463,9 @@ class RceEnv(ClimateEnv):
         self.column = convective_adjustment(self.column, lapse)
         self.column.validate()
         diffs = self.column.temperatures - self.observed.temperatures
-        reward = -float(np.mean(diffs * diffs))
+        reward = -(float((diffs * diffs).sum()) / N_LEVELS)  # np.mean, bit for bit
         info = {
-            "level_differences": diffs.copy(),
+            "level_differences": diffs,
             "simulated_profile": self.column.temperatures.copy(),
             "surface_temperature": self.column.surface_temperature,
             "olr": diag["olr"],

@@ -12,6 +12,7 @@ from climbench.algos.tqc import quantile_fractions, truncated_quantile_loss
 from climbench.envs import BiasCorrectionEnv, BoxSpace, ClimateEnv, RngStream
 from climbench.experiments import experiment_spec, make_experiment_env, resolve_config
 from climbench.nn import Tensor
+from climbench.records import load_record
 from climbench.rollout import discounted_returns
 
 
@@ -572,6 +573,21 @@ def test_tqc_truncation_drops_largest_quantiles():
     assert y.shape == (4, 4)  # 6 pooled - 2 dropped
     rows_sorted = np.all(np.diff(y, axis=1) >= 0)
     assert rows_sorted
+
+
+def test_tqc_dropping_more_than_pooled_keeps_no_targets(tmp_path):
+    # 3 dropped per critic of 2 critics is 6 of the 4 pooled quantiles
+    trainer = make("tqc", total_timesteps=120, learning_starts=50, n_quantiles=2,
+                   n_critics=2, n_drop_per_critic=3)
+    batch = {"s": np.zeros((4, 1)), "a": np.zeros((4, 1)),
+             "r": np.zeros(4), "s_next": np.random.default_rng(0).uniform(0, 1, (4, 1)),
+             "d": np.zeros(4)}
+    assert trainer.compute_target(batch, alpha=0.0).shape == (4, 0)
+    record = trainer.train()
+    assert record.aborted and "tqc critic loss = nan" in record.abort_reason
+    record.save(tmp_path / "over_truncated.rec")
+    saved = load_record(tmp_path / "over_truncated.rec")
+    assert saved.aborted and saved.abort_reason == record.abort_reason
 
 
 def test_tqc_holds_configured_critic_count():

@@ -32,3 +32,29 @@ def test_traced_round_gives_layer_metrics(name, tmp_path, monkeypatch):
     assert metrics["envs.steps"] == rnd.steps
     for layer in ("nn.forward", "nn.forward_np", "nn.backward", "nn.optim_step"):
         assert metrics[f"{layer}_calls"] > 0 and metrics[f"{layer}_us"] > 0
+
+
+def test_traced_rce_round_reaches_the_column_physics(tmp_path, monkeypatch):
+    # The tracer wraps rce.grey_longwave_step and rce.convective_adjustment
+    # where the module looks them up; a step that stops calling them through
+    # those names leaves the RCE layer figures and the adjustment audit empty.
+    monkeypatch.syspath_prepend(str(BENCH))
+    import checks
+    import spans
+    import workloads
+
+    wl = workloads.make_workload("rce-onpolicy", 3, tmp_path / "rce", tiny=True)
+    audit = checks.StepAudit()
+    tracer = spans.Tracer(tmp_path, audit)
+    spans.install(tracer)
+    try:
+        rnd = wl.run_round()
+    finally:
+        spans.uninstall()
+    assert rnd.failed == 0, rnd.errors
+    metrics = spans.layer_metrics(tracer, 1)
+    assert metrics["envs.rce.longwave_s"] > 0 and metrics["envs.rce.adjust_s"] > 0
+    names = [span[1] for span in tracer.spans]
+    assert names.count("envs.rce.longwave") == names.count("envs.rce.adjust") == rnd.steps
+    assert audit.adjustments == audit.rce_steps == rnd.steps > 0
+    assert audit.problems() == []
