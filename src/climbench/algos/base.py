@@ -19,6 +19,9 @@ supplies up to three numpy hooks:
                                ``actor_critics`` critics, and the gradient in
                                each given ``g`` = dL/d(value)
 
+A minibatch is a dict of (s, a, r, s_next) arrays, from replay or (DPG) the
+transition just seen; episodes only truncate, so every target bootstraps.
+
 Every critic and actor gradient is closed-form, written straight into one
 flat vector per optimizer; only the entropy coefficient's loss uses the tape.
 """
@@ -35,7 +38,7 @@ from ..envs.core import ClimateEnv
 from ..envs.rce import ColumnStateError
 from ..nn import NonFiniteError, Optimizer, Tensor, soft_update
 from ..records import RunRecord, config_digest
-from ..rollout import ReplayBuffer, Transition
+from ..rollout import ReplayBuffer
 from .common import DeterministicPolicy, QNet, SeedStreams, SquashedGaussianPolicy
 from .config import BaseConfig, config_repr
 
@@ -89,16 +92,6 @@ class Trainer:
         if not np.isfinite(value):
             raise NonFiniteError(f"{what} = {value}")
         return float(value)
-
-
-def _batched(transition: Transition) -> dict[str, np.ndarray]:
-    return {
-        "s": transition.s[None, :],
-        "a": transition.a[None, :],
-        "r": np.array([transition.r]),
-        "s_next": transition.s_next[None, :],
-        "d": np.array([float(transition.done)]),
-    }
 
 
 class OffPolicyTrainer(Trainer):
@@ -220,21 +213,20 @@ class OffPolicyTrainer(Trainer):
             res = self.env.step(action)
             self.global_step += 1
             self._episode_return += res.reward
-            transition = Transition(np.asarray(self._obs, dtype=np.float64), action,
-                                    res.reward, np.asarray(res.observation),
-                                    res.terminated)
-            self._on_transition(transition)
+            self._on_transition(self._obs, action, res.reward, res.observation)
             self._obs = res.observation
             if res.truncated:
                 self.record.add(self.global_step, self._episode_return)
                 self._obs = None
 
-    def _on_transition(self, transition: Transition) -> None:
+    def _on_transition(self, s: np.ndarray, a: np.ndarray, r: float,
+                       s_next: np.ndarray) -> None:
         cfg = self.cfg
         if self.buffer is None:
-            batch = _batched(transition)
+            batch = {"s": s[None, :], "a": a[None, :], "r": np.array([r]),
+                     "s_next": s_next[None, :]}
         else:
-            self.buffer.push(transition)
+            self.buffer.push(s, a, r, s_next)
             if self.global_step < cfg.learning_starts:
                 return
             batch = self.buffer.sample(min(cfg.batch_size, len(self.buffer)))

@@ -25,7 +25,7 @@ class DdpgTrainer(OffPolicyTrainer):
     def compute_target(self, batch: dict[str, np.ndarray]) -> np.ndarray:
         q_next = self.min_target_q(batch["s_next"],
                                    self.target_actor.act_np(batch["s_next"]))
-        return batch["r"] + self.cfg.gamma * (1.0 - batch["d"]) * q_next
+        return batch["r"] + self.cfg.gamma * q_next
 
     def actor_value(self, qs: list[np.ndarray], g: np.ndarray):
         """The first critic's value."""
@@ -55,4 +55,4 @@ class Td3Trainer(DdpgTrainer):
     def compute_target(self, batch: dict[str, np.ndarray]) -> np.ndarray:
         q_next = self.min_target_q(batch["s_next"],
                                    self.smoothed_target_actions(batch["s_next"]))
-        return batch["r"] + self.cfg.gamma * (1.0 - batch["d"]) * q_next
+        return batch["r"] + self.cfg.gamma * q_next

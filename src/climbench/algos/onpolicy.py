@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn import Mlp, Optimizer, Tensor, clip_grad_norm, minimum
-from ..rollout import TrajectoryBatch, discounted_returns
+from ..rollout import discounted_returns, gae
 from .base import Trainer
 from .common import GaussianPolicy, hidden_layers
 
@@ -56,11 +56,12 @@ def conjugate_gradient(matvec, b: np.ndarray, iterations: int = 10,
 class OnPolicyTrainer(Trainer):
     """The episode loop shared by REINFORCE, PPO and TRPO.
 
-    Each iteration collects one full episode with the Gaussian policy and
-    hands the batch to ``update_from_batch``. For PPO and TRPO that runs GAE,
-    normalizes the advantages and sweeps ``update_epochs`` epochs of shuffled
-    minibatches through ``minibatch_step``, stopping early once the KL from
-    the collection policy exceeds ``kl_limit``.
+    Each iteration collects one episode with the Gaussian policy, run to the
+    step cap, into arrays and hands them to ``update_from_batch``. For PPO and
+    TRPO that runs GAE, bootstrapping through the cap, normalizes the
+    advantages and sweeps ``update_epochs`` epochs of shuffled minibatches
+    through ``minibatch_step``, stopping early once the KL from the collection
+    policy exceeds ``kl_limit``.
     """
 
     # the nets one Adam optimizer steps; a value net is built only if listed
@@ -91,42 +92,44 @@ class OnPolicyTrainer(Trainer):
             return 0.0
         return float(self.value_net.forward_np(obs)[0])
 
-    def collect_episode(self) -> TrajectoryBatch:
-        batch = TrajectoryBatch()
+    def collect_episode(self) -> dict[str, np.ndarray]:
+        """Arrays of ``env.max_steps`` rows; ``values`` ends with the bootstrap."""
+        n = self.env.max_steps
+        act_dim = self.env.action_space.dim
+        ep = {"obs": np.empty((n, self.env.observation_space.dim)),
+              "actions": np.empty((n, act_dim)), "rewards": np.empty(n),
+              "values": np.empty(n + 1), "log_probs": np.empty(n),
+              "means": np.empty((n, act_dim))}
         obs = self.env.reset(seed=self.seed if self.global_step == 0 else None)
         episode_return = 0.0
-        while True:
-            obs_arr = np.asarray(obs, dtype=np.float64)
-            env_action, raw_action, logp, mean = self.policy.sample_np(
-                obs_arr, self.streams.explore)
-            value = self._value(obs_arr)
+        for t in range(n):
+            ep["obs"][t] = obs
+            env_action, ep["actions"][t], ep["log_probs"][t], ep["means"][t] = (
+                self.policy.sample_np(obs, self.streams.explore))
+            ep["values"][t] = self._value(obs)
             res = self.env.step(env_action)
             self.global_step += 1
             episode_return += res.reward
-            # terminated is always False here, so GAE bootstraps through the cap
-            batch.add(obs_arr, raw_action, res.reward, res.terminated, value, logp,
-                      mean)
+            ep["rewards"][t] = res.reward
             obs = res.observation
-            if res.truncated:
-                batch.bootstrap_value = self._value(np.asarray(obs, dtype=np.float64))
-                break
+        ep["values"][n] = self._value(obs)
         self.record.add(self.global_step, episode_return)
-        return batch
+        return ep
 
     def _run(self, total_steps: int) -> None:
         while self.global_step < total_steps:
             self.update_from_batch(self.collect_episode())
 
-    def update_from_batch(self, batch: TrajectoryBatch) -> None:
+    def update_from_batch(self, ep: dict[str, np.ndarray]) -> None:
         cfg = self.cfg
-        batch.estimate_advantages(cfg.gamma, cfg.gae_lambda)
-        arrays = batch.arrays()
-        adv = batch.advantages
+        adv, returns = gae(ep["rewards"], ep["values"], cfg.gamma, cfg.gae_lambda)
+        # only what ``minibatch_step`` and the KL check read
+        arrays = {k: ep[k] for k in ("obs", "actions", "log_probs", "means")}
         arrays["advantages"] = (adv - adv.mean()) / (adv.std() + 1e-8)
-        arrays["returns"] = batch.returns
+        arrays["returns"] = returns
         self._log_std_at_collect = self.policy.net.log_std.data.copy()
         for _epoch in range(cfg.update_epochs):
-            order = self.streams.shuffle.shuffled_indices(len(batch))
+            order = self.streams.shuffle.shuffled_indices(adv.size)
             for idx in np.array_split(order, cfg.num_minibatches):
                 if idx.size > 0:
                     self.minibatch_step({k: v[idx] for k, v in arrays.items()})
@@ -154,9 +157,8 @@ class ReinforceTrainer(OnPolicyTrainer):
         logp = self.policy.log_prob_tensor(Tensor(obs), actions)
         return -(logp * Tensor(returns)).mean()
 
-    def update_from_batch(self, batch: TrajectoryBatch) -> None:
-        arrays = batch.arrays()
-        loss = self.episode_loss(arrays["obs"], arrays["actions"], arrays["rewards"])
+    def update_from_batch(self, ep: dict[str, np.ndarray]) -> None:
+        loss = self.episode_loss(ep["obs"], ep["actions"], ep["rewards"])
         self._check_finite_loss(float(loss.data), "reinforce loss")
         loss.backward()
         self.optimizer.step()

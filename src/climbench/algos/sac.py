@@ -29,8 +29,7 @@ class SacTrainer(OffPolicyTrainer):
         a_next, logp_next = self.actor.sample_with_log_prob_np(
             batch["s_next"], self.streams.explore)
         q_next = self.min_target_q(batch["s_next"], a_next)
-        return batch["r"] + self.cfg.gamma * (1.0 - batch["d"]) * (
-            q_next - alpha * logp_next)
+        return batch["r"] + self.cfg.gamma * (q_next - alpha * logp_next)
 
     def actor_value(self, qs: list[np.ndarray], g: np.ndarray):
         """The minimum over the critics, taken pairwise in critic order; the

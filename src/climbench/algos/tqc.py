@@ -113,7 +113,7 @@ class TqcTrainer(OffPolicyTrainer):
         # a config may drop more than the pooled width: then nothing is kept
         kept = pooled[:, :max(0, pooled.shape[1] - cfg.n_drop_per_critic * cfg.n_critics)]
         shifted = kept - alpha * logp_next[:, None]
-        return batch["r"][:, None] + cfg.gamma * (1.0 - batch["d"][:, None]) * shifted
+        return batch["r"][:, None] + cfg.gamma * shifted
 
     def critic_losses(self, qs: list[np.ndarray], y: np.ndarray):
         """Summed over the critics, each critic's mean quantile Huber loss

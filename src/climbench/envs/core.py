@@ -1,8 +1,9 @@
 """The shared environment contract: spaces, step results, seeding, truncation.
 
-Both climate tasks are truncation-only: ``terminated`` is always False and an
-episode ends exactly when the per-episode step cap is hit. Actions are clipped
-into the action box before the dynamics run, never rejected.
+Both climate tasks are truncation-only: there are no terminal states, and an
+episode ends (``truncated``) exactly when the per-episode step cap is hit.
+Actions are clipped into the action box before the dynamics run, never
+rejected.
 
 Randomness comes from Philox counter-based generators so that a given
 (seed, stream) pair yields the same draw sequence on every platform. Stream
@@ -71,7 +72,6 @@ class BoxSpace:
 class StepResult:
     observation: np.ndarray
     reward: float
-    terminated: bool
     truncated: bool
     info: dict[str, Any] = field(default_factory=dict)
 
@@ -152,7 +152,7 @@ class ClimateEnv:
         if truncated:
             self._episode_over = True
         return StepResult(observation=observation, reward=float(reward),
-                          terminated=False, truncated=truncated, info=info)
+                          truncated=truncated, info=info)
 
     # -- subclass hooks ------------------------------------------------------
 

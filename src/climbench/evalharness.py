@@ -144,8 +144,6 @@ def rank_algorithms(records: list[RunRecord]) -> dict[str, list[AggregateScore]]
         grouped.setdefault(rec.experiment_id, {}).setdefault(rec.algorithm, []).append(rec)
     ranking: dict[str, list[AggregateScore]] = {}
     for experiment_id, by_algo in sorted(grouped.items()):
-        if not by_algo:
-            raise ValueError(f"no algorithms for experiment {experiment_id}")
         spec = threshold_for_experiment(experiment_id)
         scores = [aggregate_scores(recs, spec) for recs in by_algo.values()]
         ranking[experiment_id] = sorted(scores, key=AggregateScore.sort_key)
@@ -231,7 +229,7 @@ def confidence_curves(records: list[RunRecord], bucket_width: int | None = None)
             n = len(values)
             sd = float(np.std(values, ddof=1)) if n > 1 else 0.0
             rows.append((bucket, float(np.mean(values)),
-                         1.96 * sd / math.sqrt(n) if n else 0.0, n))
+                         1.96 * sd / math.sqrt(n), n))
         out[algo] = rows
     return out
 

@@ -1,27 +1,20 @@
-"""Experience storage and return/advantage estimators shared by the trainers."""
+"""Experience storage and return/advantage estimators shared by the trainers.
+
+Episodes only truncate, so nothing here marks a terminal state: replay
+stores (s, a, r, s') and GAE bootstraps through the step cap.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .envs.core import RngStream
 
-__all__ = ["Transition", "ReplayBuffer", "TrajectoryBatch", "discounted_returns", "gae"]
-
-
-@dataclass
-class Transition:
-    s: np.ndarray
-    a: np.ndarray
-    r: float
-    s_next: np.ndarray
-    done: bool
+__all__ = ["ReplayBuffer", "discounted_returns", "gae"]
 
 
 class ReplayBuffer:
-    """Uniform ring buffer over transitions; minibatches sample without replacement."""
+    """Uniform ring buffer of (s, a, r, s') rows; samples draw without replacement."""
 
     def __init__(self, capacity: int, obs_dim: int, act_dim: int, rng: RngStream):
         if capacity <= 0:
@@ -32,20 +25,18 @@ class ReplayBuffer:
         self._a = np.zeros((capacity, act_dim))
         self._r = np.zeros(capacity)
         self._s_next = np.zeros((capacity, obs_dim))
-        self._d = np.zeros(capacity)
         self._size = 0
         self._cursor = 0
 
     def __len__(self) -> int:
         return self._size
 
-    def push(self, t: Transition) -> None:
+    def push(self, s: np.ndarray, a: np.ndarray, r: float, s_next: np.ndarray) -> None:
         i = self._cursor
-        self._s[i] = t.s
-        self._a[i] = t.a
-        self._r[i] = t.r
-        self._s_next[i] = t.s_next
-        self._d[i] = float(t.done)
+        self._s[i] = s
+        self._a[i] = a
+        self._r[i] = r
+        self._s_next[i] = s_next
         self._cursor = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
@@ -60,7 +51,6 @@ class ReplayBuffer:
             "a": self._a[idx],
             "r": self._r[idx],
             "s_next": self._s_next[idx],
-            "d": self._d[idx],
         }
 
 
@@ -77,70 +67,22 @@ def discounted_returns(rewards: np.ndarray, gamma: float) -> np.ndarray:
     return out
 
 
-def gae(rewards: np.ndarray, values: np.ndarray, dones: np.ndarray,
+def gae(rewards: np.ndarray, values: np.ndarray,
         gamma: float, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Generalized advantage estimation.
+    """Generalized advantage estimation over one truncated episode.
 
     ``values`` has one extra trailing entry: the bootstrap value of the state
     after the final step. Returns (advantages, returns) with returns = A + V.
     """
     rewards = np.asarray(rewards, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
-    dones = np.asarray(dones, dtype=np.float64)
     n = rewards.size
     if values.size != n + 1:
         raise ValueError("values must include the bootstrap entry (length T+1)")
-    if dones.size != n:
-        raise ValueError("dones length must match rewards")
     adv = np.empty(n)
     acc = 0.0
     for t in range(n - 1, -1, -1):
-        nonterminal = 1.0 - dones[t]
-        delta = rewards[t] + gamma * nonterminal * values[t + 1] - values[t]
-        acc = delta + gamma * lam * nonterminal * acc
+        delta = rewards[t] + gamma * values[t + 1] - values[t]
+        acc = delta + gamma * lam * acc
         adv[t] = acc
     return adv, adv + values[:-1]
-
-
-@dataclass
-class TrajectoryBatch:
-    """Complete-episode rollout storage for the on-policy trainers."""
-
-    obs: list = field(default_factory=list)
-    actions: list = field(default_factory=list)
-    rewards: list = field(default_factory=list)
-    dones: list = field(default_factory=list)
-    values: list = field(default_factory=list)
-    log_probs: list = field(default_factory=list)
-    means: list = field(default_factory=list)       # policy means, for analytic KL
-    bootstrap_value: float = 0.0
-    advantages: np.ndarray | None = None
-    returns: np.ndarray | None = None
-
-    def add(self, obs, action, reward, done, value, log_prob, mean) -> None:
-        self.obs.append(np.asarray(obs, dtype=np.float64))
-        self.actions.append(np.asarray(action, dtype=np.float64))
-        self.rewards.append(float(reward))
-        self.dones.append(float(done))
-        self.values.append(float(value))
-        self.log_probs.append(float(log_prob))
-        self.means.append(np.asarray(mean, dtype=np.float64))
-
-    def __len__(self) -> int:
-        return len(self.rewards)
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {
-            "obs": np.stack(self.obs),
-            "actions": np.stack(self.actions),
-            "rewards": np.asarray(self.rewards),
-            "dones": np.asarray(self.dones),
-            "values": np.asarray(self.values),
-            "log_probs": np.asarray(self.log_probs),
-            "means": np.stack(self.means),
-        }
-
-    def estimate_advantages(self, gamma: float, lam: float) -> None:
-        values = np.asarray(self.values + [self.bootstrap_value])
-        self.advantages, self.returns = gae(
-            np.asarray(self.rewards), values, np.asarray(self.dones), gamma, lam)

@@ -109,6 +109,7 @@ class Trial:
     status: str = "running"          # running | pruned | complete | failed
     final_score: float | None = None
     steps_consumed: int = 0
+    error: str | None = None         # why a failed trial failed
 
 
 @dataclass
@@ -151,13 +152,16 @@ def trial_value(record: RunRecord, current_step: int) -> float:
 
 
 def _advance_task(args):
+    """(state, value, steps, error): a crashed trial has state None and its
+    reason in error, which is None otherwise."""
     runner, state, cfg, target = args
     if state is None:
         state = runner.build(cfg)
     try:
-        return runner.advance(state, target)
+        state, value, steps = runner.advance(state, target)
     except Exception as exc:  # a crashed trial must not sink the study
         return None, float("-inf"), getattr(state, "global_step", 0), str(exc)
+    return state, value, steps, None
 
 
 def run_study(runner, space: SearchSpace, n_trials: int, budget_steps: int,
@@ -184,16 +188,15 @@ def run_study(runner, space: SearchSpace, n_trials: int, budget_steps: int,
         else:
             results = [_advance_task(t) for t in tasks]
         values: dict[int, float] = {}
-        for tid, result in zip(list(active), results):
-            if len(result) == 4 or result[0] is None:   # failed trial
+        for tid, (state, value, steps, error) in zip(list(active), results):
+            trials[tid].steps_consumed = steps
+            if state is None:
                 trials[tid].status = "failed"
-                trials[tid].steps_consumed = result[2]
+                trials[tid].error = error
                 active.remove(tid)
                 continue
-            state, value, steps = result
             states[tid] = state
             trials[tid].checkpoints.append((fraction, value))
-            trials[tid].steps_consumed = steps
             values[tid] = value
         if fraction == 1.0:
             for tid in active:
@@ -245,6 +248,7 @@ def tune_algorithm(algorithm: str, experiment_id: str, n_trials: int = 32,
                 "steps_consumed": t.steps_consumed,
                 "checkpoints": t.checkpoints,
                 "sampled": t.sampled,
+                "error": t.error,
             } for t in result.trials],
         }
         study_path = out_dir / spec.env_version / f"{algorithm}.study.json"

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from climbench.algos import TRAINER_CLASSES, make_config, make_trainer
-from climbench.envs import BiasCorrectionEnv, RceEnv, RcePhysicsParams
+from climbench.envs import BiasCorrectionEnv, BiasCorrParams, RceEnv, RcePhysicsParams
 from climbench.nn import Mlp
-from climbench.rollout import Transition
 
 ALL_TAGS = tuple(TRAINER_CLASSES)
 
@@ -56,12 +55,11 @@ def test_single_update_deterministic_on_frozen_batch():
         outs = []
         for _ in range(2):
             trainer = short_trainer(tag, steps=150)
-            batch_transition = Transition(np.array([0.5]), np.array([0.1]), -0.5,
-                                          np.array([0.52]), False)
+            transition = (np.array([0.5]), np.array([0.1]), -0.5, np.array([0.52]))
             for _k in range(120):
-                trainer.buffer.push(batch_transition)
+                trainer.buffer.push(*transition)
             trainer.global_step = 200
-            trainer._on_transition(batch_transition)
+            trainer._on_transition(*transition)
             outs.append(trainer.critics[0].net.flat.copy())
         assert np.array_equal(outs[0], outs[1])
 
@@ -115,14 +113,47 @@ def test_on_policy_consumes_batch_then_discards():
     assert not hasattr(trainer, "buffer")
 
 
+@pytest.mark.parametrize("tag", ["reinforce", "ppo", "trpo"])
+@pytest.mark.parametrize("make_env", [
+    lambda: BiasCorrectionEnv("v2", BiasCorrParams(max_steps=7)),
+    lambda: RceEnv(RcePhysicsParams(max_steps=5)),
+], ids=["biascorr-7", "rce-5"])
+def test_collect_episode_fills_arrays_of_the_step_cap(tag, make_env):
+    env = make_env()
+    trainer = make_trainer(tag, env, make_config(tag, total_timesteps=100), seed=1)
+    observed = []
+    step = env.step
+
+    def recording_step(action):
+        res = step(action)
+        observed.append(res.observation)
+        return res
+
+    env.step = recording_step
+    for episode in (1, 2):
+        ep = trainer.collect_episode()
+        n = env.max_steps
+        obs_dim, act_dim = env.observation_space.dim, env.action_space.dim
+        assert {k: v.shape for k, v in ep.items()} == {
+            "obs": (n, obs_dim), "actions": (n, act_dim), "rewards": (n,),
+            "values": (n + 1,), "log_probs": (n,), "means": (n, act_dim)}
+        # the episode runs to the cap and bootstraps from the state after it
+        assert len(observed) == episode * n
+        bootstrap = (0.0 if trainer.value_net is None
+                     else float(trainer.value_net.forward_np(observed[-1])[0]))
+        assert ep["values"][-1] == bootstrap
+        total = 0.0
+        for reward in ep["rewards"].tolist():
+            total += reward
+        assert trainer.record.entries[-1] == (episode * n, total)
+
+
 def test_off_policy_never_recomputes_stored_log_probs():
-    # Replay buffers store (s, a, r, s', d) only: no log-prob field exists.
+    # Replay buffers store (s, a, r, s') only: no log-prob field exists.
     trainer = short_trainer("sac", steps=150)
-    batch_keys = set()
-    trainer.buffer.push(Transition(np.array([0.5]), np.array([0.1]), -0.5,
-                                   np.array([0.52]), False))
+    trainer.buffer.push(np.array([0.5]), np.array([0.1]), -0.5, np.array([0.52]))
     batch_keys = set(trainer.buffer.sample(1))
-    assert batch_keys == {"s", "a", "r", "s_next", "d"}
+    assert batch_keys == {"s", "a", "r", "s_next"}
 
 
 

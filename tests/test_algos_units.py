@@ -94,14 +94,6 @@ def test_dpg_has_no_target_networks():
     assert trainer.target_critics is trainer.critics
 
 
-def test_dpg_target_is_reward_when_done():
-    trainer = make("dpg")
-    batch = {"s": np.array([[0.4]]), "a": np.array([[0.1]]),
-             "r": np.array([3.0]), "s_next": np.array([[0.5]]),
-             "d": np.array([1.0])}
-    assert trainer.compute_target(batch)[0] == 3.0
-
-
 class FrozenQuadraticCritic:
     """Q(s, a) = -(a - 0.3)^2 behind the critic net's forward/backward pair."""
 
@@ -167,8 +159,7 @@ def test_ddpg_tau_one_makes_targets_track_online():
 def test_ddpg_target_uses_target_networks():
     trainer = make("ddpg")
     batch = {"s": np.array([[0.4]]), "a": np.array([[0.1]]),
-             "r": np.array([0.5]), "s_next": np.array([[0.5]]),
-             "d": np.array([0.0])}
+             "r": np.array([0.5]), "s_next": np.array([[0.5]])}
     y_before = trainer.compute_target(batch)
     trainer.actor.net.flat[:] += 0.37  # perturb online nets only
     trainer.critics[0].net.flat[:] += 0.37
@@ -362,8 +353,7 @@ def test_ppo_ratio_one_surrogate_is_mean_advantage():
 def test_sac_alpha_zero_reduces_to_min_critic_target():
     trainer = make("sac")
     batch = {"s": np.array([[0.4]]), "a": np.array([[0.1]]),
-             "r": np.array([0.7]), "s_next": np.array([[0.6]]),
-             "d": np.array([0.0])}
+             "r": np.array([0.7]), "s_next": np.array([[0.6]])}
     rng_state = trainer.streams.explore.generator.bit_generator.state
     y0 = trainer.compute_target(batch, alpha=0.0)
     trainer.streams.explore.generator.bit_generator.state = rng_state
@@ -500,7 +490,7 @@ def test_closed_form_loss_matches_pairwise_oracle(n_q, n_y, rows, kappa, offset,
     else:
         q_data = rng.normal(scale=spread, size=(rows, n_q))
         y = rng.normal(scale=spread, size=(rows, n_y))
-    y[:equal_rows] = y[:equal_rows, :1]        # a done transition: one target value
+    y[:equal_rows] = y[:equal_rows, :1]        # rows of one repeated target value
     q_data, y = q_data + offset, np.sort(y + offset, axis=1)
     tau = quantile_fractions(n_q)
     loss, grad = loss_and_grad(truncated_quantile_loss, q_data, y, tau, kappa)
@@ -551,8 +541,7 @@ def test_tqc_degenerates_to_sac_scalar_target():
     # with a single critic it equals SAC's scalar target with min over one.
     trainer = make("tqc", n_quantiles=1, n_critics=1, n_drop_per_critic=0)
     batch = {"s": np.array([[0.4]]), "a": np.array([[0.1]]),
-             "r": np.array([0.7]), "s_next": np.array([[0.6]]),
-             "d": np.array([0.0])}
+             "r": np.array([0.7]), "s_next": np.array([[0.6]])}
     state = trainer.streams.explore.generator.bit_generator.state
     y = trainer.compute_target(batch, alpha=0.2)
     trainer.streams.explore.generator.bit_generator.state = state
@@ -567,8 +556,7 @@ def test_tqc_degenerates_to_sac_scalar_target():
 def test_tqc_truncation_drops_largest_quantiles():
     trainer = make("tqc", n_quantiles=3, n_critics=2, n_drop_per_critic=1)
     batch = {"s": np.zeros((4, 1)), "a": np.zeros((4, 1)),
-             "r": np.zeros(4), "s_next": np.random.default_rng(0).uniform(0, 1, (4, 1)),
-             "d": np.zeros(4)}
+             "r": np.zeros(4), "s_next": np.random.default_rng(0).uniform(0, 1, (4, 1))}
     y = trainer.compute_target(batch, alpha=0.0)
     assert y.shape == (4, 4)  # 6 pooled - 2 dropped
     rows_sorted = np.all(np.diff(y, axis=1) >= 0)
@@ -580,8 +568,7 @@ def test_tqc_dropping_more_than_pooled_keeps_no_targets(tmp_path):
     trainer = make("tqc", total_timesteps=120, learning_starts=50, n_quantiles=2,
                    n_critics=2, n_drop_per_critic=3)
     batch = {"s": np.zeros((4, 1)), "a": np.zeros((4, 1)),
-             "r": np.zeros(4), "s_next": np.random.default_rng(0).uniform(0, 1, (4, 1)),
-             "d": np.zeros(4)}
+             "r": np.zeros(4), "s_next": np.random.default_rng(0).uniform(0, 1, (4, 1))}
     assert trainer.compute_target(batch, alpha=0.0).shape == (4, 0)
     record = trainer.train()
     assert record.aborted and "tqc critic loss = nan" in record.abort_reason

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from climbench.envs import RngStream
-from climbench.rollout import ReplayBuffer, Transition, discounted_returns, gae
+from climbench.rollout import ReplayBuffer, discounted_returns, gae
 
 
 def brute_force_returns(rewards, gamma):
@@ -13,17 +13,14 @@ def brute_force_returns(rewards, gamma):
                      for t in range(n)])
 
 
-def brute_force_gae(rewards, values, dones, gamma, lam):
+def brute_force_gae(rewards, values, gamma, lam):
     n = len(rewards)
-    deltas = [rewards[t] + gamma * (1 - dones[t]) * values[t + 1] - values[t]
-              for t in range(n)]
+    deltas = [rewards[t] + gamma * values[t + 1] - values[t] for t in range(n)]
     adv = np.zeros(n)
     for t in range(n):
         coef = 1.0
         for k in range(t, n):
             adv[t] += coef * deltas[k]
-            if dones[k]:
-                break
             coef *= gamma * lam
     return adv
 
@@ -55,7 +52,7 @@ def test_gae_zero_when_values_self_consistent():
     values[3] = 5.0
     for t in range(2, -1, -1):
         values[t] = rewards[t] + gamma * values[t + 1]
-    adv, ret = gae(rewards, values, np.zeros(3), gamma, 0.7)
+    adv, ret = gae(rewards, values, gamma, 0.7)
     assert np.max(np.abs(adv)) < 1e-12
     assert np.allclose(ret, values[:-1])
 
@@ -64,10 +61,8 @@ def test_gae_lambda_zero_is_one_step_td():
     rng = np.random.default_rng(1)
     rewards = rng.normal(size=20)
     values = rng.normal(size=21)
-    dones = np.zeros(20)
-    dones[12] = 1.0
-    adv, _ = gae(rewards, values, dones, 0.99, 0.0)
-    deltas = rewards + 0.99 * (1 - dones) * values[1:] - values[:-1]
+    adv, _ = gae(rewards, values, 0.99, 0.0)
+    deltas = rewards + 0.99 * values[1:] - values[:-1]
     assert np.max(np.abs(adv - deltas)) < 1e-15
 
 
@@ -76,7 +71,7 @@ def test_gae_lambda_one_telescopes_to_discounted_returns():
     rewards = rng.normal(size=30)
     values = rng.normal(size=31)
     gamma = 0.97
-    adv, _ = gae(rewards, values, np.zeros(30), gamma, 1.0)
+    adv, _ = gae(rewards, values, gamma, 1.0)
     disc = discounted_returns(rewards, gamma)
     n = 30
     expected = np.array([disc[t] + gamma ** (n - t) * values[n] - values[t]
@@ -88,10 +83,8 @@ def test_gae_matches_brute_force_on_50_steps():
     rng = np.random.default_rng(3)
     rewards = rng.normal(size=50)
     values = rng.normal(size=51)
-    dones = np.zeros(50)
-    dones[[9, 33]] = 1.0
-    adv, ret = gae(rewards, values, dones, 0.99, 0.95)
-    expected = brute_force_gae(rewards, values, dones, 0.99, 0.95)
+    adv, ret = gae(rewards, values, 0.99, 0.95)
+    expected = brute_force_gae(rewards, values, 0.99, 0.95)
     assert np.max(np.abs(adv - expected)) < 1e-12
     assert np.allclose(ret, adv + values[:-1])
 
@@ -99,7 +92,7 @@ def test_gae_matches_brute_force_on_50_steps():
 def test_gae_agrees_with_returns_when_lambda1_v0():
     rng = np.random.default_rng(4)
     rewards = rng.normal(size=25)
-    adv, ret = gae(rewards, np.zeros(26), np.zeros(25), 0.95, 1.0)
+    adv, ret = gae(rewards, np.zeros(26), 0.95, 1.0)
     disc = discounted_returns(rewards, 0.95)
     assert np.array_equal(adv, disc)
     assert np.array_equal(ret, disc)
@@ -107,18 +100,19 @@ def test_gae_agrees_with_returns_when_lambda1_v0():
 
 def test_gae_length_mismatch():
     with pytest.raises(ValueError):
-        gae(np.zeros(5), np.zeros(5), np.zeros(5), 0.9, 0.9)
+        gae(np.zeros(5), np.zeros(5), 0.9, 0.9)
 
 
 def make_transition(i, obs_dim=2, act_dim=1):
-    return Transition(np.full(obs_dim, float(i)), np.full(act_dim, float(i)),
-                      float(i), np.full(obs_dim, float(i + 1)), False)
+    """(s, a, r, s_next) with every entry tagged by ``i``."""
+    return (np.full(obs_dim, float(i)), np.full(act_dim, float(i)),
+            float(i), np.full(obs_dim, float(i + 1)))
 
 
 def test_buffer_ring_overwrites_oldest():
     buf = ReplayBuffer(5, 2, 1, RngStream(0, 4))
     for i in range(6):
-        buf.push(make_transition(i))
+        buf.push(*make_transition(i))
     assert len(buf) == 5
     batch = buf.sample(5)
     seen = set(batch["r"].tolist())
@@ -128,7 +122,7 @@ def test_buffer_ring_overwrites_oldest():
 
 def test_buffer_sample_before_enough_items():
     buf = ReplayBuffer(10, 2, 1, RngStream(0, 4))
-    buf.push(make_transition(0))
+    buf.push(*make_transition(0))
     with pytest.raises(ValueError):
         buf.sample(2)
 
@@ -136,7 +130,7 @@ def test_buffer_sample_before_enough_items():
 def test_buffer_minibatch_without_replacement():
     buf = ReplayBuffer(8, 2, 1, RngStream(1, 4))
     for i in range(8):
-        buf.push(make_transition(i))
+        buf.push(*make_transition(i))
     for _ in range(50):
         batch = buf.sample(8)
         assert len(set(batch["r"].tolist())) == 8
@@ -147,8 +141,7 @@ def test_buffer_sampling_uniform_chi_squared():
     # value for 9 degrees of freedom (21.666) means uniform at p > 0.01.
     buf = ReplayBuffer(10, 1, 1, RngStream(7, 4))
     for i in range(10):
-        buf.push(Transition(np.array([float(i)]), np.array([0.0]), float(i),
-                            np.array([0.0]), False))
+        buf.push(np.array([float(i)]), np.array([0.0]), float(i), np.array([0.0]))
     counts = np.zeros(10)
     n = 100_000
     for _ in range(n):
@@ -162,7 +155,7 @@ def test_buffer_seeded_sampling_reproducible():
     def draws(seed):
         buf = ReplayBuffer(10, 1, 1, RngStream(seed, 4))
         for i in range(10):
-            buf.push(make_transition(i, obs_dim=1))
+            buf.push(*make_transition(i, obs_dim=1))
         return [buf.sample(3)["r"].tolist() for _ in range(20)]
 
     assert draws(3) == draws(3)
@@ -175,12 +168,12 @@ def test_buffer_never_yields_partial_records():
     pushed = {}
     for i in range(40):
         t = make_transition(i)
-        buf.push(t)
+        buf.push(*t)
         pushed[float(i)] = t
         if len(buf) >= 3:
             batch = buf.sample(3)
             for k in range(3):
-                orig = pushed[batch["r"][k]]
-                assert np.array_equal(batch["s"][k], orig.s)
-                assert np.array_equal(batch["a"][k], orig.a)
-                assert np.array_equal(batch["s_next"][k], orig.s_next)
+                s, a, _, s_next = pushed[batch["r"][k]]
+                assert np.array_equal(batch["s"][k], s)
+                assert np.array_equal(batch["a"][k], a)
+                assert np.array_equal(batch["s_next"][k], s_next)

@@ -1,5 +1,7 @@
 """Search spaces, median pruning, and study determinism."""
 
+import json
+
 import numpy as np
 
 from climbench.algos.config import TUNABLE_FIELDS
@@ -118,6 +120,8 @@ def test_failed_trial_does_not_abort_study():
     result = run_study(runner, build_search_space("reinforce"), n_trials=3,
                        budget_steps=100)
     assert result.trials[1].status == "failed"
+    assert result.trials[1].error == "boom"
+    assert [t.error for t in result.trials if t.trial_id != 1] == [None, None]
     assert result.best.trial_id == 0
 
 
@@ -132,7 +136,7 @@ def test_real_training_study_deterministic_and_segment_consistent(tmp_path):
     frag = tmp_path / "a" / "v0" / "dpg.cfg"
     assert frag.exists()
     study = tmp_path / "a" / "v0" / "dpg.study.json"
-    assert study.exists()
+    assert [t["error"] for t in json.loads(study.read_text())["trials"]] == [None] * 3
 
 
 def test_segmented_training_equals_unsegmented():
