@@ -74,6 +74,9 @@ class Trainer:
         return self.policy.net
 
     def train(self, total_steps: int | None = None) -> RunRecord:
+        """Train on to ``total_steps``; an aborted run stays as it ended."""
+        if self.record.aborted:
+            return self.record
         total = total_steps if total_steps is not None else self.cfg.total_timesteps
         start = time.perf_counter()
         try:
@@ -153,16 +156,16 @@ class OffPolicyTrainer(Trainer):
                 pairs.append((self.target_actor, self.actor))
             self.target_critics = make_critics()
             pairs += zip(self.target_critics, self.critics)
-        self._target_params = [(t.net.flat, o.net.flat) for t, o in pairs]
-        for target, online in self._target_params:
+        self._blends = [(t.net.flat, o.net.flat) for t, o in pairs]
+        for target, online in self._blends:
             soft_update(target, online, 1.0)
         lrs = [getattr(cfg, name) for name in self.lr_fields]
         # each optimizer steps whole ``flat`` vectors, writing once per net
-        self.actor_opt = Optimizer([Tensor(self.actor.net.flat)], lrs[0])
-        self.critic_opt = Optimizer([Tensor(c.net.flat) for c in self.critics], lrs[1])
+        self.actor_opt = Optimizer([self.actor.net.flat], lrs[0])
+        self.critic_opt = Optimizer([c.net.flat for c in self.critics], lrs[1])
         if self.stochastic_actor:
             self.log_alpha = Tensor(np.array([np.log(cfg.alpha)]), requires_grad=True)
-            self.alpha_opt = Optimizer([self.log_alpha], lrs[2])
+            self.alpha_opt = Optimizer([self.log_alpha.data], lrs[2])
             self.target_entropy = -float(act_dim)
         self.buffer = None
         if not self.per_transition:
@@ -206,8 +209,7 @@ class OffPolicyTrainer(Trainer):
     def _run(self, total_steps: int) -> None:
         while self.global_step < total_steps:
             if self._obs is None:
-                self._obs = self.env.reset(
-                    seed=self.seed if self.global_step == 0 else None)
+                self._obs = self.env.reset()
                 self._episode_return = 0.0
             action = self.select_action(self._obs, explore=True)
             res = self.env.step(action)
@@ -235,8 +237,8 @@ class OffPolicyTrainer(Trainer):
             self._update_actor(batch)
         # only SAC and TQC configs schedule their targets apart from the actor
         every = getattr(cfg, "target_network_frequency", cfg.policy_frequency)
-        if self._target_params and self.n_critic_updates % every == 0:
-            for target, online in self._target_params:
+        if self._blends and self.n_critic_updates % every == 0:
+            for target, online in self._blends:
                 soft_update(target, online, cfg.tau)
 
     def _update_critics(self, batch: dict[str, np.ndarray]) -> None:
@@ -283,5 +285,5 @@ class OffPolicyTrainer(Trainer):
             alpha_loss = (self.log_alpha.exp()
                           * Tensor(logp + self.target_entropy)).mean() * (-1.0)
             alpha_loss.backward()
-            self.alpha_opt.step()
-            self.alpha_opt.zero_grad()
+            self.alpha_opt.step(self.log_alpha.grad)
+            self.log_alpha.grad = None

@@ -64,7 +64,7 @@ class GaussianPolicy:
         self.half = (action_space.high - action_space.low) / 2.0
 
     def std_np(self) -> np.ndarray:
-        return np.exp(self.net.log_std.data)
+        return np.exp(self.net.log_std)
 
     def mean_np(self, obs: np.ndarray) -> np.ndarray:
         return self.net.forward_np(obs)
@@ -86,18 +86,27 @@ class GaussianPolicy:
         z = (actions - means) / std
         return (-0.5 * z * z - np.log(std) - 0.5 * LOG_2PI).sum(axis=1)
 
-    def log_prob_tensor(self, obs: Tensor, actions: np.ndarray) -> Tensor:
-        mean = self.net.node(obs)
-        log_std = self.net.log_std
+    def log_prob_tensor(self, obs: np.ndarray, actions: np.ndarray):
+        """log pi(actions | obs) over fresh tape leaves for the mean net's output
+        and the log-std, and the function that, after the loss's backward pass,
+        writes the gradient reaching them into a ``flat``-shaped vector."""
+        out, kept = self.net.forward(obs)
+        mean = Tensor(out, requires_grad=True)
+        log_std = Tensor(self.net.log_std, requires_grad=True)
         inv_std = (-log_std).exp()
         z = (Tensor(actions) - mean) * inv_std
         per_dim = z * z * (-0.5) - log_std - 0.5 * LOG_2PI
-        return per_dim.sum(axis=1)
+
+        def write_grad(grad: np.ndarray) -> None:
+            self.net.backward(kept, mean.grad, grad)
+            grad[-self.act_dim:] = log_std.grad
+
+        return per_dim.sum(axis=1), write_grad
 
     def kl_old_new_np(self, old_means: np.ndarray, old_log_std: np.ndarray,
                       new_means: np.ndarray) -> float:
         """Mean analytic KL(old || new) over a batch of states, new = this policy."""
-        new_log_std = self.net.log_std.data
+        new_log_std = self.net.log_std
         var_old = np.exp(2.0 * old_log_std)
         var_new = np.exp(2.0 * new_log_std)
         per_dim = (new_log_std - old_log_std
@@ -122,13 +131,13 @@ class SquashedGaussianPolicy:
         if deterministic or rng is None:
             u = mean
         else:
-            u = mean + np.exp(self.net.log_std.data) * rng.normal(size=mean.shape)
+            u = mean + np.exp(self.net.log_std) * rng.normal(size=mean.shape)
         return self.center + self.half * np.tanh(u)
 
     def sample_with_log_prob_np(self, obs_batch: np.ndarray, rng: RngStream):
         """Batch sample + log-prob without a graph (for critic targets)."""
         mean = self.net.forward_np(obs_batch)
-        log_std = self.net.log_std.data
+        log_std = self.net.log_std
         std = np.exp(log_std)
         xi = rng.normal(size=mean.shape)
         u = mean + std * xi
@@ -142,7 +151,7 @@ class SquashedGaussianPolicy:
         """Reparameterized sample at noise ``xi`` for the actor step:
         (action, log_prob, what ``rsample_backward`` needs)."""
         mean, kept = self.net.forward(obs)
-        log_std = self.net.log_std.data
+        log_std = self.net.log_std
         std = np.exp(log_std)
         t = np.tanh(mean + std * xi)
         action = t * self.half + self.center

@@ -11,8 +11,11 @@ PPO minimizes  -L_clip + c1 * L_value  with Adam and a global gradient-norm
 clip. TRPO fits its value net the same way and moves the policy by
 natural-gradient steps: conjugate gradient on Fisher-vector products
 (computed exactly for diagonal-Gaussian policies via a forward-tangent JVP and
-a reverse VJP), step length sqrt(2*delta / xHx), and backtracking by halving
-that accepts only surrogate-improving steps inside the KL region.
+the net's closed-form backward pass), step length sqrt(2*delta / xHx), and
+backtracking by halving that accepts only surrogate-improving steps inside the
+KL region. The losses take the nets' outputs and the log-std onto the autodiff
+tape as fresh leaves; ``Mlp.backward`` turns what reaches an output leaf into
+the net's parameter gradient.
 """
 
 from __future__ import annotations
@@ -82,8 +85,8 @@ class OnPolicyTrainer(Trainer):
         if "value" in self.adam_nets:
             self.value_net = nets["value"] = Mlp(
                 hidden_layers(obs_dim, cfg.actor_critic_layer_size, 1), rng=init)
-        self.optimizer = Optimizer([p for name in self.adam_nets
-                                    for p in nets[name].parameters()],
+        self._adam_nets = [nets[name] for name in self.adam_nets]
+        self.optimizer = Optimizer([net.flat for net in self._adam_nets],
                                    cfg.learning_rate)
 
     def _value(self, obs: np.ndarray) -> float:
@@ -100,7 +103,7 @@ class OnPolicyTrainer(Trainer):
               "actions": np.empty((n, act_dim)), "rewards": np.empty(n),
               "values": np.empty(n + 1), "log_probs": np.empty(n),
               "means": np.empty((n, act_dim))}
-        obs = self.env.reset(seed=self.seed if self.global_step == 0 else None)
+        obs = self.env.reset()
         episode_return = 0.0
         for t in range(n):
             ep["obs"][t] = obs
@@ -127,7 +130,7 @@ class OnPolicyTrainer(Trainer):
         arrays = {k: ep[k] for k in ("obs", "actions", "log_probs", "means")}
         arrays["advantages"] = (adv - adv.mean()) / (adv.std() + 1e-8)
         arrays["returns"] = returns
-        self._log_std_at_collect = self.policy.net.log_std.data.copy()
+        self._log_std_at_collect = self.policy.net.log_std.copy()
         for _epoch in range(cfg.update_epochs):
             order = self.streams.shuffle.shuffled_indices(adv.size)
             for idx in np.array_split(order, cfg.num_minibatches):
@@ -138,12 +141,26 @@ class OnPolicyTrainer(Trainer):
                                          new_means) > cfg.kl_limit:
                 break
 
-    def _adam_step(self, loss: Tensor, what: str) -> None:
+    def value_tensor(self, obs: np.ndarray):
+        """The value net's (batch,) output over a fresh tape leaf, and its
+        gradient writer (as in ``GaussianPolicy.log_prob_tensor``)."""
+        out, kept = self.value_net.forward(obs)
+        value = Tensor(out, requires_grad=True)
+        return value.reshape(-1), lambda grad: self.value_net.backward(
+            kept, value.grad, grad)
+
+    def _adam_step(self, loss: Tensor, write_grads, what: str) -> None:
+        """Backpropagate ``loss``, let ``write_grads`` (one per net of
+        ``adam_nets``) write each net's slice of one gradient, clip it and step."""
         self._check_finite_loss(float(loss.data), what)
         loss.backward()
-        clip_grad_norm(self.optimizer.params, self.cfg.max_grad_norm)
-        self.optimizer.step()
-        self.optimizer.zero_grad()
+        g = np.empty(self.optimizer.m.size)
+        views = np.split(g, np.cumsum([net.flat.size for net in self._adam_nets[:-1]]))
+        for write, view in zip(write_grads, views):
+            write(view)
+        clip_grad_norm([p for net, view in zip(self._adam_nets, views)
+                        for p in net.unflatten(view)], self.cfg.max_grad_norm)
+        self.optimizer.step(g)
 
 
 class ReinforceTrainer(OnPolicyTrainer):
@@ -151,18 +168,20 @@ class ReinforceTrainer(OnPolicyTrainer):
     adam_nets = ("policy",)
 
     def episode_loss(self, obs: np.ndarray, actions: np.ndarray,
-                     rewards: np.ndarray) -> Tensor:
-        """-mean_t G_t log pi(a_t | s_t); minimizing it ascends the return."""
+                     rewards: np.ndarray):
+        """-mean_t G_t log pi(a_t | s_t), minimized to ascend the return, and
+        the policy's gradient writer (see ``log_prob_tensor``)."""
         returns = discounted_returns(rewards, self.cfg.gamma)
-        logp = self.policy.log_prob_tensor(Tensor(obs), actions)
-        return -(logp * Tensor(returns)).mean()
+        logp, write_grad = self.policy.log_prob_tensor(obs, actions)
+        return -(logp * Tensor(returns)).mean(), write_grad
 
     def update_from_batch(self, ep: dict[str, np.ndarray]) -> None:
-        loss = self.episode_loss(ep["obs"], ep["actions"], ep["rewards"])
+        loss, write_grad = self.episode_loss(ep["obs"], ep["actions"], ep["rewards"])
         self._check_finite_loss(float(loss.data), "reinforce loss")
         loss.backward()
-        self.optimizer.step()
-        self.optimizer.zero_grad()
+        g = np.empty_like(self.policy.net.flat)
+        write_grad(g)
+        self.optimizer.step(g)
         self.policy.net.clamp_log_std()
         self.n_updates += 1
 
@@ -170,20 +189,22 @@ class ReinforceTrainer(OnPolicyTrainer):
 class PpoTrainer(OnPolicyTrainer):
     algorithm = "ppo"
 
-    def minibatch_loss(self, obs, actions, old_logp, adv, returns) -> Tensor:
+    def minibatch_loss(self, obs, actions, old_logp, adv, returns):
+        """The loss, and the policy's and value net's gradient writers."""
         cfg = self.cfg
-        logp = self.policy.log_prob_tensor(Tensor(obs), actions)
+        logp, write_policy = self.policy.log_prob_tensor(obs, actions)
         ratio = (logp - Tensor(old_logp)).exp()
         adv_t = Tensor(adv)
         surrogate = minimum(ratio * adv_t,
                             ratio.clip(1.0 - cfg.clip_coef, 1.0 + cfg.clip_coef) * adv_t)
-        value = self.value_net.node(Tensor(obs)).reshape(-1)
+        value, write_value = self.value_tensor(obs)
         value_loss = ((value - Tensor(returns)) ** 2).mean()
-        return -surrogate.mean() + cfg.vf_coef * value_loss
+        return (-surrogate.mean() + cfg.vf_coef * value_loss,
+                [write_policy, write_value])
 
     def minibatch_step(self, mb: dict[str, np.ndarray]) -> None:
-        self._adam_step(self.minibatch_loss(mb["obs"], mb["actions"], mb["log_probs"],
-                                            mb["advantages"], mb["returns"]),
+        self._adam_step(*self.minibatch_loss(mb["obs"], mb["actions"], mb["log_probs"],
+                                             mb["advantages"], mb["returns"]),
                         "ppo loss")
         self.policy.net.clamp_log_std()
         self.n_updates += 1
@@ -205,16 +226,15 @@ class TrpoTrainer(OnPolicyTrainer):
         is last in the policy net's ``flat``.
         """
         net = self.policy.net
-        n_mean = net.flat.size - net.log_std.data.size
+        n_mean = net.flat.size - net.log_std.size
         jv = net.jvp(obs, net.unflatten(vector))          # (B, act_dim)
-        inv_var = np.exp(-2.0 * net.log_std.data)
+        inv_var = np.exp(-2.0 * net.log_std)
         weighted = jv * inv_var / obs.shape[0]
-        mu = net.node(Tensor(obs))
-        mu.backward(weighted)
-        fv_mean = net.flat_grad()[:n_mean]
-        net.zero_grad()
-        return np.concatenate([fv_mean, 2.0 * vector[n_mean:]]) \
-            + self.cfg.cg_damping * vector
+        fv = np.empty_like(vector)
+        net.backward(net.forward(obs)[1], weighted, fv)
+        fv[n_mean:] = 2.0 * vector[n_mean:]
+        fv += self.cfg.cg_damping * vector
+        return fv
 
     # -- surrogate objective ------------------------------------------------------
 
@@ -224,11 +244,11 @@ class TrpoTrainer(OnPolicyTrainer):
         return float(np.mean(np.exp(logp - old_logp) * adv))
 
     def surrogate_grad(self, obs, actions, old_logp, adv) -> np.ndarray:
-        logp = self.policy.log_prob_tensor(Tensor(obs), actions)
+        logp, write_grad = self.policy.log_prob_tensor(obs, actions)
         ratio = (logp - Tensor(old_logp)).exp()
         (ratio * Tensor(adv)).mean().backward()
-        g = self.policy.net.flat_grad()
-        self.policy.net.zero_grad()
+        g = np.empty_like(self.policy.net.flat)
+        write_grad(g)
         return g
 
     def natural_step(self, obs, actions, old_logp, old_means, adv) -> bool:
@@ -264,8 +284,8 @@ class TrpoTrainer(OnPolicyTrainer):
         return False
 
     def minibatch_step(self, mb: dict[str, np.ndarray]) -> None:
-        value = self.value_net.node(Tensor(mb["obs"])).reshape(-1)
+        value, write_grad = self.value_tensor(mb["obs"])
         value_loss = ((value - Tensor(mb["returns"])) ** 2).mean() * 0.5
-        self._adam_step(value_loss, "trpo value loss")
+        self._adam_step(value_loss, [write_grad], "trpo value loss")
         self.natural_step(mb["obs"], mb["actions"], mb["log_probs"], mb["means"],
                           mb["advantages"])

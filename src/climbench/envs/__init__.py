@@ -1,5 +1,5 @@
 from .core import (BoxSpace, ClimateEnv, EpisodeOverError, RngStream, StepResult,
-                   STREAM_BUFFER, STREAM_ENV, STREAM_EXPLORE, STREAM_INIT,
+                   STREAM_BUFFER, STREAM_EXPLORE, STREAM_INIT,
                    STREAM_SHUFFLE)
 from .biascorr import (BIASCORR_VERSIONS, BiasCorrectionEnv, BiasCorrParams,
                        biascorr_reward, update_temperature)
@@ -12,7 +12,7 @@ from .rce import (AtmosphericColumn, ColumnStateError, ObservedProfile,
 
 __all__ = [
     "BoxSpace", "ClimateEnv", "EpisodeOverError", "RngStream", "StepResult",
-    "STREAM_ENV", "STREAM_INIT", "STREAM_EXPLORE", "STREAM_BUFFER", "STREAM_SHUFFLE",
+    "STREAM_INIT", "STREAM_EXPLORE", "STREAM_BUFFER", "STREAM_SHUFFLE",
     "BiasCorrectionEnv", "BiasCorrParams", "BIASCORR_VERSIONS", "biascorr_reward",
     "update_temperature", "RceEnv", "RcePhysicsParams", "AtmosphericColumn",
     "ObservedProfile", "PRESSURE_LEVELS_HPA", "ProfileFormatError", "ColumnStateError",

@@ -5,11 +5,11 @@ episode ends (``truncated``) exactly when the per-episode step cap is hit.
 Actions are clipped into the action box before the dynamics run, never
 rejected.
 
-Randomness comes from Philox counter-based generators so that a given
-(seed, stream) pair yields the same draw sequence on every platform. Stream
-tags keep the independent per-purpose streams of one run from colliding:
+The dynamics draw no random numbers. The learners' randomness comes from
+Philox counter-based generators so that a given (seed, stream) pair yields the
+same draw sequence on every platform. Stream tags keep the independent
+per-purpose streams of one run from colliding:
 
-    STREAM_ENV     = 1   environment-internal randomness
     STREAM_INIT    = 2   network weight initialization
     STREAM_EXPLORE = 3   exploration / policy sampling noise
     STREAM_BUFFER  = 4   replay-buffer minibatch sampling
@@ -25,10 +25,9 @@ import numpy as np
 
 __all__ = [
     "BoxSpace", "StepResult", "RngStream", "ClimateEnv", "EpisodeOverError",
-    "STREAM_ENV", "STREAM_INIT", "STREAM_EXPLORE", "STREAM_BUFFER", "STREAM_SHUFFLE",
+    "STREAM_INIT", "STREAM_EXPLORE", "STREAM_BUFFER", "STREAM_SHUFFLE",
 ]
 
-STREAM_ENV = 1
 STREAM_INIT = 2
 STREAM_EXPLORE = 3
 STREAM_BUFFER = 4
@@ -83,7 +82,7 @@ class RngStream:
     keys give identical sequences everywhere.
     """
 
-    def __init__(self, seed: int, stream: int = STREAM_ENV):
+    def __init__(self, seed: int, stream: int):
         self.seed = int(seed)
         self.stream = int(stream)
         key = np.array([self.seed & 0xFFFFFFFFFFFFFFFF,
@@ -119,21 +118,11 @@ class ClimateEnv:
     max_steps: int
 
     def __init__(self):
-        self._rng: RngStream | None = None
         self._step_index = 0
         self._episode_over = True
 
-    @property
-    def rng(self) -> RngStream:
-        if self._rng is None:
-            raise RuntimeError("reset(seed=...) must be called before using the env")
-        return self._rng
-
     def reset(self, seed: int | None = None) -> np.ndarray:
-        if seed is not None:
-            self._rng = RngStream(seed, STREAM_ENV)
-        elif self._rng is None:
-            raise RuntimeError("the first reset of a run must provide a seed")
+        """Start an episode; ``seed`` changes nothing, as no draws are made."""
         self._step_index = 0
         self._episode_over = False
         return self._reset_state()

@@ -11,15 +11,16 @@ Weights init uniform in +-1/sqrt(fan_in); the output layer can be down-scaled
 (``final_scale``) so freshly built policies emit near-zero actions.
 
 Every net owns one contiguous float64 vector, ``flat``: each layer's weights
-then biases, input to output, then the log-std. Each parameter ``Tensor`` is a
-view into it, so an optimizer, a target blend, TRPO's natural step or a
-checkpoint can treat the whole net as one vector. Write parameters in place;
-rebinding ``p.data`` would detach ``p`` from ``flat``.
+then biases, input to output, then the log-std. ``weights``, ``biases`` and
+``log_std`` are ndarray views into it, so an optimizer, a target blend, TRPO's
+natural step or a checkpoint can treat the whole net as one vector. Write
+parameters in place; rebinding one would detach it from ``flat``.
 
 ``forward`` keeps each layer's input and ``backward`` writes the parameter
-gradients straight into a ``flat``-shaped vector, which the off-policy
-learners hand to Adam; ``node`` wraps the pair as one autodiff tape node for
-the on-policy learners.
+gradients straight into a ``flat``-shaped vector for Adam. It is the one path
+by which any learner's gradient reaches a network; the on-policy learners feed
+it the gradient that their loss, built on the autodiff tape, leaves at the
+net's output.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .tensor import Tensor, gather_grads
 
 __all__ = ["Head", "Mlp", "LOG_STD_MIN", "LOG_STD_MAX", "save_mlp", "load_mlp"]
 
@@ -82,23 +81,22 @@ class Mlp:
                 w *= final_scale
                 b *= final_scale
             arrays += (w, b)
-        gaussian = self.head.kind == "gaussian"
-        if gaussian:
+        if self.head.kind == "gaussian":
             arrays.append(np.full(layer_sizes[-1], -0.5))
         self._shapes = [a.shape for a in arrays]
         self.flat = np.concatenate([a.ravel() for a in arrays])
-        self._params = [Tensor(view, requires_grad=True)
-                        for view in self.unflatten(self.flat)]
-        self.weights = self._params[0:2 * n_layers:2]
-        self.biases = self._params[1:2 * n_layers:2]
-        self.log_std: Tensor | None = self._params[-1] if gaussian else None
+        self._bind_views()
+
+    def _bind_views(self) -> None:
+        views = self.unflatten(self.flat)
+        n = 2 * (len(self.layer_sizes) - 1)
+        self.weights, self.biases = views[0:n:2], views[1:n:2]
+        self.log_std = views[-1] if self.head.kind == "gaussian" else None
 
     def __setstate__(self, state):
-        # Pickle copies each parameter's array apart from ``flat``: point the
-        # same Tensor objects, which the optimizers also hold, back into it.
+        # Pickle copies each view apart from ``flat``: point them back into it.
         self.__dict__.update(state)
-        for p, view in zip(self._params, self.unflatten(self.flat)):
-            p.data = view
+        self._bind_views()
 
     # -- parameter access --------------------------------------------------------
 
@@ -111,20 +109,9 @@ class Mlp:
             offset += n
         return views
 
-    def parameters(self) -> list[Tensor]:
-        return list(self._params)
-
-    def flat_grad(self) -> np.ndarray:
-        """The parameters' gradients in ``flat`` order; zero where there is none."""
-        return gather_grads(self._params)
-
-    def zero_grad(self) -> None:
-        for p in self._params:
-            p.grad = None
-
     def clamp_log_std(self) -> None:
         if self.log_std is not None:
-            np.clip(self.log_std.data, LOG_STD_MIN, LOG_STD_MAX, out=self.log_std.data)
+            np.clip(self.log_std, LOG_STD_MIN, LOG_STD_MAX, out=self.log_std)
 
     # -- forward -------------------------------------------------------------------
 
@@ -138,8 +125,8 @@ class Mlp:
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             inputs.append(h)
-            h = h @ w.data
-            h += b.data
+            h = h @ w
+            h += b
             if i < last:
                 np.tanh(h, out=h)
         if self.head.kind == "tanh_scaled":
@@ -167,7 +154,7 @@ class Mlp:
             g = g * self.head.half * (1.0 - t * t)
         views = None if grad is None else self.unflatten(grad)
         for i in range(len(self.weights) - 1, -1, -1):
-            h, w = kept[i], self.weights[i].data
+            h, w = kept[i], self.weights[i]
             if views is not None:
                 np.sum(g, axis=0, out=views[2 * i + 1])
                 np.matmul(h.T, g, out=views[2 * i])
@@ -175,22 +162,6 @@ class Mlp:
                 g = g @ w.T
                 g *= 1.0 - h * h
         return g @ w.T if input_grad else None
-
-    def node(self, x: Tensor) -> Tensor:
-        """The forward pass as one tape node, for the on-policy learners; its
-        backward is ``backward``. ``x`` takes a gradient if it requires one."""
-        out, kept = self.forward(x.data)
-        params = self._params[:2 * len(self.weights)]
-
-        def backward(g: np.ndarray) -> None:
-            grad = np.empty_like(self.flat)
-            dx = self.backward(kept, g, grad, x.requires_grad)
-            for p, view in zip(params, self.unflatten(grad)):
-                p._accumulate_fresh(view)
-            if dx is not None:
-                x._accumulate_fresh(dx)
-
-        return Tensor._from_op(out, (x, *params), backward)
 
     def forward_np(self, x: np.ndarray) -> np.ndarray:
         """Graph-free forward pass for targets and action selection."""
@@ -212,7 +183,7 @@ class Mlp:
         t = np.zeros_like(x)
         last = len(self.weights) - 1
         for i, w in enumerate(self.weights):
-            t = t @ w.data + inputs[i] @ tangents[2 * i] + tangents[2 * i + 1]
+            t = t @ w + inputs[i] @ tangents[2 * i] + tangents[2 * i + 1]
             if i < last:
                 h = inputs[i + 1]
                 t = t * (1.0 - h * h)

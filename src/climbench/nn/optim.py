@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import NonFiniteError, Tensor, gather_grads
+from .tensor import NonFiniteError
 
 __all__ = ["Optimizer", "soft_update", "clip_grad_norm"]
 
@@ -13,29 +13,26 @@ EPSILON = 1e-8
 
 
 class Optimizer:
-    """Adam over a fixed parameter list.
+    """Adam over a fixed list of parameter arrays, stepped in place.
 
-    The first and second moments are one vector each, over the parameters in
-    list order. The gradient is one vector in that order too, rejected if any
-    entry is non-finite before anything is written; the update is computed in
-    place and written back through each parameter's slice of it.
+    The first and second moments are one vector each, over the arrays in list
+    order. The gradient is one vector in that order too, rejected if any entry
+    is non-finite before anything is written; the update is computed in place
+    and written back through each array's slice of it.
     """
 
-    def __init__(self, params: list[Tensor], learning_rate: float):
+    def __init__(self, vectors: list[np.ndarray], learning_rate: float):
         if learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        self.params = list(params)
+        self.vectors = list(vectors)
         self.learning_rate = float(learning_rate)
         self.step_count = 0
-        self._offsets = np.cumsum([0] + [p.data.size for p in self.params])
+        self._offsets = np.cumsum([0] + [v.size for v in self.vectors])
         self.m = np.zeros(self._offsets[-1])
         self.v = np.zeros(self._offsets[-1])
 
-    def step(self, g: np.ndarray | None = None) -> None:
-        """Apply one update from the flat gradient ``g``, which it overwrites,
-        or else from the params' .grad fields (None counts as zero)."""
-        if g is None:
-            g = gather_grads(self.params)
+    def step(self, g: np.ndarray) -> None:
+        """Apply one update from the flat gradient ``g``, which it overwrites."""
         if not np.all(np.isfinite(g)):
             finite = g[np.isfinite(g)]
             raise NonFiniteError(
@@ -59,12 +56,8 @@ class Optimizer:
         np.sqrt(g, out=g)
         g += EPSILON
         update /= g
-        for p, lo, hi in zip(self.params, self._offsets[:-1], self._offsets[1:]):
-            np.subtract(p.data, update[lo:hi].reshape(p.data.shape), out=p.data)
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
+        for p, lo, hi in zip(self.vectors, self._offsets[:-1], self._offsets[1:]):
+            np.subtract(p, update[lo:hi].reshape(p.shape), out=p)
 
 
 def soft_update(target: np.ndarray, online: np.ndarray, tau: float) -> None:
@@ -77,20 +70,19 @@ def soft_update(target: np.ndarray, online: np.ndarray, tau: float) -> None:
     target += tau * online
 
 
-def clip_grad_norm(params: list[Tensor], max_norm: float) -> float:
+def clip_grad_norm(grads: list[np.ndarray], max_norm: float) -> float:
     """Scale gradients in place so their global L2 norm is at most ``max_norm``.
 
-    The squared norm is summed tensor by tensor: one dot over the gathered
-    vector would sum in another order and move the on-policy trajectories.
+    ``grads`` holds one array per parameter, and the squared norm is summed
+    array by array: one dot over the whole vector would sum in another order
+    and move the on-policy trajectories.
     """
     total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float(np.sum(p.grad * p.grad))
+    for g in grads:
+        total += float(np.sum(g * g))
     norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0:
         scale = max_norm / norm
-        for p in params:
-            if p.grad is not None:
-                p.grad *= scale
+        for g in grads:
+            g *= scale
     return norm

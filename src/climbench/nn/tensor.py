@@ -19,7 +19,6 @@ __all__ = [
     "GraphConsumedError",
     "NonFiniteError",
     "minimum",
-    "gather_grads",
 ]
 
 
@@ -234,12 +233,6 @@ class Tensor:
                 node._consumed = True
                 if node is not self:
                     node.grad = None
-
-
-def gather_grads(tensors: Sequence[Tensor]) -> np.ndarray:
-    """The tensors' gradients raveled into one vector; zeros where there is none."""
-    return np.concatenate([(t.grad if t.grad is not None
-                            else np.zeros_like(t.data)).ravel() for t in tensors])
 
 
 def minimum(a: Tensor, b: Tensor) -> Tensor:

@@ -136,7 +136,8 @@ class TrainingTrialRunner:
                             self.experiment_id)
 
     def advance(self, state, target_step: int):
-        state.train(total_steps=target_step)
+        if state.train(total_steps=target_step).aborted:
+            raise RuntimeError(state.record.abort_reason)
         return state, trial_value(state.record, target_step), state.global_step
 
 

@@ -68,7 +68,7 @@ def test_single_update_deterministic_on_frozen_batch():
 def test_non_finite_poisoning_aborts_with_diagnostic(tag):
     trainer = short_trainer(tag, steps=600)
     # poison one weight: forward values become NaN, the run must mark abort
-    trainer.actor_mlp().weights[0].data[0, 0] = np.nan
+    trainer.actor_mlp().weights[0][0, 0] = np.nan
     rec = trainer.train()
     assert rec.aborted
     assert "non-finite" in rec.abort_reason
@@ -104,6 +104,25 @@ def test_column_state_error_recorded_as_abort(tag):
     assert "global step 58" in rec.abort_reason
     assert "400.0) K: range [" in rec.abort_reason
     assert rec.entries == []
+
+
+@pytest.mark.parametrize("tag", ["ddpg", "ppo"])
+def test_aborted_run_stays_aborted(tag):
+    # Training on after an abort would start a fresh episode (on-policy) or
+    # step the out-of-range column again (off-policy) and overwrite the reason.
+    env = OpaqueStiffRceEnv()
+    trainer = make_trainer(tag, env, make_config(tag, total_timesteps=600), seed=1)
+    rec = trainer.train(300)
+    assert rec.aborted
+    reason, steps, wall_time = rec.abort_reason, trainer.global_step, rec.wall_time_s
+
+    def step(action):
+        pytest.fail("an aborted run stepped its environment")
+
+    env.step = step
+    assert trainer.train(600) is rec
+    assert (rec.abort_reason, trainer.global_step, rec.wall_time_s) == (
+        reason, steps, wall_time)
 
 
 def test_on_policy_consumes_batch_then_discards():
@@ -170,8 +189,9 @@ def nets_of(trainer):
 
 def assert_params_view_flat(trainer):
     for net in nets_of(trainer):
-        for p in net.parameters():
-            assert np.shares_memory(p.data, net.flat)
+        log_std = [] if net.log_std is None else [net.log_std]
+        for p in net.weights + net.biases + log_std:
+            assert np.shares_memory(p, net.flat)
 
 
 # policy (+ value net); actor + critics (+ target actor) + target critics

@@ -14,6 +14,7 @@ from climbench.experiments import experiment_spec, make_experiment_env, resolve_
 from climbench.nn import Tensor
 from climbench.records import load_record
 from climbench.rollout import discounted_returns
+from tape_oracle import gather, node, param_leaves
 
 
 class BanditEnv(ClimateEnv):
@@ -67,12 +68,15 @@ def test_reinforce_loss_gradient_matches_finite_differences():
         logp = trainer.policy.log_prob_np(means, actions)
         return float(-(logp * returns).mean())
 
-    loss = trainer.episode_loss(obs, actions, rewards)
+    loss, write_grad = trainer.episode_loss(obs, actions, rewards)
     loss.backward()
+    net = trainer.policy.net
+    grad = np.empty_like(net.flat)
+    write_grad(grad)
     h = 1e-6
-    for p in trainer.policy.net.parameters():
-        flat = p.data.ravel()
-        gflat = p.grad.ravel()
+    for p, gp in zip(net.unflatten(net.flat), net.unflatten(grad)):
+        flat = p.reshape(-1)
+        gflat = gp.reshape(-1)
         for i in range(min(flat.size, 5)):
             orig = flat[i]
             flat[i] = orig + h
@@ -231,7 +235,7 @@ def test_trpo_ratio_one_gives_zero_kl_and_mean_advantage():
     means = trainer.policy.mean_np(obs)
     logp = trainer.policy.log_prob_np(means, actions)
     adv = rng.normal(size=32)
-    trainer._log_std_at_collect = trainer.policy.net.log_std.data.copy()
+    trainer._log_std_at_collect = trainer.policy.net.log_std.copy()
     assert trainer.surrogate_np(obs, actions, logp, adv) == pytest.approx(
         float(adv.mean()), rel=1e-12)
     kl = trainer.policy.kl_old_new_np(means, trainer._log_std_at_collect,
@@ -242,11 +246,11 @@ def test_trpo_ratio_one_gives_zero_kl_and_mean_advantage():
 def test_analytic_gaussian_kl_closed_form():
     # Equal sigmas: KL(N(mu1, s) || N(mu2, s)) = (mu1 - mu2)^2 / (2 s^2).
     trainer = make("trpo")
-    sigma = float(np.exp(trainer.policy.net.log_std.data[0]))
+    sigma = float(np.exp(trainer.policy.net.log_std[0]))
     old_means = np.array([[0.3], [0.1]])
     new_means = np.array([[0.5], [0.4]])
     expected = float(np.mean((old_means - new_means) ** 2 / (2 * sigma ** 2)))
-    got = trainer.policy.kl_old_new_np(old_means, trainer.policy.net.log_std.data,
+    got = trainer.policy.kl_old_new_np(old_means, trainer.policy.net.log_std,
                                        new_means)
     assert got == pytest.approx(expected, abs=1e-10)
 
@@ -258,22 +262,22 @@ def test_fisher_vector_product_matches_kl_gradient_differences():
     obs = rng.uniform(0, 1, size=(16, 1))
     net = trainer.policy.net
     old_means = trainer.policy.mean_np(obs)
-    old_log_std = net.log_std.data.copy()
+    old_log_std = net.log_std.copy()
     trainer.cfg.cg_damping = 0.0
 
     def kl_grad(vector):
         saved = net.flat.copy()
         net.flat[:] = vector
-        mean = net.node(Tensor(obs))
-        log_std = net.log_std
+        leaves = param_leaves(net)
+        mean = node(net, leaves, Tensor(obs))
+        log_std = leaves[-1]
         var_old = np.exp(2.0 * old_log_std)
         diff = Tensor(old_means) - mean
         inv_var_new = (log_std * (-2.0)).exp()
         per_dim = (log_std - Tensor(old_log_std)
                    + (diff * diff + var_old) * inv_var_new * 0.5 - 0.5)
         per_dim.sum(axis=1).mean().backward()
-        g = net.flat_grad()
-        net.zero_grad()
+        g = gather(leaves)
         net.flat[:] = saved
         return g
 
@@ -292,7 +296,7 @@ def test_trpo_no_op_on_unimprovable_surrogate():
     means = trainer.policy.mean_np(obs)
     actions = means + 0.05 * rng.normal(size=(16, 1))
     logp = trainer.policy.log_prob_np(means, actions)
-    trainer._log_std_at_collect = trainer.policy.net.log_std.data.copy()
+    trainer._log_std_at_collect = trainer.policy.net.log_std.copy()
     before = trainer.policy.net.flat.copy()
     accepted = trainer.natural_step(obs, actions, logp, means, np.zeros(16))
     assert not accepted
@@ -317,7 +321,7 @@ def test_ppo_loss_clips_ratios_outside_band():
     adv = np.array([1.3, 0.4, 0.9, 2.0, 0.8, 1.1, -1.3, -0.4, -0.9, -2.0, -0.8, -1.1])
     obs, actions, old_logp = _ppo_batch_with_ratios(trainer, ratios, rng)
     returns = rng.normal(size=ratios.size)
-    loss = trainer.minibatch_loss(obs, actions, old_logp, adv, returns)
+    loss, _ = trainer.minibatch_loss(obs, actions, old_logp, adv, returns)
     surrogate = np.minimum(ratios * adv, np.clip(ratios, 0.8, 1.2) * adv)
     value = trainer.value_net.forward_np(obs)[:, 0]
     expected = -surrogate.mean() + trainer.cfg.vf_coef * np.mean((value - returns) ** 2)
@@ -328,8 +332,12 @@ def test_ppo_loss_clips_ratios_outside_band():
     ratios = np.array([1.5, 2.0, 0.5, 0.7])
     adv = np.array([0.8, 1.1, -1.3, -0.4])
     obs, actions, old_logp = _ppo_batch_with_ratios(trainer, ratios, rng)
-    trainer.minibatch_loss(obs, actions, old_logp, adv, np.zeros(4)).backward()
-    assert all(np.all(p.grad == 0.0) for p in trainer.policy.net.parameters())
+    loss, (write_policy_grad, _) = trainer.minibatch_loss(obs, actions, old_logp, adv,
+                                                          np.zeros(4))
+    loss.backward()
+    grad = np.full(trainer.policy.net.flat.size, np.nan)
+    write_policy_grad(grad)
+    assert np.all(grad == 0.0)
 
 
 def test_ppo_ratio_one_surrogate_is_mean_advantage():
@@ -340,7 +348,7 @@ def test_ppo_ratio_one_surrogate_is_mean_advantage():
     logp_old = trainer.policy.log_prob_np(trainer.policy.mean_np(obs), actions)
     adv = rng.normal(size=32)
     returns = rng.normal(size=32)
-    loss = trainer.minibatch_loss(obs, actions, logp_old, adv, returns)
+    loss, _ = trainer.minibatch_loss(obs, actions, logp_old, adv, returns)
     value = trainer.value_net.forward_np(obs)[:, 0]
     expected = -float(adv.mean()) + trainer.cfg.vf_coef * float(
         np.mean((value - returns) ** 2))
@@ -376,7 +384,7 @@ def test_squashed_log_prob_normalizes_by_quadrature():
     # Integrate exp(log pi(a)) over the action interval on a fine grid.
     policy = SquashedGaussianPolicy(1, BoxSpace(low=[-1.0], high=[1.0]), 16,
                                     np.random.default_rng(0))
-    policy.net.log_std.data[:] = np.log(0.7)
+    policy.net.log_std[:] = np.log(0.7)
     obs = np.array([[0.3]])
     mean = policy.net.forward_np(obs)[0, 0]
     std = 0.7
@@ -612,7 +620,7 @@ def test_select_action_always_in_box():
     # The on-policy trainers act through their Gaussian policy's sample.
     for tag in ("reinforce", "ppo", "trpo"):
         trainer = make(tag)
-        trainer.policy.net.log_std.data[:] = 1.0  # most raw samples leave the box
+        trainer.policy.net.log_std[:] = 1.0  # most raw samples leave the box
         for _ in range(200):
             a, _, _, _ = trainer.policy.sample_np(np.array([0.5]), trainer.streams.explore)
             assert -1.0 <= a[0] <= 1.0

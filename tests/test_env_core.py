@@ -25,14 +25,6 @@ def test_rng_stream_identical_seeds_identical_sequences():
                               c.normal(size=10))
 
 
-def test_first_reset_requires_seed():
-    env = BiasCorrectionEnv("v0")
-    with pytest.raises(RuntimeError):
-        env.reset()
-    env.reset(seed=1)
-    env.reset()  # subsequent resets may omit the seed
-
-
 def test_two_resets_same_seed_identical_observation():
     for env in (BiasCorrectionEnv("v0"), RceEnv()):
         o1 = env.reset(seed=5)

@@ -68,18 +68,17 @@ def test_no_unused_imports():
     assert found == []
 
 
-# Where a parameter's array may be bound: the constructor, and the unpickling
-# hook that points parameters back into their net's ``flat`` vector.
-DATA_BINDERS = {("Tensor", "__init__"), ("Mlp", "__setstate__")}
+# Where a tensor's array may be bound: the constructor.
+DATA_BINDERS = {("Tensor", "__init__")}
 
 
 def data_rebinds(source: str) -> list[str]:
     """Stores to an attribute named ``data`` outside ``DATA_BINDERS``.
 
-    A parameter's ``data`` is a view into its net's ``flat`` vector; binding a
-    new array detaches it, so optimizers and target blends stop moving it.
-    Writes through the array (``p.data[...] = x``) are not stores to the
-    attribute and pass.
+    The entropy coefficient's tape leaf holds the very array its optimizer
+    steps; binding a new array detaches it, so Adam stops moving it. Writes
+    through the array (``p.data[...] = x``) are not stores to the attribute
+    and pass.
     """
     hits = []
 

@@ -116,7 +116,7 @@ def compute_digests() -> dict[str, list[str]]:
             trainer = make_trainer(algorithm, make_experiment_env(spec), cfg, SEED,
                                    experiment_id)
             record = trainer.train()
-            params = b"".join(p.data.tobytes() for p in trainer.actor_mlp().parameters())
+            params = trainer.actor_mlp().flat.tobytes()
             out[f"{experiment_id}/{algorithm}"] = [
                 hashlib.sha256(record.body_bytes()).hexdigest(),
                 hashlib.sha256(params).hexdigest()]

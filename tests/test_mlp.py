@@ -1,6 +1,7 @@
 """Head behaviour, initialization, JVP, and the checkpoint round-trip."""
 
 import hashlib
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -29,27 +30,48 @@ def test_final_scale_gives_near_zero_actions():
 
 def test_init_bounds_respect_fan_in():
     net = Mlp([100, 50, 10], rng=np.random.default_rng(2))
-    assert np.max(np.abs(net.weights[0].data)) <= 1.0 / np.sqrt(100)
-    assert np.max(np.abs(net.weights[1].data)) <= 1.0 / np.sqrt(50)
+    assert np.max(np.abs(net.weights[0])) <= 1.0 / np.sqrt(100)
+    assert np.max(np.abs(net.weights[1])) <= 1.0 / np.sqrt(50)
 
 
 def test_gaussian_head_log_std_param_and_clamp():
     net = Mlp([2, 8, 2], head=Head("gaussian"), rng=np.random.default_rng(0))
-    assert net.log_std is not None and net.log_std.data.shape == (2,)
-    net.log_std.data[:] = [-9.0, 7.0]
+    assert net.log_std is not None and net.log_std.shape == (2,)
+    net.log_std[:] = [-9.0, 7.0]
     net.clamp_log_std()
-    assert np.array_equal(net.log_std.data, [LOG_STD_MIN, LOG_STD_MAX])
+    assert np.array_equal(net.log_std, [LOG_STD_MIN, LOG_STD_MAX])
+
+
+def parameters(net: Mlp) -> list[np.ndarray]:
+    """Every parameter array in ``flat`` order."""
+    pairs = [a for w, b in zip(net.weights, net.biases) for a in (w, b)]
+    return pairs + ([net.log_std] if net.log_std is not None else [])
+
+
+def assert_parameters_view_flat(net: Mlp) -> None:
+    params = parameters(net)
+    assert net.flat.size == sum(p.size for p in params)
+    for p, view in zip(params, net.unflatten(net.flat)):
+        assert np.shares_memory(p, net.flat) and np.array_equal(p, view)
 
 
 def test_parameters_are_views_into_flat():
     net = Mlp([3, 4, 2], head=Head("gaussian"), rng=np.random.default_rng(0))
     assert net.flat.dtype == np.float64 and net.flat.flags.c_contiguous
-    assert net.flat.size == sum(p.data.size for p in net.parameters())
-    for p, view in zip(net.parameters(), net.unflatten(net.flat)):
-        assert np.shares_memory(p.data, net.flat) and np.array_equal(p.data, view)
-    assert np.array_equal(net.flat[-2:], net.log_std.data)  # log-std is last
+    assert_parameters_view_flat(net)
+    assert np.array_equal(net.flat[-2:], net.log_std)  # log-std is last
     net.flat[:] = np.arange(net.flat.size)
-    assert net.weights[0].data[0, 1] == 1.0 and net.biases[0].data[0] == 12.0
+    assert net.weights[0][0, 1] == 1.0 and net.biases[0][0] == 12.0
+
+
+@pytest.mark.parametrize("head", [Head("linear"), Head("gaussian"),
+                                  Head("tanh_scaled", low=[0.0, 5.5], high=[1.0, 9.8])])
+def test_parameters_stay_views_into_flat_through_pickle(head):
+    net = pickle.loads(pickle.dumps(Mlp([3, 4, 2], head=head,
+                                        rng=np.random.default_rng(0))))
+    assert_parameters_view_flat(net)
+    net.flat[:] = np.arange(net.flat.size)
+    assert net.weights[1][3, 1] == 23.0 and net.biases[1][1] == 25.0
 
 
 def test_jvp_matches_finite_difference_directional_derivative():
@@ -83,8 +105,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, head, act):
     assert loaded.layer_sizes == net.layer_sizes
     assert loaded.head.kind == net.head.kind
     assert loaded.flat.tobytes() == net.flat.tobytes()
-    for p in loaded.parameters():
-        assert np.shares_memory(p.data, loaded.flat)
+    assert_parameters_view_flat(loaded)
     x = np.random.default_rng(1).normal(size=(3, 4))
     assert np.array_equal(net.forward_np(x), loaded.forward_np(x))
 

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from climbench.nn import GraphConsumedError, Head, Mlp, Tensor, minimum
-from tape_oracle import concat, log, tanh
+from tape_oracle import concat, gather, log, node, param_leaves, tanh
 
 
 def finite_difference_grads(f, params, h=1e-5):
@@ -30,8 +30,8 @@ def finite_difference_grads(f, params, h=1e-5):
 
 def test_identity_linear_forward():
     net = Mlp([2, 2])
-    net.weights[0].data[...] = np.eye(2)
-    net.biases[0].data[...] = 0.0
+    net.weights[0][...] = np.eye(2)
+    net.biases[0][...] = 0.0
     out = net.forward_np(np.array([1.0, 2.0]))
     assert np.array_equal(out, np.array([1.0, 2.0]))
 
@@ -39,7 +39,7 @@ def test_identity_linear_forward():
 def test_zero_input_zero_bias_tanh_gives_zero():
     net = Mlp([3, 5, 5, 2])
     for b in net.biases:
-        b.data[:] = 0.0
+        b[:] = 0.0
     out = net.forward_np(np.zeros(3))
     assert np.array_equal(out, np.zeros(2))
 
@@ -49,8 +49,8 @@ def test_forward_matches_hand_rolled_matrix_oracle():
     rng = np.random.default_rng(1)
     net = Mlp([2, 4, 1], rng=rng)
     x = np.array([[0.3, -1.2], [0.9, 0.1]])
-    h = np.tanh(x @ net.weights[0].data + net.biases[0].data)
-    expected = h @ net.weights[1].data + net.biases[1].data
+    h = np.tanh(x @ net.weights[0] + net.biases[0])
+    expected = h @ net.weights[1] + net.biases[1]
     got = net.forward(x)[0]
     assert np.max(np.abs(got - expected)) < 1e-12
 
@@ -77,11 +77,12 @@ def test_backward_linear_identity_grad_is_input():
     def loss_value():
         return float(net.forward_np(x).sum())
 
-    out = net.node(Tensor(x))
+    leaves = param_leaves(net)
+    out = node(net, leaves, Tensor(x))
     loss = out.sum()
     loss.backward()
-    fd = finite_difference_grads(loss_value, net.parameters())
-    for p, g in zip(net.parameters(), fd):
+    fd = finite_difference_grads(loss_value, leaves)
+    for p, g in zip(leaves, fd):
         assert np.max(np.abs(p.grad - g)) < 1e-6
 
 
@@ -106,13 +107,13 @@ def test_backward_matches_finite_differences_many_nets():
             d = net.forward_np(x) - target
             return float((d * d).mean())
 
-        diff = net.node(Tensor(x)) - Tensor(target)
+        leaves = param_leaves(net)
+        diff = node(net, leaves, Tensor(x)) - Tensor(target)
         (diff * diff).mean().backward()
-        fd = finite_difference_grads(loss_value, net.parameters())
-        for p, g in zip(net.parameters(), fd):
+        fd = finite_difference_grads(loss_value, leaves)
+        for p, g in zip(leaves, fd):
             err = np.max(np.abs(p.grad - g) / np.maximum(1.0, np.abs(g)))
             worst = max(worst, err)
-        net.zero_grad()
     assert worst <= 1e-4
 
 
@@ -183,12 +184,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._from_op(a.data @ b.data, (a, b), backward)
 
 
-def tape_forward(net: Mlp, x: Tensor) -> Tensor:
+def tape_forward(net: Mlp, leaves: list[Tensor], x: Tensor) -> Tensor:
     """Oracle: the MLP forward pass built from one tape node per operation."""
     h = x
     last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = matmul(h, w) + b
+    for i in range(last + 1):
+        h = matmul(h, leaves[2 * i]) + leaves[2 * i + 1]
         if i < last:
             h = tanh(h)
     if net.head.kind == "tanh_scaled":
@@ -217,13 +218,13 @@ def test_mlp_node_matches_per_layer_tape_bytes(data):
     net, x, g = drawn_net(data, max_width=64, max_batch=256)
     x_grad = data.draw(st.booleans())
     results = []
-    for forward in (net.node, lambda t: tape_forward(net, t)):
+    for forward in (node, tape_forward):
+        leaves = param_leaves(net)
         xt = Tensor(x, requires_grad=x_grad)
-        out = forward(xt)
+        out = forward(net, leaves, xt)
         out.backward(g)
-        results.append([out.data.tobytes(), net.flat_grad().tobytes(),
+        results.append([out.data.tobytes(), gather(leaves).tobytes(),
                         None if xt.grad is None else xt.grad.tobytes()])
-        net.zero_grad()
     assert results[0] == results[1]
     assert x_grad == (results[0][2] is not None)
 
@@ -237,10 +238,9 @@ def test_mlp_node_without_param_grads_gives_input_gradient_only(data):
     out, kept = net.forward(x)
     assert net.backward(kept, g) is None
     dx = net.backward(kept, g, input_grad=True)
-    assert all(p.grad is None for p in net.parameters())
     assert net.flat.tobytes() == before.tobytes()
     xo = Tensor(x, requires_grad=True)
-    tape_forward(net, xo).backward(g)
+    tape_forward(net, param_leaves(net), xo).backward(g)
     assert dx.tobytes() == xo.grad.tobytes()
 
 
@@ -250,16 +250,18 @@ def test_mlp_backward_writes_into_flat_shaped_vector(data):
     out, kept = net.forward(x)
     grad = np.full(net.flat.size, np.nan)
     net.backward(kept, g, grad)
-    tape_forward(net, Tensor(x)).backward(g)
-    assert grad.tobytes() == net.flat_grad().tobytes()
+    leaves = param_leaves(net)
+    tape_forward(net, leaves, Tensor(x)).backward(g)
+    assert grad.tobytes() == gather(leaves).tobytes()
 
 
 @given(st.data())
 def test_mlp_node_gradients_match_central_differences(data):
     net, x, g = drawn_net(data, max_width=6, max_batch=4)
     xt = Tensor(x.copy(), requires_grad=True)
-    net.node(xt).backward(g)
-    analytic = np.concatenate([net.flat_grad(), xt.grad.ravel()])
+    leaves = param_leaves(net)
+    node(net, leaves, xt).backward(g)
+    analytic = np.concatenate([gather(leaves), xt.grad.ravel()])
     h = 1e-6
     numeric = []
     for vector in (net.flat, x):

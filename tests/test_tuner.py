@@ -4,11 +4,12 @@ import json
 
 import numpy as np
 
+from climbench.algos import make_config
 from climbench.algos.config import TUNABLE_FIELDS
 from climbench.envs.core import RngStream
-from climbench.tuner import (PARAMETER_RANGES, STREAM_TUNER, build_search_space,
-                             run_study, sample_config, sample_parameters,
-                             tune_algorithm)
+from climbench.tuner import (PARAMETER_RANGES, STREAM_TUNER, TrainingTrialRunner,
+                             _advance_task, build_search_space, run_study,
+                             sample_config, sample_parameters, tune_algorithm)
 
 
 class CurveRunner:
@@ -155,3 +156,18 @@ def test_segmented_training_equals_unsegmented():
     full.train(total_steps=800)
     assert seg.record.entries == full.record.entries
     assert np.array_equal(seg.actor.net.flat, full.actor.net.flat)
+
+
+def test_aborted_trial_fails_with_its_abort_reason():
+    # A policy pinned to the box's corner drives the column past 400 K in
+    # step 58; the trial must fail there, not train on in the next wave.
+    runner = TrainingTrialRunner("ppo", "rce-v0-homo-64L",
+                                 {"insolation": 340.0, "max_steps": 100})
+    cfg = make_config("ppo", total_timesteps=600)
+    trainer = runner.build(cfg)
+    trainer.policy.net.biases[-1][:] = 50.0
+    trainer.policy.net.log_std[:] = -5.0
+    state, value, steps, error = _advance_task((runner, trainer, cfg, 300))
+    assert state is None and value == float("-inf") and steps == 57
+    assert error == trainer.record.abort_reason
+    assert "global step 58" in error
