@@ -134,7 +134,7 @@ class OffPolicyTrainer(Trainer):
         obs_dim = self.env.observation_space.dim
         act_dim = self.env.action_space.dim
         width = cfg.actor_critic_layer_size
-        init = self.streams.init.generator
+        init = self.streams.init
         policy = SquashedGaussianPolicy if self.stochastic_actor else DeterministicPolicy
 
         def make_actor():

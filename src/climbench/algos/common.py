@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..envs.core import (BoxSpace, RngStream, STREAM_BUFFER, STREAM_EXPLORE,
-                         STREAM_INIT, STREAM_SHUFFLE)
+from ..envs.core import (BoxSpace, STREAM_BUFFER, STREAM_EXPLORE, STREAM_INIT,
+                         STREAM_SHUFFLE, rng_stream)
 from ..nn import Head, Mlp, Tensor
 
 __all__ = ["SeedStreams", "DeterministicPolicy", "GaussianPolicy",
@@ -19,10 +19,10 @@ class SeedStreams:
 
     def __init__(self, seed: int):
         self.seed = seed
-        self.init = RngStream(seed, STREAM_INIT)
-        self.explore = RngStream(seed, STREAM_EXPLORE)
-        self.buffer = RngStream(seed, STREAM_BUFFER)
-        self.shuffle = RngStream(seed, STREAM_SHUFFLE)
+        self.init = rng_stream(seed, STREAM_INIT)
+        self.explore = rng_stream(seed, STREAM_EXPLORE)
+        self.buffer = rng_stream(seed, STREAM_BUFFER)
+        self.shuffle = rng_stream(seed, STREAM_SHUFFLE)
 
 
 def hidden_layers(in_dim: int, layer_size: int, out_dim: int) -> list[int]:
@@ -72,7 +72,7 @@ class GaussianPolicy:
     def to_env(self, raw: np.ndarray) -> np.ndarray:
         return self.action_space.clip(self.center + self.half * raw)
 
-    def sample_np(self, obs: np.ndarray, rng: RngStream):
+    def sample_np(self, obs: np.ndarray, rng: np.random.Generator):
         """One step's sample: (env action, raw action, log_prob, raw mean)."""
         mean = self.net.forward_np(obs)
         std = self.std_np()
@@ -125,7 +125,7 @@ class SquashedGaussianPolicy:
         self.center = (action_space.high + action_space.low) / 2.0
         self.half = (action_space.high - action_space.low) / 2.0
 
-    def sample_np(self, obs: np.ndarray, rng: RngStream | None = None,
+    def sample_np(self, obs: np.ndarray, rng: np.random.Generator | None = None,
                   deterministic: bool = False) -> np.ndarray:
         mean = self.net.forward_np(obs)
         if deterministic or rng is None:
@@ -134,7 +134,7 @@ class SquashedGaussianPolicy:
             u = mean + np.exp(self.net.log_std) * rng.normal(size=mean.shape)
         return self.center + self.half * np.tanh(u)
 
-    def sample_with_log_prob_np(self, obs_batch: np.ndarray, rng: RngStream):
+    def sample_with_log_prob_np(self, obs_batch: np.ndarray, rng: np.random.Generator):
         """Batch sample + log-prob without a graph (for critic targets)."""
         mean = self.net.forward_np(obs_batch)
         log_std = self.net.log_std

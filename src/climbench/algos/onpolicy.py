@@ -76,7 +76,7 @@ class OnPolicyTrainer(Trainer):
     def _build(self) -> None:
         cfg = self.cfg
         obs_dim = self.env.observation_space.dim
-        init = self.streams.init.generator
+        init = self.streams.init
         # The init stream draws in this order: policy, value net.
         self.policy = GaussianPolicy(obs_dim, self.env.action_space,
                                      cfg.actor_critic_layer_size, init)
@@ -132,7 +132,7 @@ class OnPolicyTrainer(Trainer):
         arrays["returns"] = returns
         self._log_std_at_collect = self.policy.net.log_std.copy()
         for _epoch in range(cfg.update_epochs):
-            order = self.streams.shuffle.shuffled_indices(adv.size)
+            order = self.streams.shuffle.permutation(adv.size)
             for idx in np.array_split(order, cfg.num_minibatches):
                 if idx.size > 0:
                     self.minibatch_step({k: v[idx] for k, v in arrays.items()})
@@ -218,8 +218,11 @@ class TrpoTrainer(OnPolicyTrainer):
 
     # -- Fisher-vector product over a state minibatch --------------------------------
 
-    def fisher_vector_product(self, obs: np.ndarray, vector: np.ndarray) -> np.ndarray:
-        """F v for the diagonal-Gaussian policy Fisher (Gauss-Newton KL Hessian).
+    def fisher_vector_product(self, kept: list[np.ndarray],
+                              vector: np.ndarray) -> np.ndarray:
+        """F v for the diagonal-Gaussian policy Fisher (Gauss-Newton KL Hessian),
+        over the minibatch whose layer inputs ``kept`` the policy net's
+        ``forward`` returned.
 
         Mean block: (1/B) sum_s J(s)^T diag(1/sigma^2) J(s) v via JVP + VJP.
         Log-std block: the per-dimension Fisher is the constant 2. The log-std
@@ -227,11 +230,11 @@ class TrpoTrainer(OnPolicyTrainer):
         """
         net = self.policy.net
         n_mean = net.flat.size - net.log_std.size
-        jv = net.jvp(obs, net.unflatten(vector))          # (B, act_dim)
+        jv = net.jvp(kept, net.unflatten(vector))         # (B, act_dim)
         inv_var = np.exp(-2.0 * net.log_std)
-        weighted = jv * inv_var / obs.shape[0]
+        weighted = jv * inv_var / kept[0].shape[0]
         fv = np.empty_like(vector)
-        net.backward(net.forward(obs)[1], weighted, fv)
+        net.backward(kept, weighted, fv)
         fv[n_mean:] = 2.0 * vector[n_mean:]
         fv += self.cfg.cg_damping * vector
         return fv
@@ -258,7 +261,8 @@ class TrpoTrainer(OnPolicyTrainer):
         g = self.surrogate_grad(obs, actions, old_logp, adv)
         if not np.all(np.isfinite(g)):
             return False
-        fvp = lambda v: self.fisher_vector_product(obs, v)
+        kept = self.policy.net.forward(obs)[1]  # parameters stay fixed through CG
+        fvp = lambda v: self.fisher_vector_product(kept, v)
         x = conjugate_gradient(fvp, g, cfg.cg_iterations)
         xhx = float(x @ fvp(x))
         if xhx <= 0 or not np.isfinite(xhx):

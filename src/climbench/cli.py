@@ -160,7 +160,10 @@ def cmd_train(args) -> int:
     except KeyError as exc:
         raise UsageError(str(exc)) from exc
     algos = _parse_algos(merged["algos"])
-    seeds = parse_seeds(merged["seeds"])
+    try:
+        seeds = parse_seeds(merged["seeds"])
+    except ValueError as exc:
+        raise UsageError(f"--seeds: {exc}") from exc
     _require_positive(steps=merged["steps"], workers=merged["workers"])
     records = run_experiment_suite(
         spec.experiment_id, algos, seeds, out_dir=merged["out"],

@@ -36,14 +36,22 @@ def parse_config_file(path) -> dict[str, dict[str, str]]:
 
 
 def parse_seeds(spec: str) -> list[int]:
+    """Seeds from "lo..hi" (inclusive) or "a,b,c"; none may repeat, since
+    each seed's record has one path."""
     spec = spec.strip()
-    if ".." in spec:
-        lo, hi = spec.split("..")
-        seeds = list(range(int(lo), int(hi) + 1))
-    else:
-        seeds = [int(s) for s in spec.split(",") if s.strip()]
+    try:
+        if ".." in spec:
+            lo, hi = spec.split("..")
+            seeds = list(range(int(lo), int(hi) + 1))
+        else:
+            seeds = [int(s) for s in spec.split(",") if s.strip()]
+    except ValueError:
+        raise ValueError(
+            f"malformed seeds {spec!r}: expected e.g. 1..10 or 1,2,5") from None
     if not seeds:
         raise ValueError(f"no seeds in {spec!r}")
+    if len(set(seeds)) < len(seeds):
+        raise ValueError(f"repeated seed in {spec!r}")
     return seeds
 
 

@@ -24,7 +24,7 @@ from typing import Any
 import numpy as np
 
 __all__ = [
-    "BoxSpace", "StepResult", "RngStream", "ClimateEnv", "EpisodeOverError",
+    "BoxSpace", "StepResult", "rng_stream", "ClimateEnv", "EpisodeOverError",
     "STREAM_INIT", "STREAM_EXPLORE", "STREAM_BUFFER", "STREAM_SHUFFLE",
 ]
 
@@ -75,34 +75,15 @@ class StepResult:
     info: dict[str, Any] = field(default_factory=dict)
 
 
-class RngStream:
+def rng_stream(seed: int, stream: int) -> np.random.Generator:
     """Counter-based random stream keyed by (seed, stream tag).
 
     Philox has documented constants and platform-stable output, so identical
     keys give identical sequences everywhere.
     """
-
-    def __init__(self, seed: int, stream: int):
-        self.seed = int(seed)
-        self.stream = int(stream)
-        key = np.array([self.seed & 0xFFFFFFFFFFFFFFFF,
-                        self.stream & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-        self.generator = np.random.Generator(np.random.Philox(key=key))
-
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        return self.generator.normal(loc, scale, size)
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return self.generator.uniform(low, high, size)
-
-    def integers(self, low, high=None, size=None):
-        return self.generator.integers(low, high, size)
-
-    def choice(self, n, size, replace=False):
-        return self.generator.choice(n, size=size, replace=replace)
-
-    def shuffled_indices(self, n: int) -> np.ndarray:
-        return self.generator.permutation(n)
+    key = np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, int(stream) & 0xFFFFFFFFFFFFFFFF],
+                   dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 class ClimateEnv:

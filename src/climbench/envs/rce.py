@@ -3,7 +3,11 @@
 A 17-level column driven by a grey-gas longwave scheme and a hard convective
 adjustment. The agent's two actions are the uniform per-layer longwave
 emissivity (0..1) and the critical lapse rate (5.5..9.8 K/km). Shortwave is
-absorbed entirely at the surface through a transparent atmosphere.
+absorbed entirely at the surface through a transparent atmosphere. The
+reward is minus the mean squared gap between the 17 layer temperatures and
+the observed profile, a constant of the task: the international standard
+atmosphere on the pressure levels. Each step reports only its outgoing
+longwave radiation in ``info``.
 
 Discretization: levels are layer centers; interfaces sit at midpoints between
 neighbouring levels, with the bottom interface half a spacing below the lowest
@@ -37,11 +41,10 @@ import numpy as np
 from .core import BoxSpace, ClimateEnv
 
 __all__ = [
-    "PRESSURE_LEVELS_HPA", "RcePhysicsParams", "AtmosphericColumn", "ObservedProfile",
-    "RceEnv", "grey_longwave_step", "convective_adjustment", "column_heights",
-    "load_observed_profile", "default_observed_profile", "save_observed_profile",
+    "PRESSURE_LEVELS_HPA", "RcePhysicsParams", "AtmosphericColumn", "RceEnv",
+    "grey_longwave_step", "convective_adjustment", "column_heights",
     "export_profile_with_simulated", "standard_atmosphere_temperature",
-    "ProfileFormatError", "ColumnStateError", "mean_squared_profile_error",
+    "ColumnStateError",
 ]
 
 # 1000..100 hPa in 60 hPa steps, then a refined 10 hPa top level.
@@ -61,10 +64,6 @@ MAX_HEIGHT_PASSES = 100
 # An adjacent pair counts as super-critical when its dry static temperatures
 # s = T + gamma * z fall upwards by more than this (K).
 LAPSE_TOLERANCE_K = 1e-12
-
-
-class ProfileFormatError(ValueError):
-    """Observed-profile file failed validation."""
 
 
 class ColumnStateError(ValueError):
@@ -183,27 +182,17 @@ class AtmosphericColumn:
                                  self.surface_temperature, self.params)
 
 
-@dataclass
-class ObservedProfile:
-    pressures: np.ndarray
-    temperatures: np.ndarray
-    source: str = "file"
-
-    def __post_init__(self):
-        self.pressures = np.asarray(self.pressures, dtype=np.float64)
-        self.temperatures = np.asarray(self.temperatures, dtype=np.float64)
-
-
 # -- radiation ------------------------------------------------------------------
 
 
 def grey_longwave_step(column: AtmosphericColumn, emissivity: float):
-    """Grey longwave fluxes and heating.
+    """Grey longwave heating and the fluxes a step needs.
 
     Upward flux starts at sigma*Ts^4; every layer absorbs the fraction
     ``emissivity`` of incident longwave and emits emissivity*sigma*T^4 from
-    both faces. Returns per-layer heating rates (K/s) and a diagnostics dict
-    with the surface flux balance.
+    both faces. Returns the per-layer heating rates (K/s), the outgoing
+    longwave radiation (W/m^2) and the surface's net flux (W/m^2): absorbed
+    shortwave plus back radiation less its own emission.
     """
     if not 0.0 <= emissivity <= 1.0:
         raise ValueError("emissivity must be in [0, 1]")
@@ -228,18 +217,7 @@ def grey_longwave_step(column: AtmosphericColumn, emissivity: float):
     g = p.g
     heating = np.array([(eps * (u + d) - 2.0 * e) * g / cp_dp for u, d, e, cp_dp
                         in zip(up, down[1:], emit, p._geometry.cp_dp)])
-    up, down = np.array(up), np.array(down)
-    surface_net = p.absorbed_shortwave + down[0] - up[0]
-    diagnostics = {
-        "olr": up[N_LEVELS],
-        "down_at_surface": down[0],
-        "surface_upward": up[0],
-        "surface_net_flux": surface_net,
-        "absorbed_shortwave": p.absorbed_shortwave,
-        "upward_fluxes": up,
-        "downward_fluxes": down,
-    }
-    return heating, diagnostics
+    return heating, up[-1], p.absorbed_shortwave + down[0] - up[0]
 
 
 # -- geometry and convection -----------------------------------------------------
@@ -334,9 +312,9 @@ def convective_adjustment(column: AtmosphericColumn,
         f"{MAX_HEIGHT_PASSES} height passes: range [{min(temps):.2f}, {max(temps):.2f}] K")
 
 
-# -- observed profiles ------------------------------------------------------------
+# -- the observed profile ------------------------------------------------------------
 
-# International-standard-atmosphere constants for the bundled default profile.
+# International-standard-atmosphere constants of the observed profile.
 _ISA_T0 = 288.15        # K at the surface
 _ISA_P0 = 1013.25       # hPa at the surface
 _ISA_LAPSE = 0.0065     # K/m
@@ -355,69 +333,17 @@ def standard_atmosphere_temperature(pressure_hpa: float) -> float:
     return _ISA_T0 - _ISA_LAPSE * z
 
 
-def default_observed_profile(levels: np.ndarray | None = None) -> ObservedProfile:
-    levels = PRESSURE_LEVELS_HPA if levels is None else np.asarray(levels)
-    temps = np.array([standard_atmosphere_temperature(p) for p in levels])
-    return ObservedProfile(levels.copy(), temps, source="standard-atmosphere")
-
-
-PROFILE_HEADER = "pressure_hPa,temperature_K"
-
-
-def save_observed_profile(profile: ObservedProfile, path) -> None:
-    lines = [PROFILE_HEADER]
-    for p, t in zip(profile.pressures, profile.temperatures):
-        lines.append(f"{float(p)!r},{float(t)!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_observed_profile(path=None, levels: np.ndarray | None = None) -> ObservedProfile:
-    """Load a 17-row profile file, or the analytic default when path is None."""
-    grid = PRESSURE_LEVELS_HPA if levels is None else np.asarray(levels)
-    if path is None:
-        return default_observed_profile(grid)
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
-    if not lines or lines[0] != PROFILE_HEADER:
-        raise ProfileFormatError(f"expected header {PROFILE_HEADER!r}")
-    rows = lines[1:]
-    if len(rows) != N_LEVELS:
-        raise ProfileFormatError(f"expected {N_LEVELS} data rows, got {len(rows)}")
-    pressures = np.empty(N_LEVELS)
-    temps = np.empty(N_LEVELS)
-    for i, row in enumerate(rows):
-        parts = row.split(",")
-        if len(parts) != 2:
-            raise ProfileFormatError(f"row {i + 1}: expected 2 columns")
-        try:
-            pressures[i] = float(parts[0])
-            temps[i] = float(parts[1])
-        except ValueError as exc:
-            raise ProfileFormatError(f"row {i + 1}: {exc}") from exc
-    if not np.all(np.isfinite(pressures)) or not np.all(np.isfinite(temps)):
-        raise ProfileFormatError("non-finite values in profile")
-    if not np.allclose(pressures, grid, rtol=1e-9, atol=1e-9):
-        raise ProfileFormatError("profile pressure grid does not match the column grid")
-    return ObservedProfile(pressures, temps, source=str(path))
-
-
-def export_profile_with_simulated(path, profile: ObservedProfile,
+def export_profile_with_simulated(path, pressures: np.ndarray, observed: np.ndarray,
                                   simulated: np.ndarray) -> None:
-    """Observed-profile format plus a simulated_K column."""
+    """Write pressure_hPa,temperature_K,simulated_K rows, one per level."""
     simulated = np.asarray(simulated, dtype=np.float64)
     if simulated.size != N_LEVELS:
         raise ValueError("simulated profile must have 17 values")
-    lines = [PROFILE_HEADER + ",simulated_K"]
-    for p, t, s in zip(profile.pressures, profile.temperatures, simulated):
+    lines = ["pressure_hPa,temperature_K,simulated_K"]
+    for p, t, s in zip(pressures, observed, simulated):
         lines.append(f"{float(p)!r},{float(t)!r},{float(s)!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def mean_squared_profile_error(simulated: np.ndarray, observed: np.ndarray) -> float:
-    diff = np.asarray(simulated) - np.asarray(observed)
-    return float(np.mean(diff * diff))
 
 
 # -- the environment ---------------------------------------------------------------
@@ -429,14 +355,12 @@ OBS_SCALE = 150.0
 class RceEnv(ClimateEnv):
     """Column model with actions [emissivity, critical lapse rate]."""
 
-    def __init__(self, params: RcePhysicsParams | None = None,
-                 observed: ObservedProfile | None = None):
+    def __init__(self, params: RcePhysicsParams | None = None):
         super().__init__()
         self.params = params or RcePhysicsParams()
-        self.observed = observed or default_observed_profile(self.params.pressure_levels)
-        if not np.allclose(self.observed.pressures, self.params.pressure_levels,
-                           rtol=1e-9, atol=1e-9):
-            raise ProfileFormatError("observed profile grid does not match the column")
+        # the profile the reward scores against: the standard atmosphere
+        self.observed = np.array([standard_atmosphere_temperature(p)
+                                  for p in self.params.pressure_levels])
         self.max_steps = self.params.max_steps
         self.action_space = BoxSpace(low=[0.0, 5.5], high=[1.0, 9.8])
         self.observation_space = BoxSpace(low=[-1.0] * N_LEVELS, high=[1.0] * N_LEVELS)
@@ -456,18 +380,11 @@ class RceEnv(ClimateEnv):
     def _dynamics(self, action: np.ndarray):
         emissivity, lapse = float(action[0]), float(action[1])
         p = self.params
-        heating, diag = grey_longwave_step(self.column, emissivity)
+        heating, olr, surface_net = grey_longwave_step(self.column, emissivity)
         self.column.temperatures = self.column.temperatures + heating * p.dt
-        self.column.surface_temperature += (
-            diag["surface_net_flux"] * p.dt / p.surface_heat_capacity)
+        self.column.surface_temperature += surface_net * p.dt / p.surface_heat_capacity
         self.column = convective_adjustment(self.column, lapse)
         self.column.validate()
-        diffs = self.column.temperatures - self.observed.temperatures
+        diffs = self.column.temperatures - self.observed
         reward = -(float((diffs * diffs).sum()) / N_LEVELS)  # np.mean, bit for bit
-        info = {
-            "level_differences": diffs,
-            "simulated_profile": self.column.temperatures.copy(),
-            "surface_temperature": self.column.surface_temperature,
-            "olr": diag["olr"],
-        }
-        return self._observe(), reward, info
+        return self._observe(), reward, {"olr": olr}

@@ -93,8 +93,15 @@ class Mlp:
         self.weights, self.biases = views[0:n:2], views[1:n:2]
         self.log_std = views[-1] if self.head.kind == "gaussian" else None
 
+    def __getstate__(self):
+        # Pickle would copy each view apart from ``flat``: leave them out...
+        state = self.__dict__.copy()
+        for name in ("weights", "biases", "log_std"):
+            del state[name]
+        return state
+
     def __setstate__(self, state):
-        # Pickle copies each view apart from ``flat``: point them back into it.
+        # ...and point them back into it.
         self.__dict__.update(state)
         self._bind_views()
 
@@ -172,20 +179,19 @@ class Mlp:
         h = self._layers(x)[0]
         return h[0] if squeeze else h
 
-    def jvp(self, x: np.ndarray, tangents: list[np.ndarray]) -> np.ndarray:
+    def jvp(self, kept: list[np.ndarray], tangents: list[np.ndarray]) -> np.ndarray:
         """Directional derivative of the pre-head output w.r.t. the affine
         parameters, in the direction ``tangents`` (one array per weight/bias in
-        declaration order; any log-std tangent after them is ignored). Used for
-        Fisher-vector products.
+        declaration order; any log-std tangent after them is ignored), at the
+        layer inputs ``kept`` that ``forward`` returned. Used for Fisher-vector
+        products.
         """
-        x = np.asarray(x, dtype=np.float64)
-        inputs = self._layers(x)[1]
-        t = np.zeros_like(x)
+        t = np.zeros_like(kept[0])
         last = len(self.weights) - 1
         for i, w in enumerate(self.weights):
-            t = t @ w + inputs[i] @ tangents[2 * i] + tangents[2 * i + 1]
+            t = t @ w + kept[i] @ tangents[2 * i] + tangents[2 * i + 1]
             if i < last:
-                h = inputs[i + 1]
+                h = kept[i + 1]
                 t = t * (1.0 - h * h)
         return t
 

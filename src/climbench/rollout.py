@@ -8,15 +8,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .envs.core import RngStream
-
 __all__ = ["ReplayBuffer", "discounted_returns", "gae"]
 
 
 class ReplayBuffer:
     """Uniform ring buffer of (s, a, r, s') rows; samples draw without replacement."""
 
-    def __init__(self, capacity: int, obs_dim: int, act_dim: int, rng: RngStream):
+    def __init__(self, capacity: int, obs_dim: int, act_dim: int,
+                 rng: np.random.Generator):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity

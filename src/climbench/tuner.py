@@ -22,10 +22,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .algos import BaseConfig, make_config, make_trainer
 from .algos.config import TUNABLE_FIELDS
 from .configio import write_algo_fragment
-from .envs.core import RngStream
+from .envs.core import rng_stream
 from .experiments import experiment_spec, make_experiment_env
 from .records import RunRecord
 
@@ -76,7 +78,7 @@ def build_search_space(algorithm: str) -> SearchSpace:
                                    for name in TUNABLE_FIELDS[algorithm]})
 
 
-def sample_parameters(space: SearchSpace, rng: RngStream) -> dict[str, object]:
+def sample_parameters(space: SearchSpace, rng: np.random.Generator) -> dict[str, object]:
     sampled: dict[str, object] = {}
     for name, spec in space.parameters.items():
         kind = spec[0]
@@ -94,7 +96,7 @@ def sample_parameters(space: SearchSpace, rng: RngStream) -> dict[str, object]:
     return sampled
 
 
-def sample_config(space: SearchSpace, rng: RngStream,
+def sample_config(space: SearchSpace, rng: np.random.Generator,
                   total_timesteps: int) -> tuple[BaseConfig, dict[str, object]]:
     sampled = sample_parameters(space, rng)
     cfg = make_config(space.algorithm, total_timesteps=total_timesteps, **sampled)
@@ -170,7 +172,7 @@ def run_study(runner, space: SearchSpace, n_trials: int, budget_steps: int,
               checkpoint_fractions: tuple = CHECKPOINT_FRACTIONS) -> StudyResult:
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    rng = RngStream(seed, STREAM_TUNER)
+    rng = rng_stream(seed, STREAM_TUNER)
     configs, trials = [], []
     for tid in range(n_trials):
         cfg, sampled = sample_config(space, rng, budget_steps)

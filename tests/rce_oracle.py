@@ -33,16 +33,7 @@ def grey_longwave_step(column, emissivity):
     absorbed = eps * (up[:N_LEVELS] + down[1:]) - 2.0 * emit
     heating = absorbed * p.g / (p.cp * p.layer_dp * 100.0)
     surface_net = p.absorbed_shortwave + down[0] - up[0]
-    diagnostics = {
-        "olr": up[N_LEVELS],
-        "down_at_surface": down[0],
-        "surface_upward": up[0],
-        "surface_net_flux": surface_net,
-        "absorbed_shortwave": p.absorbed_shortwave,
-        "upward_fluxes": up,
-        "downward_fluxes": down,
-    }
-    return heating, diagnostics
+    return heating, up[N_LEVELS], surface_net
 
 
 def heights_from_lists(t, geometry):
@@ -108,18 +99,11 @@ class OracleRceEnv(RceEnv):
     def _dynamics(self, action):
         emissivity, lapse = float(action[0]), float(action[1])
         p = self.params
-        heating, diag = grey_longwave_step(self.column, emissivity)
+        heating, olr, surface_net = grey_longwave_step(self.column, emissivity)
         self.column.temperatures = self.column.temperatures + heating * p.dt
-        self.column.surface_temperature += (
-            diag["surface_net_flux"] * p.dt / p.surface_heat_capacity)
+        self.column.surface_temperature += surface_net * p.dt / p.surface_heat_capacity
         self.column = convective_adjustment(self.column, lapse)
         validate(self.column)
-        diffs = self.column.temperatures - self.observed.temperatures
+        diffs = self.column.temperatures - self.observed
         reward = -float(np.mean(diffs * diffs))
-        info = {
-            "level_differences": diffs.copy(),
-            "simulated_profile": self.column.temperatures.copy(),
-            "surface_temperature": self.column.surface_temperature,
-            "olr": diag["olr"],
-        }
-        return self._observe(), reward, info
+        return self._observe(), reward, {"olr": olr}

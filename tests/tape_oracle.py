@@ -6,7 +6,8 @@ gradients in ``flat`` order for Adam; these are those expressions, kept as the
 reference the one gradient path (``Mlp.backward`` into a flat vector) must
 match byte for byte. ``critic_grad`` and ``actor_grad`` give one off-policy
 step's gradient; ``reinforce_grad``, ``ppo_grad``, ``trpo_value_grad``,
-``surrogate_grad`` and ``fisher_vector_product`` the on-policy ones.
+``surrogate_grad`` and ``fisher_vector_product`` (over its own ``jvp``) the
+on-policy ones.
 """
 
 import operator
@@ -228,11 +229,23 @@ def surrogate_grad(trainer, obs, actions, old_logp, adv) -> np.ndarray:
     return gather(leaves)
 
 
+def jvp(net, x: np.ndarray, tangents: list[np.ndarray]) -> np.ndarray:
+    """``Mlp.jvp`` along its own forward pass over ``x``."""
+    h, t = x, np.zeros_like(x)
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        t = t @ w + h @ tangents[2 * i] + tangents[2 * i + 1]
+        if i < last:
+            h = np.tanh(h @ w + b)
+            t = t * (1.0 - h * h)
+    return t
+
+
 def fisher_vector_product(trainer, obs: np.ndarray, vector: np.ndarray) -> np.ndarray:
     """TRPO's damped Fisher-vector product, with the VJP taken on the tape."""
     net = trainer.policy.net
     n_mean = net.flat.size - net.log_std.size
-    jv = net.jvp(obs, net.unflatten(vector))
+    jv = jvp(net, obs, net.unflatten(vector))
     inv_var = np.exp(-2.0 * net.log_std)
     weighted = jv * inv_var / obs.shape[0]
     leaves = param_leaves(net)

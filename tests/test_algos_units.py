@@ -9,9 +9,9 @@ from climbench.algos import make_config, make_trainer, tqc
 from climbench.algos.common import SquashedGaussianPolicy
 from climbench.algos.onpolicy import conjugate_gradient
 from climbench.algos.tqc import quantile_fractions, truncated_quantile_loss
-from climbench.envs import BiasCorrectionEnv, BoxSpace, ClimateEnv, RngStream
+from climbench.envs import BiasCorrectionEnv, BoxSpace, ClimateEnv, rng_stream
 from climbench.experiments import experiment_spec, make_experiment_env, resolve_config
-from climbench.nn import Tensor
+from climbench.nn import Mlp, Tensor
 from climbench.records import load_record
 from climbench.rollout import discounted_returns
 from tape_oracle import gather, node, param_leaves
@@ -285,7 +285,7 @@ def test_fisher_vector_product_matches_kl_gradient_differences():
     v = rng.normal(size=theta.size)
     h = 1e-5
     fd = (kl_grad(theta + h * v) - kl_grad(theta - h * v)) / (2 * h)
-    fvp = trainer.fisher_vector_product(obs, v)
+    fvp = trainer.fisher_vector_product(net.forward(obs)[1], v)
     assert np.max(np.abs(fvp - fd)) < 1e-4
 
 
@@ -301,6 +301,30 @@ def test_trpo_no_op_on_unimprovable_surrogate():
     accepted = trainer.natural_step(obs, actions, logp, means, np.zeros(16))
     assert not accepted
     assert np.array_equal(before, trainer.policy.net.flat)
+
+
+@pytest.mark.parametrize("cg_iterations", [1, 10])
+def test_trpo_natural_step_runs_two_policy_forward_passes(monkeypatch, cg_iterations):
+    # one for the surrogate gradient, one whose layer inputs every
+    # Fisher-vector product of the CG solve reuses
+    trainer = make("trpo", cg_iterations=cg_iterations)
+    rng = np.random.default_rng(6)
+    obs = rng.uniform(0, 1, size=(64, 1))
+    means = trainer.policy.mean_np(obs)
+    actions = means + 0.05 * rng.normal(size=(64, 1))
+    logp = trainer.policy.log_prob_np(means, actions)
+    trainer._log_std_at_collect = trainer.policy.net.log_std.copy()
+    net = trainer.policy.net
+    forwards, products = [], []
+    monkeypatch.setattr(net, "forward",
+                        lambda x: forwards.append(x) or Mlp.forward(net, x))
+    fvp = trainer.fisher_vector_product
+    monkeypatch.setattr(trainer, "fisher_vector_product",
+                        lambda kept, v: products.append(v) or fvp(kept, v))
+    # a gradient far from CG's tolerance, so the solve takes several products
+    trainer.natural_step(obs, actions, logp, means, 1e4 * rng.normal(size=64))
+    assert len(products) == 2 if cg_iterations == 1 else len(products) > 2
+    assert len(forwards) == 2
 
 
 # -- PPO ------------------------------------------------------------------------
@@ -362,9 +386,9 @@ def test_sac_alpha_zero_reduces_to_min_critic_target():
     trainer = make("sac")
     batch = {"s": np.array([[0.4]]), "a": np.array([[0.1]]),
              "r": np.array([0.7]), "s_next": np.array([[0.6]])}
-    rng_state = trainer.streams.explore.generator.bit_generator.state
+    rng_state = trainer.streams.explore.bit_generator.state
     y0 = trainer.compute_target(batch, alpha=0.0)
-    trainer.streams.explore.generator.bit_generator.state = rng_state
+    trainer.streams.explore.bit_generator.state = rng_state
     a_next, _ = trainer.actor.sample_with_log_prob_np(batch["s_next"],
                                                       trainer.streams.explore)
     q = min(trainer.target_critics[0].q_np(batch["s_next"], a_next)[0, 0],
@@ -374,7 +398,7 @@ def test_sac_alpha_zero_reduces_to_min_critic_target():
 
 def test_sac_actions_always_inside_box():
     trainer = make("sac")
-    rng = RngStream(3, 9)
+    rng = rng_stream(3, 9)
     for _ in range(2000):
         a = trainer.select_action(np.array([rng.uniform(0, 1)]), explore=True)
         assert -1.0 <= a[0] <= 1.0
@@ -550,9 +574,9 @@ def test_tqc_degenerates_to_sac_scalar_target():
     trainer = make("tqc", n_quantiles=1, n_critics=1, n_drop_per_critic=0)
     batch = {"s": np.array([[0.4]]), "a": np.array([[0.1]]),
              "r": np.array([0.7]), "s_next": np.array([[0.6]])}
-    state = trainer.streams.explore.generator.bit_generator.state
+    state = trainer.streams.explore.bit_generator.state
     y = trainer.compute_target(batch, alpha=0.2)
-    trainer.streams.explore.generator.bit_generator.state = state
+    trainer.streams.explore.bit_generator.state = state
     a_next, logp = trainer.actor.sample_with_log_prob_np(batch["s_next"],
                                                          trainer.streams.explore)
     q = trainer.target_critics[0].q_np(batch["s_next"], a_next)[0, 0]

@@ -55,6 +55,26 @@ def test_train_non_positive_steps_in_config_file_is_usage_error(tmp_path):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("seeds,message", [
+    ("3..1", "no seeds"), ("x", "malformed seeds"), ("1..2..3", "malformed seeds"),
+    ("1,,x", "malformed seeds"), (",", "no seeds"), ("1,1", "repeated seed"),
+    ("2,1..3", "malformed seeds"), ("1,2,1", "repeated seed")])
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_train_bad_seeds_are_usage_errors(tmp_path, capsys, seeds, message, where):
+    out = tmp_path / "records"
+    args = ["train", "--experiment", "v0-homo-64L", "--algo", "reinforce",
+            "--steps", "50", "--out", str(out)]
+    if where == "flag":
+        args += ["--seeds", seeds]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[run]\nseeds = {seeds}\n")
+        args += ["--config", str(cfg)]
+    assert run_cli(*args) == 1
+    assert f"usage error: --seeds: {message}" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("flag", ["--trials", "--workers", "--budget"])
 def test_tune_non_positive_count_is_usage_error(tmp_path, capsys, flag):
     out = tmp_path / "tuned"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from climbench.envs import (BiasCorrectionEnv, BoxSpace, EpisodeOverError, RceEnv,
-                            RngStream)
+                            rng_stream)
 
 
 def test_box_space_validation_and_clip():
@@ -17,12 +17,21 @@ def test_box_space_validation_and_clip():
 
 
 def test_rng_stream_identical_seeds_identical_sequences():
-    a = RngStream(123, stream=7)
-    b = RngStream(123, stream=7)
+    a = rng_stream(123, stream=7)
+    b = rng_stream(123, stream=7)
     assert np.array_equal(a.normal(size=100), b.normal(size=100))
-    c = RngStream(123, stream=8)
-    assert not np.array_equal(RngStream(123, stream=7).normal(size=10),
+    c = rng_stream(123, stream=8)
+    assert not np.array_equal(rng_stream(123, stream=7).normal(size=10),
                               c.normal(size=10))
+
+
+def test_rng_stream_is_philox_keyed_by_seed_and_stream():
+    for seed, stream in [(123, 7), (0, 2), (-1, 5)]:
+        key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream], dtype=np.uint64)
+        expected = np.random.Generator(np.random.Philox(key=key))
+        got = rng_stream(seed, stream)
+        assert isinstance(got.bit_generator, np.random.Philox)
+        assert got.random(8).tobytes() == expected.random(8).tobytes()
 
 
 def test_two_resets_same_seed_identical_observation():

@@ -74,6 +74,17 @@ def test_parameters_stay_views_into_flat_through_pickle(head):
     assert net.weights[1][3, 1] == 23.0 and net.biases[1][1] == 25.0
 
 
+def test_pickled_net_carries_its_parameters_once():
+    net = Mlp([17, 64, 64, 2], head=Head("gaussian"), rng=np.random.default_rng(0))
+    assert net.flat.nbytes == 43_552
+    data = pickle.dumps(net)
+    assert len(data) < 45_000
+    clone = pickle.loads(data)
+    assert_parameters_view_flat(clone)
+    assert clone.flat.tobytes() == net.flat.tobytes()
+    assert "weights" in vars(net)  # pickling leaves the original's views alone
+
+
 def test_jvp_matches_finite_difference_directional_derivative():
     rng = np.random.default_rng(11)
     net = Mlp([3, 6, 2], rng=rng)
@@ -87,7 +98,7 @@ def test_jvp_matches_finite_difference_directional_derivative():
     down = net.forward_np(x)
     net.flat[:] = saved
     fd = (up - down) / (2 * h)
-    jvp = net.jvp(x, net.unflatten(tangent))
+    jvp = net.jvp(net.forward(x)[1], net.unflatten(tangent))
     assert np.max(np.abs(jvp - fd)) < 1e-6
 
 

@@ -70,9 +70,9 @@ def test_critic_step_gradient_matches_tape_bytes(tag, data):
 
 def actor_noise(trainer, batch_size: int):
     """The noise a stochastic actor's next step will draw, left undrawn."""
-    generator = trainer.streams.explore.generator
+    generator = trainer.streams.explore
     state = generator.bit_generator.state
-    xi = trainer.streams.explore.normal(size=(batch_size, trainer.env.action_space.dim))
+    xi = generator.normal(size=(batch_size, trainer.env.action_space.dim))
     generator.bit_generator.state = state
     return xi
 

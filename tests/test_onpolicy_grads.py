@@ -112,6 +112,7 @@ def test_fisher_vector_product_matches_tape_bytes(data):
     trainer.cfg.cg_damping = data.draw(st.sampled_from([0.0, 0.1]), label="damping")
     vector = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(
         size=trainer.policy.net.flat.size)
-    got = trainer.fisher_vector_product(ep["obs"], vector)
+    kept = trainer.policy.net.forward(ep["obs"])[1]
+    got = trainer.fisher_vector_product(kept, vector)
     expected = tape_oracle.fisher_vector_product(trainer, ep["obs"], vector)
     assert got.tobytes() == expected.tobytes()

@@ -1,4 +1,5 @@
-"""Column physics: radiation, convective adjustment, profiles, equilibrium shape."""
+"""Column physics: radiation, convective adjustment, the observed profile,
+equilibrium shape."""
 
 import dataclasses
 import math
@@ -10,11 +11,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from climbench.envs import (AtmosphericColumn, ColumnStateError, PRESSURE_LEVELS_HPA,
-                            ProfileFormatError, RceEnv, RcePhysicsParams, column_heights,
-                            convective_adjustment, default_observed_profile,
-                            export_profile_with_simulated, grey_longwave_step,
-                            load_observed_profile, mean_squared_profile_error,
-                            save_observed_profile, standard_atmosphere_temperature)
+                            RceEnv, RcePhysicsParams, column_heights,
+                            convective_adjustment, export_profile_with_simulated,
+                            grey_longwave_step, standard_atmosphere_temperature)
 from climbench.envs import rce
 from climbench.envs.rce import N_LEVELS
 
@@ -37,35 +36,46 @@ def weighted_mean(col):
 
 def test_transparent_atmosphere_has_zero_heating():
     col = make_column(np.linspace(280, 200, N_LEVELS), 290.0)
-    heating, diag = grey_longwave_step(col, 0.0)
+    heating, olr, _ = grey_longwave_step(col, 0.0)
     assert np.array_equal(heating, np.zeros(N_LEVELS))
-    assert diag["olr"] == pytest.approx(PARAMS.sigma * 290.0 ** 4)
+    assert olr == pytest.approx(PARAMS.sigma * 290.0 ** 4)
 
 
 def test_opaque_isothermal_toa_flux_is_sigma_t4():
     t = 255.0
     col = make_column(np.full(N_LEVELS, t), t)
-    heating, diag = grey_longwave_step(col, 1.0)
+    heating, olr, _ = grey_longwave_step(col, 1.0)
     # Telescoping oracle: with eps=1 each layer re-emits sigma*T^4, so the TOA
     # flux is the top layer's emission and interior exchanges cancel exactly.
-    assert diag["olr"] == pytest.approx(PARAMS.sigma * t ** 4, rel=1e-12)
+    assert olr == pytest.approx(PARAMS.sigma * t ** 4, rel=1e-12)
     assert np.max(np.abs(heating[:-1])) < 1e-12
     assert heating[-1] < 0.0  # the top layer alone cools to space
 
 
 def test_surface_upward_flux_is_sigma_ts4():
+    # A transparent column sends no back radiation, so the surface loses
+    # sigma*Ts^4 against the absorbed shortwave, and all of it reaches space.
     col = make_column(np.linspace(280, 180, N_LEVELS), 305.0)
-    _, diag = grey_longwave_step(col, 0.7)
-    assert diag["surface_upward"] == pytest.approx(PARAMS.sigma * 305.0 ** 4, rel=1e-13)
+    _, olr, surface_net = grey_longwave_step(col, 0.0)
+    upward = PARAMS.sigma * 305.0 ** 4
+    assert olr == pytest.approx(upward, rel=1e-13)
+    assert surface_net == pytest.approx(PARAMS.absorbed_shortwave - upward, rel=1e-13)
+    # An opaque column at the surface's temperature sends all of it back.
+    col = make_column(np.full(N_LEVELS, 305.0), 305.0)
+    _, _, surface_net = grey_longwave_step(col, 1.0)
+    assert surface_net == pytest.approx(PARAMS.absorbed_shortwave, rel=1e-13)
 
 
 def test_all_fluxes_non_negative_random_columns():
+    # OLR, and the back radiation the surface's net flux holds
     rng = np.random.default_rng(4)
     for _ in range(200):
-        col = make_column(rng.uniform(150, 350, N_LEVELS), rng.uniform(150, 350))
-        _, diag = grey_longwave_step(col, float(rng.uniform(0, 1)))
-        assert np.all(diag["upward_fluxes"] >= 0)
-        assert np.all(diag["downward_fluxes"] >= 0)
+        ts = rng.uniform(150, 350)
+        col = make_column(rng.uniform(150, 350, N_LEVELS), ts)
+        _, olr, surface_net = grey_longwave_step(col, float(rng.uniform(0, 1)))
+        assert olr >= 0
+        back = surface_net - PARAMS.absorbed_shortwave + PARAMS.sigma * ts ** 4
+        assert back >= -1e-12 * PARAMS.sigma * ts ** 4
 
 
 def test_energy_budget_exact_over_full_step():
@@ -80,11 +90,10 @@ def test_energy_budget_exact_over_full_step():
         before = float(np.dot(c_layer, env.column.temperatures)) \
             + c_surf * env.column.surface_temperature
         eps = float(rng.uniform(0, 1))
-        _, diag = grey_longwave_step(env.column, eps)
         res = env.step([eps, float(rng.uniform(5.5, 9.8))])
         after = float(np.dot(c_layer, env.column.temperatures)) \
             + c_surf * env.column.surface_temperature
-        expected = (diag["absorbed_shortwave"] - diag["olr"]) * p.dt
+        expected = (p.absorbed_shortwave - res.info["olr"]) * p.dt
         got = after - before
         denom = max(abs(expected), abs(got), 1.0)
         assert abs(got - expected) / denom < 1e-6
@@ -231,10 +240,10 @@ def test_adjustment_matches_oracle_along_trajectory():
     p = env.params
     worst = 0.0
     for _ in range(60):
-        heating, diag = grey_longwave_step(env.column, 1.0)
+        heating, _, surface_net = grey_longwave_step(env.column, 1.0)
         col = make_column(env.column.temperatures + heating * p.dt,
                           env.column.surface_temperature
-                          + diag["surface_net_flux"] * p.dt / p.surface_heat_capacity)
+                          + surface_net * p.dt / p.surface_heat_capacity)
         out = convective_adjustment(col, 5.5)
         t_ref, ts_ref = sweep_oracle(col, 5.5)
         worst = max(worst, np.max(np.abs(out.temperatures - t_ref)),
@@ -359,19 +368,25 @@ def test_reset_isothermal_17_levels_idempotent():
 
 
 def test_reward_zero_iff_profiles_match():
-    obs_prof = default_observed_profile()
-    assert mean_squared_profile_error(obs_prof.temperatures, obs_prof.temperatures) == 0.0
-    other = obs_prof.temperatures + 0.5
-    assert mean_squared_profile_error(other, obs_prof.temperatures) > 0.0
+    # Score one step against the very column it produces, then against that
+    # column shifted by 0.5 K at every level.
+    probe = RceEnv()
+    probe.reset(seed=3)
+    probe.step([0.4, 6.5])
+    for shift, reward in [(0.0, 0.0), (0.5, -0.25)]:
+        env = RceEnv()
+        env.observed = probe.column.temperatures + shift
+        env.reset(seed=3)
+        assert env.step([0.4, 6.5]).reward == reward
 
 
 def test_reward_is_negative_mean_squared_level_difference():
     env = RceEnv()
     env.reset(seed=3)
     res = env.step([0.4, 6.5])
-    diffs = env.column.temperatures - env.observed.temperatures
+    diffs = env.column.temperatures - env.observed
     assert res.reward == pytest.approx(-float(np.mean(diffs ** 2)), rel=1e-12)
-    assert np.array_equal(res.info["level_differences"], diffs)
+    assert list(res.info) == ["olr"]
 
 
 def test_threshold_identity_500_steps_at_rms_937():
@@ -438,71 +453,37 @@ def test_greenhouse_monotone_in_emissivity():
     assert finals[0] < finals[1] < finals[2]
 
 
-# -- observed profiles -------------------------------------------------------------
+# -- the observed profile ------------------------------------------------------------
 
 
 def test_default_profile_endpoints():
-    prof = default_observed_profile()
+    observed = RceEnv().observed
     # Test-side recomputation of the analytic profile at the bottom level.
     exponent = 287.053 * 0.0065 / 9.80665
     z0 = (288.15 / 0.0065) * (1.0 - (1000.0 / 1013.25) ** exponent)
-    assert prof.temperatures[0] == pytest.approx(288.15 - 0.0065 * z0, abs=1e-9)
-    assert abs(prof.temperatures[0] - 288.15) < 1.0
-    assert prof.temperatures[-1] == 216.65
+    assert observed[0] == pytest.approx(288.15 - 0.0065 * z0, abs=1e-9)
+    assert abs(observed[0] - 288.15) < 1.0
+    assert observed[-1] == 216.65
     assert standard_atmosphere_temperature(226.32) == pytest.approx(216.65, abs=0.01)
 
 
-def test_profile_file_round_trip_bit_exact(tmp_path):
-    prof = default_observed_profile()
-    path = tmp_path / "obs.csv"
-    save_observed_profile(prof, path)
-    loaded = load_observed_profile(path)
-    assert np.array_equal(loaded.pressures, prof.pressures)
-    assert np.array_equal(loaded.temperatures, prof.temperatures)
-
-
-def test_profile_wrong_row_count_rejected(tmp_path):
-    prof = default_observed_profile()
-    path = tmp_path / "obs.csv"
-    save_observed_profile(prof, path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-1]) + "\n")  # 16 rows
-    with pytest.raises(ProfileFormatError, match="17"):
-        load_observed_profile(path)
-
-
-def test_profile_grid_mismatch_rejected(tmp_path):
-    prof = default_observed_profile()
-    prof.pressures = prof.pressures + 5.0
-    path = tmp_path / "obs.csv"
-    save_observed_profile(prof, path)
-    with pytest.raises(ProfileFormatError, match="grid"):
-        load_observed_profile(path)
-
-
-def test_profile_non_finite_rejected(tmp_path):
-    path = tmp_path / "obs.csv"
-    prof = default_observed_profile()
-    save_observed_profile(prof, path)
-    text = path.read_text().replace(repr(float(prof.temperatures[3])), "nan", 1)
-    path.write_text(text)
-    with pytest.raises(ProfileFormatError, match="non-finite"):
-        load_observed_profile(path)
-
-
-def test_profile_missing_file():
-    with pytest.raises(OSError):
-        load_observed_profile("/nonexistent/profile.csv")
+def test_observed_profile_is_the_standard_atmosphere_on_the_grid():
+    for params in (PARAMS, RcePhysicsParams(pressure_levels=OTHER_LEVELS)):
+        observed = RceEnv(params).observed
+        assert observed.shape == (N_LEVELS,)
+        expected = [standard_atmosphere_temperature(p) for p in params.pressure_levels]
+        assert observed.tolist() == expected
 
 
 def test_export_with_simulated_column(tmp_path):
-    prof = default_observed_profile()
-    sim = prof.temperatures + 1.5
+    observed = RceEnv().observed
+    sim = observed + 1.5
     path = tmp_path / "export.csv"
-    export_profile_with_simulated(path, prof, sim)
+    export_profile_with_simulated(path, PRESSURE_LEVELS_HPA, observed, sim)
     lines = path.read_text().splitlines()
     assert lines[0] == "pressure_hPa,temperature_K,simulated_K"
     assert len(lines) == 18
     first = lines[1].split(",")
     assert float(first[0]) == PRESSURE_LEVELS_HPA[0]
     assert float(first[2]) - float(first[1]) == pytest.approx(1.5)
+    assert lines[17] == f"10.0,216.65,{216.65 + 1.5!r}"

@@ -25,6 +25,11 @@ def same_bytes(a, b) -> bool:
     return type(a) is type(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
+def same_flux(got, want) -> bool:
+    """A flux reported as a Python float, with the oracle's numpy scalar's bits."""
+    return type(got) is float and got.hex() == float(want).hex()
+
+
 def make_column(temps, ts):
     return AtmosphericColumn(np.asarray(temps, dtype=float), ts, PARAMS)
 
@@ -32,12 +37,11 @@ def make_column(temps, ts):
 @given(COLUMNS, EMISSIVITY)
 def test_longwave_matches_oracle_bytes(column, emissivity):
     col = make_column(*column)
-    heating, diag = grey_longwave_step(col, emissivity)
-    ref_heating, ref_diag = rce_oracle.grey_longwave_step(col, emissivity)
+    heating, olr, surface_net = grey_longwave_step(col, emissivity)
+    ref_heating, ref_olr, ref_surface_net = rce_oracle.grey_longwave_step(col, emissivity)
     assert same_bytes(heating, ref_heating)
-    assert diag.keys() == ref_diag.keys()
-    for key, value in ref_diag.items():
-        assert same_bytes(diag[key], value), key
+    assert same_flux(olr, ref_olr)
+    assert same_flux(surface_net, ref_surface_net)
 
 
 @given(COLUMNS, LAPSE)
@@ -55,9 +59,9 @@ def test_adjustment_and_heights_match_oracle_bytes(column, lapse):
 def test_radiation_then_adjustment_matches_oracle_bytes(column, emissivity, lapse):
     # the columns the env hands to the adjustment: after one radiation step
     col = make_column(*column)
-    heating, diag = grey_longwave_step(col, emissivity)
+    heating, _, surface_net = grey_longwave_step(col, emissivity)
     after = make_column(col.temperatures + heating * PARAMS.dt, col.surface_temperature
-                        + diag["surface_net_flux"] * PARAMS.dt / PARAMS.surface_heat_capacity)
+                        + surface_net * PARAMS.dt / PARAMS.surface_heat_capacity)
     out = convective_adjustment(after, lapse)
     ref = rce_oracle.convective_adjustment(after, lapse)
     assert same_bytes(out.temperatures, ref.temperatures)
@@ -129,7 +133,6 @@ def test_trajectory_matches_oracle_env_bytes():
         assert same_bytes(got.observation, want.observation)
         assert same_bytes(got.reward, want.reward)
         assert got.truncated == want.truncated
-        assert got.info.keys() == want.info.keys()
-        for key, value in want.info.items():
-            assert same_bytes(got.info[key], value), (step, key)
+        assert list(got.info) == list(want.info) == ["olr"]
+        assert same_flux(got.info["olr"], want.info["olr"]), step
     assert got.truncated

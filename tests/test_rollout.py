@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from climbench.envs import RngStream
+from climbench.envs import rng_stream
 from climbench.rollout import ReplayBuffer, discounted_returns, gae
 
 
@@ -110,7 +110,7 @@ def make_transition(i, obs_dim=2, act_dim=1):
 
 
 def test_buffer_ring_overwrites_oldest():
-    buf = ReplayBuffer(5, 2, 1, RngStream(0, 4))
+    buf = ReplayBuffer(5, 2, 1, rng_stream(0, 4))
     for i in range(6):
         buf.push(*make_transition(i))
     assert len(buf) == 5
@@ -121,14 +121,14 @@ def test_buffer_ring_overwrites_oldest():
 
 
 def test_buffer_sample_before_enough_items():
-    buf = ReplayBuffer(10, 2, 1, RngStream(0, 4))
+    buf = ReplayBuffer(10, 2, 1, rng_stream(0, 4))
     buf.push(*make_transition(0))
     with pytest.raises(ValueError):
         buf.sample(2)
 
 
 def test_buffer_minibatch_without_replacement():
-    buf = ReplayBuffer(8, 2, 1, RngStream(1, 4))
+    buf = ReplayBuffer(8, 2, 1, rng_stream(1, 4))
     for i in range(8):
         buf.push(*make_transition(i))
     for _ in range(50):
@@ -139,7 +139,7 @@ def test_buffer_minibatch_without_replacement():
 def test_buffer_sampling_uniform_chi_squared():
     # 1e5 single draws from a 10-item buffer; chi^2 below the 1% critical
     # value for 9 degrees of freedom (21.666) means uniform at p > 0.01.
-    buf = ReplayBuffer(10, 1, 1, RngStream(7, 4))
+    buf = ReplayBuffer(10, 1, 1, rng_stream(7, 4))
     for i in range(10):
         buf.push(np.array([float(i)]), np.array([0.0]), float(i), np.array([0.0]))
     counts = np.zeros(10)
@@ -153,7 +153,7 @@ def test_buffer_sampling_uniform_chi_squared():
 
 def test_buffer_seeded_sampling_reproducible():
     def draws(seed):
-        buf = ReplayBuffer(10, 1, 1, RngStream(seed, 4))
+        buf = ReplayBuffer(10, 1, 1, rng_stream(seed, 4))
         for i in range(10):
             buf.push(*make_transition(i, obs_dim=1))
         return [buf.sample(3)["r"].tolist() for _ in range(20)]
@@ -164,7 +164,7 @@ def test_buffer_seeded_sampling_reproducible():
 
 def test_buffer_never_yields_partial_records():
     # Every sampled transition must be exactly one pushed transition.
-    buf = ReplayBuffer(6, 2, 1, RngStream(2, 4))
+    buf = ReplayBuffer(6, 2, 1, rng_stream(2, 4))
     pushed = {}
     for i in range(40):
         t = make_transition(i)

@@ -6,7 +6,7 @@ import numpy as np
 
 from climbench.algos import make_config
 from climbench.algos.config import TUNABLE_FIELDS
-from climbench.envs.core import RngStream
+from climbench.envs.core import rng_stream
 from climbench.tuner import (PARAMETER_RANGES, STREAM_TUNER, TrainingTrialRunner,
                              _advance_task, build_search_space, run_study,
                              sample_config, sample_parameters, tune_algorithm)
@@ -49,10 +49,10 @@ def test_reinforce_has_two_tunables_tqc_ten():
 
 def test_sampling_respects_ranges_and_is_reproducible():
     space = build_search_space("tqc")
-    a = sample_parameters(space, RngStream(5, STREAM_TUNER))
-    b = sample_parameters(space, RngStream(5, STREAM_TUNER))
+    a = sample_parameters(space, rng_stream(5, STREAM_TUNER))
+    b = sample_parameters(space, rng_stream(5, STREAM_TUNER))
     assert a == b
-    c = sample_parameters(space, RngStream(6, STREAM_TUNER))
+    c = sample_parameters(space, rng_stream(6, STREAM_TUNER))
     assert a != c
     for name, value in a.items():
         kind, *rest = PARAMETER_RANGES[name]
@@ -64,7 +64,7 @@ def test_sampling_respects_ranges_and_is_reproducible():
 
 def test_sampled_config_has_inactive_fields_at_defaults():
     space = build_search_space("reinforce")
-    cfg, sampled = sample_config(space, RngStream(1, STREAM_TUNER), 5000)
+    cfg, sampled = sample_config(space, rng_stream(1, STREAM_TUNER), 5000)
     assert set(sampled) == {"learning_rate", "actor_critic_layer_size"}
     assert cfg.total_timesteps == 5000
     assert cfg.gamma == 0.99  # untouched shared default
