@@ -185,8 +185,7 @@ class OffPolicyTrainer(Trainer):
     def select_action(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
         obs = np.asarray(obs)
         if self.stochastic_actor:
-            action = self.actor.sample_np(obs, self.streams.explore if explore else None,
-                                          deterministic=not explore)
+            action = self.actor.sample_np(obs, self.streams.explore if explore else None)
         else:
             action = self.actor.act_np(obs)
             if explore:

@@ -73,25 +73,22 @@ class GaussianPolicy:
         return self.action_space.clip(self.center + self.half * raw)
 
     def sample_np(self, obs: np.ndarray, rng: np.random.Generator):
-        """One step's sample: (env action, raw action, log_prob, raw mean)."""
+        """One step's sample: (env action, raw action, raw mean). Its log-prob
+        is ``log_prob_np`` of the raw mean and action, at the same log-std."""
         mean = self.net.forward_np(obs)
-        std = self.std_np()
-        raw = mean + std * rng.normal(size=self.act_dim)
-        z = (raw - mean) / std  # log_prob_np's operations, on one row
-        logp = (-0.5 * z * z - np.log(std) - 0.5 * LOG_2PI).sum()
-        return self.to_env(raw), raw, float(logp), mean
+        raw = mean + self.std_np() * rng.normal(size=self.act_dim)
+        return self.to_env(raw), raw, mean
 
     def log_prob_np(self, means: np.ndarray, actions: np.ndarray) -> np.ndarray:
         std = self.std_np()
         z = (actions - means) / std
         return (-0.5 * z * z - np.log(std) - 0.5 * LOG_2PI).sum(axis=1)
 
-    def log_prob_tensor(self, obs: np.ndarray, actions: np.ndarray):
-        """log pi(actions | obs) over fresh tape leaves for the mean net's output
-        and the log-std, and the function that, after the loss's backward pass,
-        writes the gradient reaching them into a ``flat``-shaped vector."""
-        out, kept = self.net.forward(obs)
-        mean = Tensor(out, requires_grad=True)
+    def log_prob_tensor(self, means: np.ndarray, kept: list, actions: np.ndarray):
+        """log pi(actions) over fresh tape leaves for ``forward``'s means (its layer
+        inputs ``kept``) and the log-std, and the function that, after the loss's
+        backward pass, writes the gradient reaching them into a ``flat`` vector."""
+        mean = Tensor(means, requires_grad=True)
         log_std = Tensor(self.net.log_std, requires_grad=True)
         inv_std = (-log_std).exp()
         z = (Tensor(actions) - mean) * inv_std
@@ -125,13 +122,11 @@ class SquashedGaussianPolicy:
         self.center = (action_space.high + action_space.low) / 2.0
         self.half = (action_space.high - action_space.low) / 2.0
 
-    def sample_np(self, obs: np.ndarray, rng: np.random.Generator | None = None,
-                  deterministic: bool = False) -> np.ndarray:
-        mean = self.net.forward_np(obs)
-        if deterministic or rng is None:
-            u = mean
-        else:
-            u = mean + np.exp(self.net.log_std) * rng.normal(size=mean.shape)
+    def sample_np(self, obs: np.ndarray, rng: np.random.Generator | None = None):
+        """An action in the box: a sample, or without ``rng`` the mean's image."""
+        u = self.net.forward_np(obs)
+        if rng is not None:
+            u = u + np.exp(self.net.log_std) * rng.normal(size=u.shape)
         return self.center + self.half * np.tanh(u)
 
     def sample_with_log_prob_np(self, obs_batch: np.ndarray, rng: np.random.Generator):

@@ -101,14 +101,13 @@ class OnPolicyTrainer(Trainer):
         act_dim = self.env.action_space.dim
         ep = {"obs": np.empty((n, self.env.observation_space.dim)),
               "actions": np.empty((n, act_dim)), "rewards": np.empty(n),
-              "values": np.empty(n + 1), "log_probs": np.empty(n),
-              "means": np.empty((n, act_dim))}
+              "values": np.empty(n + 1), "means": np.empty((n, act_dim))}
         obs = self.env.reset()
         episode_return = 0.0
         for t in range(n):
             ep["obs"][t] = obs
-            env_action, ep["actions"][t], ep["log_probs"][t], ep["means"][t] = (
-                self.policy.sample_np(obs, self.streams.explore))
+            env_action, ep["actions"][t], ep["means"][t] = self.policy.sample_np(
+                obs, self.streams.explore)
             ep["values"][t] = self._value(obs)
             res = self.env.step(env_action)
             self.global_step += 1
@@ -116,6 +115,7 @@ class OnPolicyTrainer(Trainer):
             ep["rewards"][t] = res.reward
             obs = res.observation
         ep["values"][n] = self._value(obs)
+        ep["log_probs"] = self.policy.log_prob_np(ep["means"], ep["actions"])
         self.record.add(self.global_step, episode_return)
         return ep
 
@@ -172,7 +172,8 @@ class ReinforceTrainer(OnPolicyTrainer):
         """-mean_t G_t log pi(a_t | s_t), minimized to ascend the return, and
         the policy's gradient writer (see ``log_prob_tensor``)."""
         returns = discounted_returns(rewards, self.cfg.gamma)
-        logp, write_grad = self.policy.log_prob_tensor(obs, actions)
+        logp, write_grad = self.policy.log_prob_tensor(*self.policy.net.forward(obs),
+                                                       actions)
         return -(logp * Tensor(returns)).mean(), write_grad
 
     def update_from_batch(self, ep: dict[str, np.ndarray]) -> None:
@@ -192,7 +193,8 @@ class PpoTrainer(OnPolicyTrainer):
     def minibatch_loss(self, obs, actions, old_logp, adv, returns):
         """The loss, and the policy's and value net's gradient writers."""
         cfg = self.cfg
-        logp, write_policy = self.policy.log_prob_tensor(obs, actions)
+        logp, write_policy = self.policy.log_prob_tensor(*self.policy.net.forward(obs),
+                                                         actions)
         ratio = (logp - Tensor(old_logp)).exp()
         adv_t = Tensor(adv)
         surrogate = minimum(ratio * adv_t,
@@ -241,27 +243,28 @@ class TrpoTrainer(OnPolicyTrainer):
 
     # -- surrogate objective ------------------------------------------------------
 
-    def surrogate_np(self, obs, actions, old_logp, adv) -> float:
-        means = self.policy.mean_np(obs)
+    def surrogate_np(self, means, actions, old_logp, adv) -> float:
+        """The surrogate of the policy whose means over the minibatch are ``means``."""
         logp = self.policy.log_prob_np(means, actions)
         return float(np.mean(np.exp(logp - old_logp) * adv))
 
-    def surrogate_grad(self, obs, actions, old_logp, adv) -> np.ndarray:
-        logp, write_grad = self.policy.log_prob_tensor(obs, actions)
+    def surrogate_grad(self, obs, actions, old_logp, adv):
+        """The surrogate's gradient, and its forward pass's means and kept inputs."""
+        means, kept = self.policy.net.forward(obs)
+        logp, write_grad = self.policy.log_prob_tensor(means, kept, actions)
         ratio = (logp - Tensor(old_logp)).exp()
         (ratio * Tensor(adv)).mean().backward()
         g = np.empty_like(self.policy.net.flat)
         write_grad(g)
-        return g
+        return g, means, kept
 
     def natural_step(self, obs, actions, old_logp, old_means, adv) -> bool:
         """One trust-region update on a minibatch; returns True if accepted."""
         cfg = self.cfg
         flat = self.policy.net.flat
-        g = self.surrogate_grad(obs, actions, old_logp, adv)
+        g, means, kept = self.surrogate_grad(obs, actions, old_logp, adv)
         if not np.all(np.isfinite(g)):
             return False
-        kept = self.policy.net.forward(obs)[1]  # parameters stay fixed through CG
         fvp = lambda v: self.fisher_vector_product(kept, v)
         x = conjugate_gradient(fvp, g, cfg.cg_iterations)
         xhx = float(x @ fvp(x))
@@ -270,15 +273,14 @@ class TrpoTrainer(OnPolicyTrainer):
             return False
         step = np.sqrt(2.0 * cfg.kl_limit / xhx) * x
         old_vector = flat.copy()
-        base_surrogate = self.surrogate_np(obs, actions, old_logp, adv)
+        base = self.surrogate_np(means, actions, old_logp, adv)
         scale = 1.0
         for _ in range(cfg.backtrack_steps):
             flat[:] = old_vector + scale * step
             self.policy.net.clamp_log_std()
-            new_means = self.policy.mean_np(obs)
-            kl = self.policy.kl_old_new_np(old_means, self._log_std_at_collect,
-                                           new_means)
-            improved = self.surrogate_np(obs, actions, old_logp, adv) > base_surrogate
+            means = self.policy.mean_np(obs)  # the step's, for its KL and surrogate
+            kl = self.policy.kl_old_new_np(old_means, self._log_std_at_collect, means)
+            improved = self.surrogate_np(means, actions, old_logp, adv) > base
             if improved and kl <= cfg.kl_limit:
                 self.n_natural_steps += 1
                 return True

@@ -18,7 +18,6 @@ from .evalharness import (confidence_curves, delta_from_final, frequency_table,
                           top1_table, top3_lists, variance_after_threshold)
 from .experiments import EXPERIMENTS, experiment_spec, run_experiment_suite
 from .records import load_records_dir
-from .tuner import tune_algorithm
 
 __all__ = ["main"]
 
@@ -123,7 +122,11 @@ def _merge_run_section(args) -> dict:
             merged["algos"] = [run["algos"]]
         for key in ("steps", "workers"):
             if key in run:
-                merged[key] = int(run[key])
+                try:
+                    merged[key] = int(run[key])
+                except ValueError:
+                    raise UsageError(f"[run] {key} must be an integer, "
+                                     f"got {run[key]!r}") from None
         env_overrides = dict(sections.get("env", {}))
         for section, body in sections.items():
             if section.startswith("algo."):
@@ -181,6 +184,8 @@ def cmd_train(args) -> int:
 
 def cmd_tune(args) -> int:
     _require_positive(trials=args.trials, workers=args.workers, budget=args.budget)
+    # imported here: the tuner's process pool stays out of every other command
+    from .tuner import tune_algorithm
     env_overrides = {}
     if args.config:
         env_overrides = dict(parse_config_file(args.config).get("env", {}))
@@ -268,6 +273,7 @@ def cmd_rank(args) -> int:
 
 
 def cmd_export_curves(args) -> int:
+    _require_positive(bucket=args.bucket)
     records = load_records_dir(args.records)
     curves = confidence_curves(records, args.bucket)
     lines = ["algorithm,global_step,mean_return,ci_half_width,n_seeds"]

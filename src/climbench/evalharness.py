@@ -208,18 +208,18 @@ REFERENCE_TOP1_FREQUENCIES = {
 
 
 def confidence_curves(records: list[RunRecord], bucket_width: int | None = None):
-    """Per-algorithm (step, mean, 1.96 sd/sqrt(n), n) rows bucketed by step."""
+    """Per-algorithm (step, mean, 1.96 sd/sqrt(n), n) rows bucketed by step;
+    ``bucket_width`` None takes the smallest gap between a record's steps."""
+    if bucket_width is None:
+        widths = [min(np.diff(rec.steps)) for rec in records if len(rec.steps) > 1]
+        bucket_width = int(min(widths)) if widths else 1
+    elif bucket_width < 1:
+        raise ValueError(f"bucket width must be at least 1, got {bucket_width}")
     by_algo: dict[str, dict[int, list[float]]] = {}
-    widths = []
-    for rec in records:
-        steps = rec.steps
-        if len(steps) > 1:
-            widths.append(min(np.diff(steps)))
-    width = bucket_width or (int(min(widths)) if widths else 1)
     for rec in records:
         buckets = by_algo.setdefault(rec.algorithm, {})
         for step, ret in rec.entries:
-            bucket = ((step - 1) // width + 1) * width
+            bucket = ((step - 1) // bucket_width + 1) * bucket_width
             buckets.setdefault(bucket, []).append(ret)
     out: dict[str, list[tuple[int, float, float, int]]] = {}
     for algo, buckets in sorted(by_algo.items()):

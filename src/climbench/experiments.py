@@ -9,7 +9,6 @@ a tuner output directory (one fragment per environment version and algorithm).
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -162,5 +161,7 @@ def run_experiment_suite(experiment_id: str, algorithms: list[str], seeds: list[
         resolve_config(spec, algo, (algo_overrides or {}).get(algo), tuned_dir, steps)
     if workers <= 1 or len(tasks) == 1:
         return [run_single_task(t) for t in tasks]
+    # imported here, so that a serial run never loads the process pool
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_single_task, tasks))

@@ -1,17 +1,19 @@
 """Per-algorithm update math against hand oracles on synthetic data."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from climbench.algos import make_config, make_trainer, tqc
-from climbench.algos.common import SquashedGaussianPolicy
+from climbench.algos.common import LOG_2PI, SquashedGaussianPolicy
 from climbench.algos.onpolicy import conjugate_gradient
 from climbench.algos.tqc import quantile_fractions, truncated_quantile_loss
 from climbench.envs import BiasCorrectionEnv, BoxSpace, ClimateEnv, rng_stream
 from climbench.experiments import experiment_spec, make_experiment_env, resolve_config
-from climbench.nn import Mlp, Tensor
+from climbench.nn import LOG_STD_MAX, LOG_STD_MIN, Mlp, Tensor
 from climbench.records import load_record
 from climbench.rollout import discounted_returns
 from tape_oracle import gather, node, param_leaves
@@ -236,7 +238,7 @@ def test_trpo_ratio_one_gives_zero_kl_and_mean_advantage():
     logp = trainer.policy.log_prob_np(means, actions)
     adv = rng.normal(size=32)
     trainer._log_std_at_collect = trainer.policy.net.log_std.copy()
-    assert trainer.surrogate_np(obs, actions, logp, adv) == pytest.approx(
+    assert trainer.surrogate_np(means, actions, logp, adv) == pytest.approx(
         float(adv.mean()), rel=1e-12)
     kl = trainer.policy.kl_old_new_np(means, trainer._log_std_at_collect,
                                       trainer.policy.mean_np(obs))
@@ -305,26 +307,88 @@ def test_trpo_no_op_on_unimprovable_surrogate():
 
 @pytest.mark.parametrize("cg_iterations", [1, 10])
 def test_trpo_natural_step_runs_two_policy_forward_passes(monkeypatch, cg_iterations):
-    # one for the surrogate gradient, one whose layer inputs every
-    # Fisher-vector product of the CG solve reuses
+    # One ``forward`` for the surrogate gradient, whose layer inputs every
+    # Fisher-vector product of the CG solve reuses and whose means give the
+    # base surrogate; then one ``forward_np`` per backtracking scale tried,
+    # whose means give that scale's KL and surrogate.
     trainer = make("trpo", cg_iterations=cg_iterations)
     rng = np.random.default_rng(6)
     obs = rng.uniform(0, 1, size=(64, 1))
     means = trainer.policy.mean_np(obs)
     actions = means + 0.05 * rng.normal(size=(64, 1))
     logp = trainer.policy.log_prob_np(means, actions)
+    # a gradient far from CG's tolerance, so the solve takes several products
+    adv = 1e4 * rng.normal(size=64)
     trainer._log_std_at_collect = trainer.policy.net.log_std.copy()
     net = trainer.policy.net
-    forwards, products = [], []
+    forwards, passes, products = [], [], []
     monkeypatch.setattr(net, "forward",
                         lambda x: forwards.append(x) or Mlp.forward(net, x))
+    monkeypatch.setattr(net, "forward_np",
+                        lambda x: passes.append(x) or Mlp.forward_np(net, x))
     fvp = trainer.fisher_vector_product
     monkeypatch.setattr(trainer, "fisher_vector_product",
                         lambda kept, v: products.append(v) or fvp(kept, v))
-    # a gradient far from CG's tolerance, so the solve takes several products
-    trainer.natural_step(obs, actions, logp, means, 1e4 * rng.normal(size=64))
+    before = net.flat.copy()
+    # every scale's KL inside the region: the full step improves the surrogate
+    monkeypatch.setattr(trainer.policy, "kl_old_new_np", lambda *args: 0.0)
+    assert trainer.natural_step(obs, actions, logp, means, adv)
     assert len(products) == 2 if cg_iterations == 1 else len(products) > 2
-    assert len(forwards) == 2
+    assert (len(forwards), len(passes)) == (1, 1)
+    # from the same parameters, every scale's KL outside the region
+    net.flat[:] = before
+    forwards.clear(), passes.clear()
+    monkeypatch.setattr(trainer.policy, "kl_old_new_np", lambda *args: np.inf)
+    assert not trainer.natural_step(obs, actions, logp, means, adv)
+    assert np.array_equal(net.flat, before)
+    assert (len(forwards), len(passes)) == (1, trainer.cfg.backtrack_steps)
+
+
+class NoiseEnv(ClimateEnv):
+    """Observations drawn from ``rng`` whatever the action; no reward."""
+
+    def __init__(self, obs_dim: int, act_dim: int, max_steps: int, rng):
+        super().__init__()
+        self.max_steps = max_steps
+        self.observation_space = BoxSpace(low=np.full(obs_dim, -5.0),
+                                          high=np.full(obs_dim, 5.0))
+        self.action_space = BoxSpace(low=-np.ones(act_dim), high=np.ones(act_dim))
+        self.rng = rng
+
+    def _reset_state(self):
+        return self.rng.uniform(-5.0, 5.0, size=self.observation_space.dim)
+
+    def _dynamics(self, action):
+        return self._reset_state(), 0.0, {}
+
+
+@given(data=st.data())
+def test_episode_log_probs_match_each_steps_own_sample(data):
+    # An episode's log-probs come from one ``log_prob_np`` call after it ends.
+    # The oracle replays each step's sample from the explore stream and scores
+    # it with the one-row formula, at the log-std fixed through the episode.
+    tag = data.draw(st.sampled_from(["reinforce", "ppo", "trpo"]), label="algorithm")
+    obs_dim = data.draw(st.integers(1, 3), label="obs_dim")
+    act_dim = data.draw(st.integers(1, 3), label="act_dim")
+    n = data.draw(st.integers(1, 300), label="episode length")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    trainer = make(tag, env=NoiseEnv(obs_dim, act_dim, n, rng), total_timesteps=n)
+    bound = st.sampled_from([LOG_STD_MIN, LOG_STD_MAX])
+    trainer.policy.net.log_std[:] = data.draw(st.lists(
+        bound | st.floats(LOG_STD_MIN, LOG_STD_MAX), min_size=act_dim,
+        max_size=act_dim), label="log_std")
+    explore = copy.deepcopy(trainer.streams.explore)
+    ep = trainer.collect_episode()
+    std = np.exp(trainer.policy.net.log_std)
+    expected = np.empty(n)
+    for t, obs in enumerate(ep["obs"]):
+        mean = trainer.policy.net.forward_np(obs)
+        raw = mean + std * explore.normal(size=act_dim)
+        assert (ep["means"][t].tobytes(), ep["actions"][t].tobytes()) == (
+            mean.tobytes(), raw.tobytes())
+        z = (raw - mean) / std
+        expected[t] = float((-0.5 * z * z - np.log(std) - 0.5 * LOG_2PI).sum())
+    assert ep["log_probs"].tobytes() == expected.tobytes()
 
 
 # -- PPO ------------------------------------------------------------------------
@@ -646,5 +710,5 @@ def test_select_action_always_in_box():
         trainer = make(tag)
         trainer.policy.net.log_std[:] = 1.0  # most raw samples leave the box
         for _ in range(200):
-            a, _, _, _ = trainer.policy.sample_np(np.array([0.5]), trainer.streams.explore)
+            a, _, _ = trainer.policy.sample_np(np.array([0.5]), trainer.streams.explore)
             assert -1.0 <= a[0] <= 1.0

@@ -55,6 +55,20 @@ def test_train_non_positive_steps_in_config_file_is_usage_error(tmp_path):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("line,key", [("steps = abc", "steps"),
+                                      ("workers = 1.5", "workers")])
+def test_train_malformed_integer_in_config_file_is_usage_error(tmp_path, capsys,
+                                                               line, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[run]\n{line}\n")
+    out = tmp_path / "records"
+    code = run_cli("train", "--experiment", "v0-homo-64L", "--algo", "reinforce",
+                   "--seeds", "1", "--config", str(cfg), "--out", str(out))
+    assert code == 1
+    assert f"[run] {key} must be an integer" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("seeds,message", [
     ("3..1", "no seeds"), ("x", "malformed seeds"), ("1..2..3", "malformed seeds"),
     ("1,,x", "malformed seeds"), (",", "no seeds"), ("1,1", "repeated seed"),
@@ -228,6 +242,21 @@ def test_export_curves_ci_halfwidth(tmp_path):
     assert float(first[2]) == pytest.approx(-0.9)
     assert float(first[3]) == pytest.approx(1.96 * sd / np.sqrt(3))
     assert int(first[4]) == 3
+
+
+@pytest.mark.parametrize("bucket", ["0", "-100"])
+def test_export_curves_bucket_below_one_is_usage_error(tmp_path, capsys, bucket):
+    records_dir = tmp_path / "records"
+    records_dir.mkdir()
+    rec = RunRecord("v0-homo-64L", "dpg", 1)
+    rec.add(200, -1.0)
+    rec.add(400, -0.5)
+    rec.save(records_dir / record_filename("v0-homo-64L", "dpg", 1))
+    out = tmp_path / "curves.csv"
+    assert run_cli("export", "curves", "--records", str(records_dir),
+                   "--bucket", bucket, "--out", str(out)) == 1
+    assert "--bucket must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_export_profile_four_columns(tmp_path):

@@ -174,3 +174,9 @@ def test_confidence_curves_formula():
     expected_half = 1.96 * np.std(values, ddof=1) / math.sqrt(3)
     assert rows[0][2] == pytest.approx(expected_half)
     assert rows[0][3] == 3
+
+
+@pytest.mark.parametrize("width", [0, -100])
+def test_confidence_curves_reject_a_bucket_below_one(width):
+    with pytest.raises(ValueError, match="at least 1"):
+        confidence_curves([make_record([-1.0, -0.5])], width)

@@ -1,5 +1,10 @@
 """Experiment registry, config resolution, and the suite runner."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from climbench.configio import write_algo_fragment
@@ -104,6 +109,24 @@ def test_parallel_suite_matches_serial(tmp_path):
                                     out_dir=tmp_path / "p", workers=2)
     for a, b in zip(serial, parallel):
         assert a.entries == b.entries
+
+
+def test_serial_run_never_loads_the_process_pool(tmp_path):
+    # a one-worker suite, through the CLI, in a fresh interpreter
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["train", "--experiment", "v0-homo-64L", "--algo", "reinforce", "--seeds",
+            "1", "--steps", "50", "--workers", "1", "--out", str(tmp_path)]
+    code = ("import sys\nfrom climbench.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing')"
+            " if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert len(list(tmp_path.glob("*.rec"))) == 1
 
 
 def test_rce_suite_writes_profile_sidecar(tmp_path):

@@ -46,14 +46,14 @@ def drawn_case(data, tag: str):
 
 
 def compared(owner, name: str, oracle, pairs: list) -> None:
-    """Wrap ``owner.name`` so that each call also records (its result, the
-    oracle's result over the same arguments, taken first)."""
+    """Wrap ``owner.name`` so that each call also records (the gradient its
+    result starts with, the oracle's result over the same arguments, taken first)."""
     real = getattr(owner, name)
 
     def wrapper(*args):
         expected = oracle(*args)
         got = real(*args)
-        pairs.append((got.tobytes(), expected.tobytes()))
+        pairs.append((got[0].tobytes(), expected.tobytes()))
         return got
 
     setattr(owner, name, wrapper)
