@@ -3,13 +3,17 @@
 Each config carries exactly the tunable hyperparameters of its algorithm
 (``TUNABLE_FIELDS``) plus shared run-level fields (discount, step budget) and
 a few fixed design constants. Fields marked inert are accepted for config
-parity but unused by the update rule.
+parity but unused by the update rule. ``make_config`` builds one through
+``configio.build_config``, so unknown keys and malformed values raise
+``ConfigError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from typing import ClassVar
+
+from ..configio import build_config
 
 __all__ = ["ALGORITHM_TAGS", "TUNABLE_FIELDS", "BaseConfig",
            "ReinforceConfig", "DpgConfig", "DdpgConfig", "Td3Config", "PpoConfig",
@@ -45,15 +49,6 @@ class BaseConfig:
     gamma: float = 0.99
     total_timesteps: int = 60_000
     actor_critic_layer_size: int = 64
-
-    def replace_fields(self, **overrides) -> "BaseConfig":
-        names = {f.name for f in fields(self)}
-        for key in overrides:
-            if key not in names:
-                raise ValueError(f"{self.algorithm}: unknown config field {key!r}")
-        for key, value in overrides.items():
-            setattr(self, key, value)
-        return self
 
 
 @dataclass
@@ -170,10 +165,10 @@ CONFIG_CLASSES = {
 }
 
 
-def make_config(algorithm: str, **overrides) -> BaseConfig:
+def make_config(algorithm: str, /, **overrides) -> BaseConfig:
     if algorithm not in CONFIG_CLASSES:
         raise ValueError(f"unknown algorithm tag {algorithm!r}")
-    return CONFIG_CLASSES[algorithm]().replace_fields(**overrides)
+    return build_config(CONFIG_CLASSES[algorithm], overrides)
 
 
 def config_repr(cfg: BaseConfig) -> str:

@@ -1,7 +1,8 @@
 """Command-line entry point: train, tune, evaluate, rank, export.
 
-Exit codes: 0 success, 1 usage error (bad flags, unknown ids), 2 runtime
-failure (missing records, unwritable output, aborted runs).
+Exit codes: 0 success, 1 usage error (bad flags, unknown ids, config-file
+sections, keys or values), 2 runtime failure (missing records, unwritable
+output, aborted runs).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from pathlib import Path
 
 
 from .algos.config import ALGORITHM_TAGS
-from .configio import parse_config_file, parse_seeds
+from .configio import ConfigError, parse_config_file, parse_seeds
 from .evalharness import (confidence_curves, delta_from_final, frequency_table,
                           n_to_threshold, rank_algorithms, threshold_for_experiment,
                           top1_table, top3_lists, variance_after_threshold)
@@ -38,7 +39,7 @@ def _build_parser() -> _Parser:
 
     train = sub.add_parser("train", help="train algorithms and write run records")
     train.add_argument("--experiment", help="experiment id (see --list)")
-    train.add_argument("--algo", action="append", default=None,
+    train.add_argument("--algo", dest="algos", action="append", default=None,
                        help="algorithm tag; repeat or comma-separate")
     train.add_argument("--seeds", default=None, help="e.g. 1..10 or 1,2,5")
     train.add_argument("--steps", type=int, default=None,
@@ -106,47 +107,37 @@ def _require_positive(**values) -> None:
             raise UsageError(f"--{name} must be at least 1, got {value}")
 
 
-def _merge_run_section(args) -> dict:
+def _read_config(args, sections: tuple[str, ...]) -> dict[str, dict[str, str]]:
+    """The sections of ``--config``; a section outside ``sections`` is a usage
+    error."""
+    found = parse_config_file(args.config) if args.config else {}
+    for name in found:
+        if name not in sections:
+            raise UsageError(f"{args.config}: {args.command} does not read [{name}]")
+    return found
+
+
+# train's defaults, keyed by the [run] keys, which are also its flags' dests
+_RUN_DEFAULTS = {"experiment": None, "algos": None, "seeds": "1..10", "steps": None,
+                "workers": 1, "out": "records", "tuned_dir": None}
+
+
+def _merge_run_section(args, run: dict[str, str]) -> dict:
     """defaults < config-file [run] < command-line flags."""
-    merged = {"experiment": None, "algos": None, "seeds": "1..10", "steps": None,
-              "workers": 1, "out": "records", "tuned_dir": None}
-    env_overrides: dict = {}
-    algo_overrides: dict[str, dict] = {}
-    if args.config:
-        sections = parse_config_file(args.config)
-        run = sections.get("run", {})
-        for key in ("experiment", "seeds", "out", "tuned_dir"):
-            if key in run:
-                merged[key] = run[key]
-        if "algos" in run:
-            merged["algos"] = [run["algos"]]
-        for key in ("steps", "workers"):
-            if key in run:
-                try:
-                    merged[key] = int(run[key])
-                except ValueError:
-                    raise UsageError(f"[run] {key} must be an integer, "
-                                     f"got {run[key]!r}") from None
-        env_overrides = dict(sections.get("env", {}))
-        for section, body in sections.items():
-            if section.startswith("algo."):
-                algo_overrides[section.split(".", 1)[1]] = dict(body)
-    if args.experiment:
-        merged["experiment"] = args.experiment
-    if args.algo:
-        merged["algos"] = args.algo
-    if args.seeds:
-        merged["seeds"] = args.seeds
-    if args.steps is not None:
-        merged["steps"] = args.steps
-    if args.workers is not None:
-        merged["workers"] = args.workers
-    if args.out:
-        merged["out"] = args.out
-    if getattr(args, "tuned_dir", None):
-        merged["tuned_dir"] = args.tuned_dir
-    merged["env_overrides"] = env_overrides
-    merged["algo_overrides"] = algo_overrides
+    merged = dict(_RUN_DEFAULTS)
+    for key, value in run.items():
+        if key not in merged:
+            raise UsageError(f"[run] unknown key {key!r}")
+        if key in ("steps", "workers"):
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(f"[run] {key} must be an integer, "
+                                 f"got {value!r}") from None
+        merged[key] = [value] if key == "algos" else value
+    for key in merged:
+        if getattr(args, key) is not None:
+            merged[key] = getattr(args, key)
     return merged
 
 
@@ -155,7 +146,9 @@ def cmd_train(args) -> int:
         for experiment_id in EXPERIMENTS:
             print(experiment_id)
         return 0
-    merged = _merge_run_section(args)
+    sections = _read_config(args, ("run", "env",
+                                   *(f"algo.{tag}" for tag in ALGORITHM_TAGS)))
+    merged = _merge_run_section(args, sections.get("run", {}))
     if not merged["experiment"]:
         raise UsageError("--experiment is required")
     try:
@@ -170,8 +163,9 @@ def cmd_train(args) -> int:
     _require_positive(steps=merged["steps"], workers=merged["workers"])
     records = run_experiment_suite(
         spec.experiment_id, algos, seeds, out_dir=merged["out"],
-        workers=int(merged["workers"]), env_overrides=merged["env_overrides"],
-        algo_overrides=merged["algo_overrides"], tuned_dir=merged["tuned_dir"],
+        workers=merged["workers"], env_overrides=sections.get("env"),
+        algo_overrides={tag: sections.get(f"algo.{tag}") for tag in algos},
+        tuned_dir=merged["tuned_dir"],
         steps=merged["steps"], save_checkpoints=args.checkpoints)
     aborted = [r for r in records if r.aborted]
     for rec in records:
@@ -186,9 +180,8 @@ def cmd_tune(args) -> int:
     _require_positive(trials=args.trials, workers=args.workers, budget=args.budget)
     # imported here: the tuner's process pool stays out of every other command
     from .tuner import tune_algorithm
-    env_overrides = {}
-    if args.config:
-        env_overrides = dict(parse_config_file(args.config).get("env", {}))
+    # [run] holds train's flags; tune takes its own from the command line
+    env_overrides = _read_config(args, ("run", "env")).get("env")
     for algo in _parse_algos(args.algo):
         try:
             experiment_spec(args.experiment)
@@ -197,7 +190,7 @@ def cmd_tune(args) -> int:
         result = tune_algorithm(algo, args.experiment, n_trials=args.trials,
                                 workers=args.workers, seed=args.seed,
                                 out_dir=args.out, trial_budget=args.budget,
-                                env_overrides=env_overrides or None)
+                                env_overrides=env_overrides)
         pruned = sum(t.status == "pruned" for t in result.trials)
         print(f"{args.experiment} {algo}: best trial {result.best.trial_id} "
               f"score {result.best.final_score:.4f} "
@@ -329,7 +322,7 @@ def main(argv=None) -> int:
                 return cmd_export_curves(args)
             return cmd_export_profile(args)
         raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
+    except (UsageError, ConfigError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (FileNotFoundError, ValueError, KeyError, RuntimeError, OSError) as exc:

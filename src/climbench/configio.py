@@ -1,20 +1,23 @@
-"""Run-config files: INI sections with typed key=value pairs.
+"""Run-config files, and the one checked constructor for config objects.
 
 Grammar (configparser syntax):
 
-    [run]                  # experiment, algos, seeds, steps, workers, out
-    experiment = v0-homo-64L-60k
+    [run]                  # train only: experiment, algos, seeds, steps,
+    experiment = v0-homo-64L-60k   # workers, out, tuned_dir
     algos = ddpg,td3
     seeds = 1..10
 
     [env]                  # overrides for the experiment's environment params
     t_physics = 323.75
 
-    [algo.ddpg]            # per-algorithm hyperparameter overrides
+    [algo.ddpg]            # train only: per-algorithm hyperparameter overrides
     learning_rate = 3e-4
 
-Values are coerced to the declared dataclass field types. Seed lists accept
-"a..b" ranges and comma-separated integers.
+Every algorithm config and environment-params object is built by
+``build_config``, which rejects unknown keys, coerces strings to the declared
+``float``/``int`` and raises ``ConfigError`` naming the class, key and value
+when a value is malformed or rejected. Seed lists accept "a..b" ranges and
+comma-separated integers.
 """
 
 from __future__ import annotations
@@ -23,13 +26,40 @@ import configparser
 import dataclasses
 from pathlib import Path
 
-__all__ = ["parse_config_file", "parse_seeds", "coerce_overrides",
+__all__ = ["ConfigError", "build_config", "parse_config_file", "parse_seeds",
            "write_algo_fragment", "read_algo_fragment"]
+
+
+class ConfigError(ValueError):
+    """A config file or config value that cannot be used as given."""
+
+
+def build_config(cls, raw: dict):
+    """``cls(**raw)``, with strings coerced to the fields' float/int types."""
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    values = {}
+    for key, value in raw.items():
+        if key not in types:
+            raise ConfigError(f"{cls.__name__}: unknown key {key!r}")
+        convert = {"float": float, "int": int}.get(types[key])
+        try:
+            values[key] = convert(value) if isinstance(value, str) else value
+        except (TypeError, ValueError):
+            raise ConfigError(f"{cls.__name__}: {key} = {value!r} is not a valid "
+                              f"{types[key]}") from None
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        given = ", ".join(f"{k} = {v!r}" for k, v in raw.items())
+        raise ConfigError(f"{cls.__name__} ({given}): {exc}") from None
 
 
 def parse_config_file(path) -> dict[str, dict[str, str]]:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
     return {section: dict(parser.items(section)) for section in parser.sections()}
@@ -53,27 +83,6 @@ def parse_seeds(spec: str) -> list[int]:
     if len(set(seeds)) < len(seeds):
         raise ValueError(f"repeated seed in {spec!r}")
     return seeds
-
-
-def coerce_overrides(raw: dict[str, str], target) -> dict[str, object]:
-    """Coerce string values to the field types of a dataclass (type or instance)."""
-    field_types = {f.name: f.type for f in dataclasses.fields(target)}
-    concrete = {"float": float, "int": int, "str": str}
-    out: dict[str, object] = {}
-    for key, value in raw.items():
-        if key not in field_types:
-            raise ValueError(f"unknown override field {key!r} for "
-                             f"{getattr(target, '__name__', type(target).__name__)}")
-        if not isinstance(value, str):
-            out[key] = value
-            continue
-        t = field_types[key]
-        if isinstance(t, str):
-            t = concrete.get(t)
-        if t not in (float, int, str):
-            raise ValueError(f"field {key!r} cannot be overridden from a config file")
-        out[key] = t(value)
-    return out
 
 
 def write_algo_fragment(path, algorithm: str, values: dict[str, object]) -> None:

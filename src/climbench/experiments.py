@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .algos import BaseConfig, make_config, make_trainer
-from .configio import coerce_overrides, read_algo_fragment
+from .configio import build_config, read_algo_fragment
 from .envs import (BiasCorrectionEnv, BiasCorrParams, RceEnv, RcePhysicsParams,
                    export_profile_with_simulated)
 from .nn import save_mlp
@@ -39,25 +39,15 @@ class ExperimentSpec:
 
 def _build_registry() -> dict[str, ExperimentSpec]:
     registry: dict[str, ExperimentSpec] = {}
-    for v in ("v0", "v1", "v2"):
-        env_id = f"SimpleClimateBiasCorrection-{v}"
-        registry[f"{v}-optim-L"] = ExperimentSpec(f"{v}-optim-L", env_id, v,
-                                                  20_000, "optim")
-        registry[f"{v}-optim-L-60k"] = ExperimentSpec(f"{v}-optim-L-60k", env_id, v,
-                                                      60_000, "optim")
-        registry[f"{v}-homo-64L"] = ExperimentSpec(f"{v}-homo-64L", env_id, v,
-                                                   20_000, "homo-64")
-        registry[f"{v}-homo-64L-60k"] = ExperimentSpec(f"{v}-homo-64L-60k", env_id, v,
-                                                       60_000, "homo-64")
-    env_id = "RadiativeConvectiveModel-v0"
-    registry["rce-v0-optim-L"] = ExperimentSpec("rce-v0-optim-L", env_id, "rce-v0",
-                                                4_000, "optim")
-    registry["rce-v0-optim-L-10k"] = ExperimentSpec("rce-v0-optim-L-10k", env_id,
-                                                    "rce-v0", 10_000, "optim")
-    registry["rce-v0-homo-64L"] = ExperimentSpec("rce-v0-homo-64L", env_id, "rce-v0",
-                                                 4_000, "homo-64")
-    registry["rce-v0-homo-64L-10k"] = ExperimentSpec("rce-v0-homo-64L-10k", env_id,
-                                                     "rce-v0", 10_000, "homo-64")
+    environments = [(v, f"SimpleClimateBiasCorrection-{v}", 20_000, 60_000)
+                    for v in ("v0", "v1", "v2")]
+    environments.append(("rce-v0", "RadiativeConvectiveModel-v0", 4_000, 10_000))
+    for version, env_id, base, long in environments:
+        for policy, name in (("optim", "optim-L"), ("homo-64", "homo-64L")):
+            for steps, suffix in ((base, ""), (long, f"-{long // 1000}k")):
+                experiment_id = f"{version}-{name}{suffix}"
+                registry[experiment_id] = ExperimentSpec(experiment_id, env_id,
+                                                         version, steps, policy)
     return registry
 
 
@@ -72,12 +62,10 @@ def experiment_spec(experiment_id: str) -> ExperimentSpec:
 
 
 def make_experiment_env(spec: ExperimentSpec, env_overrides: dict | None = None):
-    overrides = env_overrides or {}
     if spec.is_rce:
-        params = RcePhysicsParams(**coerce_overrides(overrides, RcePhysicsParams))
-        return RceEnv(params)
-    params = BiasCorrParams(**coerce_overrides(overrides, BiasCorrParams))
-    return BiasCorrectionEnv(spec.env_version, params)
+        return RceEnv(build_config(RcePhysicsParams, env_overrides or {}))
+    return BiasCorrectionEnv(spec.env_version,
+                             build_config(BiasCorrParams, env_overrides or {}))
 
 
 def tuned_fragment_path(tuned_dir, env_version: str, algorithm: str) -> Path:
@@ -87,9 +75,11 @@ def tuned_fragment_path(tuned_dir, env_version: str, algorithm: str) -> Path:
 def resolve_config(spec: ExperimentSpec, algorithm: str,
                    algo_overrides: dict | None = None,
                    tuned_dir=None, steps: int | None = None) -> BaseConfig:
-    cfg = make_config(algorithm, total_timesteps=spec.steps if steps is None else steps)
+    """The config of one run; later sources win: the step budget (and homo-64L's
+    width 64), then the tuned fragment of optim-L runs, then ``algo_overrides``."""
+    values = {"total_timesteps": spec.steps if steps is None else steps}
     if spec.layer_policy == "homo-64":
-        cfg.actor_critic_layer_size = 64
+        values["actor_critic_layer_size"] = 64
     else:
         if tuned_dir is None:
             raise FileNotFoundError(
@@ -98,11 +88,9 @@ def resolve_config(spec: ExperimentSpec, algorithm: str,
         path = tuned_fragment_path(tuned_dir, spec.env_version, algorithm)
         if not path.exists():
             raise FileNotFoundError(f"no tuned fragment for {algorithm} at {path}")
-        raw = read_algo_fragment(path, algorithm)
-        cfg.replace_fields(**coerce_overrides(raw, type(cfg)))
-    if algo_overrides:
-        cfg.replace_fields(**coerce_overrides(algo_overrides, type(cfg)))
-    return cfg
+        values.update(read_algo_fragment(path, algorithm))
+    values.update(algo_overrides or {})
+    return make_config(algorithm, **values)
 
 
 def plan_experiment_suite(experiment_id: str, algorithms: list[str],
@@ -157,6 +145,7 @@ def run_experiment_suite(experiment_id: str, algorithms: list[str], seeds: list[
     } for _, algo, seed in plan]
     # Fail fast on config errors before spawning workers.
     spec = experiment_spec(experiment_id)
+    make_experiment_env(spec, env_overrides)
     for algo in algorithms:
         resolve_config(spec, algo, (algo_overrides or {}).get(algo), tuned_dir, steps)
     if workers <= 1 or len(tasks) == 1:

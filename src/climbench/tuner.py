@@ -20,7 +20,6 @@ import math
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -28,12 +27,12 @@ from .algos import BaseConfig, make_config, make_trainer
 from .algos.config import TUNABLE_FIELDS
 from .configio import write_algo_fragment
 from .envs.core import rng_stream
-from .experiments import experiment_spec, make_experiment_env
+from .experiments import experiment_spec, make_experiment_env, tuned_fragment_path
 from .records import RunRecord
 
-__all__ = ["SearchSpace", "PARAMETER_RANGES", "build_search_space", "sample_config",
-           "Trial", "StudyResult", "run_study", "TrainingTrialRunner",
-           "tune_algorithm", "CHECKPOINT_FRACTIONS", "STREAM_TUNER"]
+__all__ = ["PARAMETER_RANGES", "sample_config", "Trial", "StudyResult", "run_study",
+           "TrainingTrialRunner", "tune_algorithm", "CHECKPOINT_FRACTIONS",
+           "STREAM_TUNER"]
 
 STREAM_TUNER = 6
 CHECKPOINT_FRACTIONS = (0.2, 0.4, 0.6, 0.8)
@@ -65,41 +64,22 @@ PARAMETER_RANGES: dict[str, tuple] = {
 }
 
 
-@dataclass(frozen=True)
-class SearchSpace:
-    algorithm: str
-    parameters: dict[str, tuple]
-
-
-def build_search_space(algorithm: str) -> SearchSpace:
-    if algorithm not in TUNABLE_FIELDS:
-        raise ValueError(f"unknown algorithm tag {algorithm!r}")
-    return SearchSpace(algorithm, {name: PARAMETER_RANGES[name]
-                                   for name in TUNABLE_FIELDS[algorithm]})
-
-
-def sample_parameters(space: SearchSpace, rng: np.random.Generator) -> dict[str, object]:
+def sample_config(algorithm: str, rng: np.random.Generator,
+                  total_timesteps: int) -> tuple[BaseConfig, dict[str, object]]:
+    """A config with ``TUNABLE_FIELDS[algorithm]`` drawn in order, and the draws."""
     sampled: dict[str, object] = {}
-    for name, spec in space.parameters.items():
-        kind = spec[0]
+    for name in TUNABLE_FIELDS[algorithm]:
+        kind, *spec = PARAMETER_RANGES[name]
         if kind == "log":
-            lo, hi = math.log(spec[1]), math.log(spec[2])
+            lo, hi = math.log(spec[0]), math.log(spec[1])
             sampled[name] = float(math.exp(rng.uniform(lo, hi)))
         elif kind == "uniform":
-            sampled[name] = float(rng.uniform(spec[1], spec[2]))
+            sampled[name] = float(rng.uniform(spec[0], spec[1]))
         elif kind == "choice":
-            sampled[name] = int(spec[1][int(rng.integers(0, len(spec[1])))])
-        elif kind == "int":
-            sampled[name] = int(rng.integers(spec[1], spec[2] + 1))
+            sampled[name] = int(spec[0][int(rng.integers(0, len(spec[0])))])
         else:
-            raise ValueError(f"unknown range kind {kind!r}")
-    return sampled
-
-
-def sample_config(space: SearchSpace, rng: np.random.Generator,
-                  total_timesteps: int) -> tuple[BaseConfig, dict[str, object]]:
-    sampled = sample_parameters(space, rng)
-    cfg = make_config(space.algorithm, total_timesteps=total_timesteps, **sampled)
+            sampled[name] = int(rng.integers(spec[0], spec[1] + 1))
+    cfg = make_config(algorithm, total_timesteps=total_timesteps, **sampled)
     return cfg, sampled
 
 
@@ -167,7 +147,7 @@ def _advance_task(args):
     return state, value, steps, None
 
 
-def run_study(runner, space: SearchSpace, n_trials: int, budget_steps: int,
+def run_study(runner, algorithm: str, n_trials: int, budget_steps: int,
               workers: int = 1, seed: int = 1,
               checkpoint_fractions: tuple = CHECKPOINT_FRACTIONS) -> StudyResult:
     if n_trials < 1:
@@ -175,7 +155,7 @@ def run_study(runner, space: SearchSpace, n_trials: int, budget_steps: int,
     rng = rng_stream(seed, STREAM_TUNER)
     configs, trials = [], []
     for tid in range(n_trials):
-        cfg, sampled = sample_config(space, rng, budget_steps)
+        cfg, sampled = sample_config(algorithm, rng, budget_steps)
         configs.append(cfg)
         trials.append(Trial(tid, sampled))
     states: dict[int, object] = {tid: None for tid in range(n_trials)}
@@ -228,12 +208,10 @@ def tune_algorithm(algorithm: str, experiment_id: str, n_trials: int = 32,
     """Run a study and write the best config fragment for *-optim-L runs."""
     spec = experiment_spec(experiment_id)
     budget = spec.steps if trial_budget is None else trial_budget
-    space = build_search_space(algorithm)
     runner = TrainingTrialRunner(algorithm, experiment_id, env_overrides)
-    result = run_study(runner, space, n_trials, budget, workers=workers, seed=seed)
+    result = run_study(runner, algorithm, n_trials, budget, workers=workers, seed=seed)
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        fragment = out_dir / spec.env_version / f"{algorithm}.cfg"
+        fragment = tuned_fragment_path(out_dir, spec.env_version, algorithm)
         write_algo_fragment(fragment, algorithm, result.best.sampled)
         summary = {
             "algorithm": algorithm,
@@ -254,7 +232,6 @@ def tune_algorithm(algorithm: str, experiment_id: str, n_trials: int = 32,
                 "error": t.error,
             } for t in result.trials],
         }
-        study_path = out_dir / spec.env_version / f"{algorithm}.study.json"
-        study_path.parent.mkdir(parents=True, exist_ok=True)
-        study_path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+        fragment.with_suffix(".study.json").write_text(
+            json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     return result

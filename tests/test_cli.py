@@ -69,6 +69,43 @@ def test_train_malformed_integer_in_config_file_is_usage_error(tmp_path, capsys,
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("section,line,named", [
+    ("algo.reinforce", "learning_rate = abc", "learning_rate = 'abc'"),
+    ("env", "max_steps = 1.5", "max_steps = '1.5'"),
+    ("env", "t_physics = 321.75", "t_physics = '321.75'"),
+    ("algo.reinforce", "bogus = 1", "'bogus'"),
+    ("algo.nosuch", "x = 1", "[algo.nosuch]"),
+    ("runn", "steps = 5", "[runn]"),
+    ("run", "step = 5", "'step'"),
+    (None, "steps = 5", "no section headers")])
+def test_train_config_file_mistake_is_usage_error(tmp_path, capsys, section, line,
+                                                  named):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[{section}]\n{line}\n" if section else f"{line}\n")
+    out = tmp_path / "records"
+    code = run_cli("train", "--experiment", "v0-homo-64L", "--algo", "reinforce",
+                   "--seeds", "1", "--steps", "50", "--config", str(cfg),
+                   "--out", str(out))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and named in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("section", ["algo.reinforce", "runn"])
+def test_tune_config_file_section_it_does_not_read_is_usage_error(tmp_path, capsys,
+                                                                   section):
+    cfg = tmp_path / "tune.cfg"
+    cfg.write_text(f"[run]\nsteps = 5\n\n[{section}]\nlearning_rate = 0.01\n")
+    out = tmp_path / "tuned"
+    code = run_cli("tune", "--experiment", "v0-homo-64L", "--algo", "reinforce",
+                   "--trials", "2", "--budget", "50", "--config", str(cfg),
+                   "--out", str(out))
+    assert code == 1
+    assert f"does not read [{section}]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seeds,message", [
     ("3..1", "no seeds"), ("x", "malformed seeds"), ("1..2..3", "malformed seeds"),
     ("1,,x", "malformed seeds"), (",", "no seeds"), ("1,1", "repeated seed"),

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from climbench.configio import write_algo_fragment
+from climbench.configio import ConfigError, write_algo_fragment
 from climbench.experiments import (EXPERIMENTS, experiment_spec, make_experiment_env,
                                    plan_experiment_suite, resolve_config,
                                    run_experiment_suite, tuned_fragment_path)
@@ -21,6 +21,35 @@ def test_sixteen_experiment_codes():
             assert f"{v}-{suffix}" in EXPERIMENTS
     for suffix in ("optim-L", "optim-L-10k", "homo-64L", "homo-64L-10k"):
         assert f"rce-v0-{suffix}" in EXPERIMENTS
+
+
+# The registry in `--list` order: (experiment, environment, version, steps,
+# layer policy).
+REGISTRY = [
+    ("v0-optim-L", "SimpleClimateBiasCorrection-v0", "v0", 20000, "optim"),
+    ("v0-optim-L-60k", "SimpleClimateBiasCorrection-v0", "v0", 60000, "optim"),
+    ("v0-homo-64L", "SimpleClimateBiasCorrection-v0", "v0", 20000, "homo-64"),
+    ("v0-homo-64L-60k", "SimpleClimateBiasCorrection-v0", "v0", 60000, "homo-64"),
+    ("v1-optim-L", "SimpleClimateBiasCorrection-v1", "v1", 20000, "optim"),
+    ("v1-optim-L-60k", "SimpleClimateBiasCorrection-v1", "v1", 60000, "optim"),
+    ("v1-homo-64L", "SimpleClimateBiasCorrection-v1", "v1", 20000, "homo-64"),
+    ("v1-homo-64L-60k", "SimpleClimateBiasCorrection-v1", "v1", 60000, "homo-64"),
+    ("v2-optim-L", "SimpleClimateBiasCorrection-v2", "v2", 20000, "optim"),
+    ("v2-optim-L-60k", "SimpleClimateBiasCorrection-v2", "v2", 60000, "optim"),
+    ("v2-homo-64L", "SimpleClimateBiasCorrection-v2", "v2", 20000, "homo-64"),
+    ("v2-homo-64L-60k", "SimpleClimateBiasCorrection-v2", "v2", 60000, "homo-64"),
+    ("rce-v0-optim-L", "RadiativeConvectiveModel-v0", "rce-v0", 4000, "optim"),
+    ("rce-v0-optim-L-10k", "RadiativeConvectiveModel-v0", "rce-v0", 10000, "optim"),
+    ("rce-v0-homo-64L", "RadiativeConvectiveModel-v0", "rce-v0", 4000, "homo-64"),
+    ("rce-v0-homo-64L-10k", "RadiativeConvectiveModel-v0", "rce-v0", 10000,
+     "homo-64"),
+]
+
+
+def test_registry_specs_in_list_order():
+    assert [(s.experiment_id, s.environment_id, s.env_version, s.steps,
+             s.layer_policy) for s in EXPERIMENTS.values()] == REGISTRY
+    assert all(key == s.experiment_id for key, s in EXPERIMENTS.items())
 
 
 def test_budgets_match_naming():
@@ -63,6 +92,24 @@ def test_optim_l_requires_and_loads_tuned_fragment(tmp_path):
     assert cfg.actor_critic_layer_size == 128
     assert cfg.learning_rate == pytest.approx(0.00025)
     assert cfg.tau == pytest.approx(0.02)
+
+
+def test_algo_overrides_win_over_width_and_tuned_fragment(tmp_path):
+    cfg = resolve_config(experiment_spec("v0-homo-64L"), "dpg",
+                         {"actor_critic_layer_size": "32"})
+    assert cfg.actor_critic_layer_size == 32
+    write_algo_fragment(tuned_fragment_path(tmp_path, "v0", "ddpg"), "ddpg",
+                        {"learning_rate": 0.00025, "tau": 0.02})
+    cfg = resolve_config(experiment_spec("v0-optim-L"), "ddpg",
+                         {"learning_rate": "0.003"}, tuned_dir=tmp_path, steps=500)
+    assert (cfg.learning_rate, cfg.tau, cfg.total_timesteps) == (0.003, 0.02, 500)
+
+
+def test_bad_env_value_fails_before_the_pool_starts(tmp_path):
+    with pytest.raises(ConfigError, match="max_steps = '1.5'"):
+        run_experiment_suite("v0-homo-64L", ["reinforce"], [1, 2], out_dir=tmp_path,
+                             workers=2, env_overrides={"max_steps": "1.5"}, steps=50)
+    assert not list(tmp_path.glob("*.rec"))
 
 
 def test_env_overrides_reach_environment():

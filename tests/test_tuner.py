@@ -1,15 +1,15 @@
-"""Search spaces, median pruning, and study determinism."""
+"""Hyperparameter sampling, median pruning, and study determinism."""
 
+import hashlib
 import json
 
 import numpy as np
 
 from climbench.algos import make_config
-from climbench.algos.config import TUNABLE_FIELDS
+from climbench.algos.config import ALGORITHM_TAGS, TUNABLE_FIELDS, config_repr
 from climbench.envs.core import rng_stream
 from climbench.tuner import (PARAMETER_RANGES, STREAM_TUNER, TrainingTrialRunner,
-                             _advance_task, build_search_space, run_study,
-                             sample_config, sample_parameters, tune_algorithm)
+                             _advance_task, run_study, sample_config, tune_algorithm)
 
 
 class CurveRunner:
@@ -35,24 +35,25 @@ PAPER_TUNABLE_COUNTS = {"reinforce": 2, "ddpg": 7, "dpg": 4, "td3": 8, "ppo": 6,
                         "trpo": 6, "sac": 9, "tqc": 10}
 
 
+def _draw(algo, seed):
+    return sample_config(algo, rng_stream(seed, STREAM_TUNER), 5000)[1]
+
+
 def test_search_space_counts_match_reference_table():
     for algo, count in PAPER_TUNABLE_COUNTS.items():
-        space = build_search_space(algo)
-        assert len(space.parameters) == count
-        assert set(space.parameters) == set(TUNABLE_FIELDS[algo])
+        assert len(TUNABLE_FIELDS[algo]) == count
+        assert list(_draw(algo, 1)) == list(TUNABLE_FIELDS[algo])
 
 
 def test_reinforce_has_two_tunables_tqc_ten():
-    assert len(build_search_space("reinforce").parameters) == 2
-    assert len(build_search_space("tqc").parameters) == 10
+    assert len(_draw("reinforce", 1)) == 2
+    assert len(_draw("tqc", 1)) == 10
 
 
 def test_sampling_respects_ranges_and_is_reproducible():
-    space = build_search_space("tqc")
-    a = sample_parameters(space, rng_stream(5, STREAM_TUNER))
-    b = sample_parameters(space, rng_stream(5, STREAM_TUNER))
-    assert a == b
-    c = sample_parameters(space, rng_stream(6, STREAM_TUNER))
+    a = _draw("tqc", 5)
+    assert a == _draw("tqc", 5)
+    c = _draw("tqc", 6)
     assert a != c
     for name, value in a.items():
         kind, *rest = PARAMETER_RANGES[name]
@@ -63,16 +64,28 @@ def test_sampling_respects_ranges_and_is_reproducible():
 
 
 def test_sampled_config_has_inactive_fields_at_defaults():
-    space = build_search_space("reinforce")
-    cfg, sampled = sample_config(space, rng_stream(1, STREAM_TUNER), 5000)
+    cfg, sampled = sample_config("reinforce", rng_stream(1, STREAM_TUNER), 5000)
     assert set(sampled) == {"learning_rate", "actor_critic_layer_size"}
     assert cfg.total_timesteps == 5000
     assert cfg.gamma == 0.99  # untouched shared default
 
 
+def test_sampled_configs_are_pinned():
+    # Four draws per algorithm and study seed, as a study's first trials.
+    digest = hashlib.sha256()
+    for algo in ALGORITHM_TAGS:
+        for seed in range(1, 6):
+            rng = rng_stream(seed, STREAM_TUNER)
+            for _ in range(4):
+                cfg, sampled = sample_config(algo, rng, 5000)
+                digest.update(f"{config_repr(cfg)}|{sampled!r}\n".encode())
+    assert digest.hexdigest() == \
+        "3dd56cabe04f0f1304e9c6f806ae936f115f48e3127ea2cf0805ad2c397d009f"
+
+
 def test_single_trial_never_pruned():
     runner = CurveRunner([-1.0])
-    result = run_study(runner, build_search_space("reinforce"), n_trials=1,
+    result = run_study(runner, "reinforce", n_trials=1,
                        budget_steps=1000)
     assert result.best.trial_id == 0
     assert result.trials[0].status == "complete"
@@ -80,7 +93,7 @@ def test_single_trial_never_pruned():
 
 def test_dominated_trial_pruned_by_second_checkpoint():
     runner = CurveRunner([1.0, -1.0])  # trial 1 strictly dominated everywhere
-    result = run_study(runner, build_search_space("reinforce"), n_trials=2,
+    result = run_study(runner, "reinforce", n_trials=2,
                        budget_steps=1000)
     assert result.trials[1].status == "pruned"
     assert result.trials[1].checkpoints[-1][0] <= 0.4
@@ -94,7 +107,7 @@ def test_incumbent_best_never_pruned_property():
     for _ in range(20):
         slopes = rng.normal(size=6)
         runner = CurveRunner(slopes.tolist())
-        result = run_study(runner, build_search_space("reinforce"), n_trials=6,
+        result = run_study(runner, "reinforce", n_trials=6,
                            budget_steps=500)
         best_slope_trial = int(np.argmax(slopes))
         assert result.trials[best_slope_trial].status == "complete"
@@ -103,7 +116,7 @@ def test_incumbent_best_never_pruned_property():
 
 def test_steps_accounting_bounds():
     runner = CurveRunner([3.0, 2.0, 1.0, -1.0])
-    result = run_study(runner, build_search_space("reinforce"), n_trials=4,
+    result = run_study(runner, "reinforce", n_trials=4,
                        budget_steps=1000)
     assert result.total_env_steps <= 4 * 1000
     pruned = [t for t in result.trials if t.status == "pruned"]
@@ -118,7 +131,7 @@ def test_failed_trial_does_not_abort_study():
             return super().advance(state, target)
 
     runner = FlakyRunner([1.0, 2.0, 0.5])
-    result = run_study(runner, build_search_space("reinforce"), n_trials=3,
+    result = run_study(runner, "reinforce", n_trials=3,
                        budget_steps=100)
     assert result.trials[1].status == "failed"
     assert result.trials[1].error == "boom"
