@@ -72,11 +72,12 @@ class GaussianPolicy:
     def to_env(self, raw: np.ndarray) -> np.ndarray:
         return self.action_space.clip(self.center + self.half * raw)
 
-    def sample_np(self, obs: np.ndarray, rng: np.random.Generator):
-        """One step's sample: (env action, raw action, raw mean). Its log-prob
+    def sample_np(self, obs: np.ndarray, noise: np.ndarray):
+        """One step's sample at ``noise``, that step's row of ``std_np()`` times
+        standard-normal draws: (env action, raw action, raw mean). Its log-prob
         is ``log_prob_np`` of the raw mean and action, at the same log-std."""
         mean = self.net.forward_np(obs)
-        raw = mean + self.std_np() * rng.normal(size=self.act_dim)
+        raw = mean + noise
         return self.to_env(raw), raw, mean
 
     def log_prob_np(self, means: np.ndarray, actions: np.ndarray) -> np.ndarray:

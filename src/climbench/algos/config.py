@@ -4,8 +4,8 @@ Each config carries exactly the tunable hyperparameters of its algorithm
 (``TUNABLE_FIELDS``) plus shared run-level fields (discount, step budget) and
 a few fixed design constants. Fields marked inert are accepted for config
 parity but unused by the update rule. ``make_config`` builds one through
-``configio.build_config``, so unknown keys and malformed values raise
-``ConfigError``.
+``configio.build_config``, so unknown keys, malformed values and values
+outside a field's range (``BaseConfig.__post_init__``) raise ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -43,12 +43,33 @@ TUNABLE_FIELDS: dict[str, tuple[str, ...]] = {
             "target_network_frequency", "actor_critic_layer_size"),
 }
 
+# Range rules by field name, for the fields each config has: learning rates
+# are positive, discount and blend factors lie in [0, 1], and sizes and
+# counts are at least 1.
+_LEARNING_RATES = ("learning_rate", "policy_lr", "q_lr", "actor_adam_lr",
+                   "critic_adam_lr", "alpha_adam_lr")
+_UNIT_INTERVAL = ("gamma", "tau", "gae_lambda")
+_COUNTS = ("actor_critic_layer_size", "batch_size", "num_minibatches", "update_epochs",
+           "policy_frequency", "target_network_frequency", "n_quantiles", "n_critics",
+           "cg_iterations", "backtrack_steps")
+
+
 @dataclass
 class BaseConfig:
     algorithm: ClassVar[str] = ""
     gamma: float = 0.99
     total_timesteps: int = 60_000
     actor_critic_layer_size: int = 64
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in _LEARNING_RATES and not value > 0:
+                raise ValueError(f"{f.name} must be positive, got {value!r}")
+            if f.name in _UNIT_INTERVAL and not 0 <= value <= 1:
+                raise ValueError(f"{f.name} must be in [0, 1], got {value!r}")
+            if f.name in _COUNTS and not value >= 1:
+                raise ValueError(f"{f.name} must be at least 1, got {value!r}")
 
 
 @dataclass

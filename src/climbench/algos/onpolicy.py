@@ -64,7 +64,7 @@ class OnPolicyTrainer(Trainer):
     TRPO that runs GAE, bootstrapping through the cap, normalizes the
     advantages and sweeps ``update_epochs`` epochs of shuffled minibatches
     through ``minibatch_step``, stopping early once the KL from the collection
-    policy exceeds ``kl_limit``.
+    policy exceeds ``kl_limit`` after an epoch that is not the last.
     """
 
     # the nets one Adam optimizer steps; a value net is built only if listed
@@ -89,35 +89,39 @@ class OnPolicyTrainer(Trainer):
         self.optimizer = Optimizer([net.flat for net in self._adam_nets],
                                    cfg.learning_rate)
 
-    def _value(self, obs: np.ndarray) -> float:
-        # REINFORCE never reads the values of its batch
-        if self.value_net is None:
-            return 0.0
-        return float(self.value_net.forward_np(obs)[0])
-
     def collect_episode(self) -> dict[str, np.ndarray]:
-        """Arrays of ``env.max_steps`` rows; ``values`` ends with the bootstrap."""
+        """One episode to the step cap, as arrays of ``env.max_steps`` rows.
+
+        The step loop runs only observation -> policy -> env. The episode's
+        exploration noise is one (max_steps, act_dim) draw, made before the
+        loop: Philox gives the same bytes as one draw per step and leaves the
+        stream where those would. After the loop the value net runs once over
+        the stacked observations, (max_steps + 1, 1, obs_dim), which gives the
+        bytes of one pass per observation; ``values`` ends with the bootstrap
+        value (0.0 throughout for REINFORCE, which has no value net).
+        """
         n = self.env.max_steps
         act_dim = self.env.action_space.dim
-        ep = {"obs": np.empty((n, self.env.observation_space.dim)),
-              "actions": np.empty((n, act_dim)), "rewards": np.empty(n),
-              "values": np.empty(n + 1), "means": np.empty((n, act_dim))}
-        obs = self.env.reset()
-        episode_return = 0.0
+        obs = np.empty((n + 1, self.env.observation_space.dim))
+        actions, means = np.empty((n, act_dim)), np.empty((n, act_dim))
+        rewards = np.empty(n)
+        noise = self.policy.std_np() * self.streams.explore.normal(size=(n, act_dim))
+        obs[0] = self.env.reset()
         for t in range(n):
-            ep["obs"][t] = obs
-            env_action, ep["actions"][t], ep["means"][t] = self.policy.sample_np(
-                obs, self.streams.explore)
-            ep["values"][t] = self._value(obs)
+            env_action, actions[t], means[t] = self.policy.sample_np(obs[t], noise[t])
             res = self.env.step(env_action)
             self.global_step += 1
-            episode_return += res.reward
-            ep["rewards"][t] = res.reward
-            obs = res.observation
-        ep["values"][n] = self._value(obs)
-        ep["log_probs"] = self.policy.log_prob_np(ep["means"], ep["actions"])
+            rewards[t] = res.reward
+            obs[t + 1] = res.observation
+        episode_return = 0.0
+        for reward in rewards.tolist():
+            episode_return += reward
         self.record.add(self.global_step, episode_return)
-        return ep
+        values = (np.zeros(n + 1) if self.value_net is None
+                  else self.value_net.forward_np(obs[:, None, :]).reshape(-1))
+        return {"obs": obs[:n], "actions": actions, "rewards": rewards,
+                "values": values, "means": means,
+                "log_probs": self.policy.log_prob_np(means, actions)}
 
     def _run(self, total_steps: int) -> None:
         while self.global_step < total_steps:
@@ -131,11 +135,13 @@ class OnPolicyTrainer(Trainer):
         arrays["advantages"] = (adv - adv.mean()) / (adv.std() + 1e-8)
         arrays["returns"] = returns
         self._log_std_at_collect = self.policy.net.log_std.copy()
-        for _epoch in range(cfg.update_epochs):
+        for epoch in range(cfg.update_epochs):
             order = self.streams.shuffle.permutation(adv.size)
             for idx in np.array_split(order, cfg.num_minibatches):
                 if idx.size > 0:
                     self.minibatch_step({k: v[idx] for k, v in arrays.items()})
+            if epoch == cfg.update_epochs - 1:
+                break  # the sweep ends here whatever the KL
             new_means = self.policy.mean_np(arrays["obs"])
             if self.policy.kl_old_new_np(arrays["means"], self._log_std_at_collect,
                                          new_means) > cfg.kl_limit:

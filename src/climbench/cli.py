@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 
-from .algos.config import ALGORITHM_TAGS
+from .algos.config import ALGORITHM_TAGS, make_config
 from .configio import ConfigError, parse_config_file, parse_seeds
 from .evalharness import (confidence_curves, delta_from_final, frequency_table,
                           n_to_threshold, rank_algorithms, threshold_for_experiment,
@@ -148,6 +148,13 @@ def cmd_train(args) -> int:
         return 0
     sections = _read_config(args, ("run", "env",
                                    *(f"algo.{tag}" for tag in ALGORITHM_TAGS)))
+    # every [algo.<tag>] section, not only the selected ones, must build
+    for tag in ALGORITHM_TAGS:
+        if f"algo.{tag}" in sections:
+            try:
+                make_config(tag, **sections[f"algo.{tag}"])
+            except ConfigError as exc:
+                raise ConfigError(f"{args.config}: [algo.{tag}] {exc}") from None
     merged = _merge_run_section(args, sections.get("run", {}))
     if not merged["experiment"]:
         raise UsageError("--experiment is required")

@@ -115,7 +115,7 @@ class ClimateEnv:
         if action.shape != self.action_space.low.shape:
             raise ValueError(
                 f"action length {action.size} != action space dim {self.action_space.dim}")
-        action = self.action_space.clip(action)
+        action = action.clip(self.action_space.low, self.action_space.high)
         observation, reward, info = self._dynamics(action)
         self._step_index += 1
         truncated = self._step_index >= self.max_steps

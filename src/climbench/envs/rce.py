@@ -378,7 +378,7 @@ class RceEnv(ClimateEnv):
         return self._observe()
 
     def _dynamics(self, action: np.ndarray):
-        emissivity, lapse = float(action[0]), float(action[1])
+        emissivity, lapse = action.tolist()
         p = self.params
         heating, olr, surface_net = grey_longwave_step(self.column, emissivity)
         self.column.temperatures = self.column.temperatures + heating * p.dt

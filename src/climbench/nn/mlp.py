@@ -123,9 +123,9 @@ class Mlp:
     # -- forward -------------------------------------------------------------------
 
     def _layers(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """The numpy forward pass over a (batch, in_dim) array: the output, and
+        """The numpy forward pass over rows ``x[..., in_dim]``: the output, and
         each layer's input followed (tanh_scaled head) by the head's tanh."""
-        if x.ndim != 2 or x.shape[1] != self.layer_sizes[0]:
+        if x.ndim == 0 or x.shape[-1] != self.layer_sizes[0]:
             raise ValueError(f"input shape {x.shape} incompatible with net input "
                              f"width {self.layer_sizes[0]}")
         h, inputs = x, []
@@ -146,6 +146,8 @@ class Mlp:
         """The training pass over a (batch, in_dim) array: the output, and what
         ``backward`` needs (each layer's input, then any tanh_scaled head's
         tanh). A profile of ``forward`` counts training passes only."""
+        if x.ndim != 2:
+            raise ValueError(f"training input must be (batch, in_dim), got {x.shape}")
         return self._layers(x)
 
     def backward(self, kept: list[np.ndarray], g: np.ndarray,
@@ -171,13 +173,16 @@ class Mlp:
         return g @ w.T if input_grad else None
 
     def forward_np(self, x: np.ndarray) -> np.ndarray:
-        """Graph-free forward pass for targets and action selection."""
-        x = np.asarray(x, dtype=np.float64)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
-        h = self._layers(x)[0]
-        return h[0] if squeeze else h
+        """Graph-free forward pass for targets and action selection.
+
+        ``x`` is one row (in_dim,), a batch (batch, in_dim) or a stack of rows
+        (N, 1, in_dim), and the output keeps its leading shape. One row runs
+        the layers on 1-D arrays. A stack runs N one-row products, so its
+        output is byte for byte that of N one-row calls; a (N, in_dim) batch
+        is one matrix product, whose rows may differ from those in the last
+        bits.
+        """
+        return self._layers(np.asarray(x, dtype=np.float64))[0]
 
     def jvp(self, kept: list[np.ndarray], tangents: list[np.ndarray]) -> np.ndarray:
         """Directional derivative of the pre-head output w.r.t. the affine

@@ -364,9 +364,11 @@ class NoiseEnv(ClimateEnv):
 
 @given(data=st.data())
 def test_episode_log_probs_match_each_steps_own_sample(data):
-    # An episode's log-probs come from one ``log_prob_np`` call after it ends.
-    # The oracle replays each step's sample from the explore stream and scores
-    # it with the one-row formula, at the log-std fixed through the episode.
+    # An episode's noise is one block draw and its log-probs one
+    # ``log_prob_np`` call after it ends. The oracle replays each step's sample
+    # with its own draw from the explore stream and scores it with the one-row
+    # formula, at the log-std fixed through the episode; the block draw must
+    # leave the stream where the per-step draws do.
     tag = data.draw(st.sampled_from(["reinforce", "ppo", "trpo"]), label="algorithm")
     obs_dim = data.draw(st.integers(1, 3), label="obs_dim")
     act_dim = data.draw(st.integers(1, 3), label="act_dim")
@@ -389,6 +391,57 @@ def test_episode_log_probs_match_each_steps_own_sample(data):
         z = (raw - mean) / std
         expected[t] = float((-0.5 * z * z - np.log(std) - 0.5 * LOG_2PI).sum())
     assert ep["log_probs"].tobytes() == expected.tobytes()
+    # the Philox state holds arrays (counter, key, buffer): compare their text
+    assert repr(explore.bit_generator.state) == repr(
+        trainer.streams.explore.bit_generator.state)
+
+
+class CountingGenerator:
+    """A generator's draws, with each call's name and size logged."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        draw = getattr(self.rng, name)
+
+        def logged(*args, **kwargs):
+            self.calls.append((name, kwargs.get("size")))
+            return draw(*args, **kwargs)
+        return logged
+
+
+def test_episode_step_loop_runs_only_the_policy_and_env(monkeypatch):
+    # One noise draw per episode, one policy pass per step and one value pass
+    # over the stacked observations after the loop.
+    env = NoiseEnv(2, 2, 40, np.random.default_rng(0))
+    trainer = make("ppo", env=env)
+    explore = trainer.streams.explore = CountingGenerator(trainer.streams.explore)
+    passes = {"policy": [], "value": []}
+    for name, net in (("policy", trainer.policy.net), ("value", trainer.value_net)):
+        monkeypatch.setattr(net, "forward_np", lambda x, net=net, log=passes[name]:
+                            log.append(np.shape(x)) or Mlp.forward_np(net, x))
+    ep = trainer.collect_episode()
+    assert explore.calls == [("normal", (40, 2))]
+    assert passes["policy"] == [(2,)] * 40
+    assert passes["value"] == [(41, 1, 2)]
+    assert ep["values"].shape == (41,)
+
+
+@pytest.mark.parametrize("tag", ["ppo", "trpo"])
+def test_no_kl_check_after_the_last_epoch(monkeypatch, tag):
+    # The KL early stop runs one full-batch policy pass after each epoch but
+    # the last, after which the sweep ends anyway.
+    env = NoiseEnv(1, 1, 48, np.random.default_rng(2))
+    trainer = make(tag, env=env, update_epochs=3, num_minibatches=4)
+    ep = trainer.collect_episode()
+    net = trainer.policy.net
+    full_batch = []
+    monkeypatch.setattr(net, "forward_np", lambda x: full_batch.append(
+        len(x) == 48) or Mlp.forward_np(net, x))
+    monkeypatch.setattr(trainer.policy, "kl_old_new_np", lambda *args: 0.0)
+    trainer.update_from_batch(ep)
+    assert sum(full_batch) == trainer.cfg.update_epochs - 1
 
 
 # -- PPO ------------------------------------------------------------------------
@@ -710,5 +763,6 @@ def test_select_action_always_in_box():
         trainer = make(tag)
         trainer.policy.net.log_std[:] = 1.0  # most raw samples leave the box
         for _ in range(200):
-            a, _, _ = trainer.policy.sample_np(np.array([0.5]), trainer.streams.explore)
+            noise = trainer.policy.std_np() * trainer.streams.explore.normal(size=1)
+            a, _, _ = trainer.policy.sample_np(np.array([0.5]), noise)
             assert -1.0 <= a[0] <= 1.0

@@ -38,6 +38,7 @@ def test_traced_rce_round_reaches_the_column_physics(tmp_path, monkeypatch):
     # The tracer wraps rce.grey_longwave_step and rce.convective_adjustment
     # where the module looks them up; a step that stops calling them through
     # those names leaves the RCE layer figures and the adjustment audit empty.
+    # Likewise ``algos.act`` times the policy's per-step sample.
     monkeypatch.syspath_prepend(str(BENCH))
     import checks
     import spans
@@ -56,5 +57,7 @@ def test_traced_rce_round_reaches_the_column_physics(tmp_path, monkeypatch):
     assert metrics["envs.rce.longwave_s"] > 0 and metrics["envs.rce.adjust_s"] > 0
     names = [span[1] for span in tracer.spans]
     assert names.count("envs.rce.longwave") == names.count("envs.rce.adjust") == rnd.steps
+    # the on-policy learners act through GaussianPolicy.sample_np once a step
+    assert names.count("algos.act") == rnd.steps
     assert audit.adjustments == audit.rce_steps == rnd.steps > 0
     assert audit.problems() == []

@@ -74,6 +74,9 @@ def test_train_malformed_integer_in_config_file_is_usage_error(tmp_path, capsys,
     ("env", "max_steps = 1.5", "max_steps = '1.5'"),
     ("env", "t_physics = 321.75", "t_physics = '321.75'"),
     ("algo.reinforce", "bogus = 1", "'bogus'"),
+    ("algo.reinforce", "learning_rate = -1", "learning_rate must be positive"),
+    ("algo.reinforce", "gamma = 1.5", "gamma must be in [0, 1]"),
+    ("algo.reinforce", "actor_critic_layer_size = 0", "must be at least 1"),
     ("algo.nosuch", "x = 1", "[algo.nosuch]"),
     ("runn", "steps = 5", "[runn]"),
     ("run", "step = 5", "'step'"),
@@ -89,6 +92,25 @@ def test_train_config_file_mistake_is_usage_error(tmp_path, capsys, section, lin
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and named in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("line,named", [
+    ("learning_rate = abc", "learning_rate = 'abc'"),
+    ("tau = 2", "tau must be in [0, 1]")])
+def test_train_checks_the_sections_of_algorithms_it_does_not_run(tmp_path, capsys,
+                                                                  line, named):
+    # A shared config file's mistake surfaces in every run, not only in a
+    # later one that selects the algorithm.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[algo.td3]\n{line}\n")
+    out = tmp_path / "records"
+    code = run_cli("train", "--experiment", "v0-homo-64L", "--algo", "reinforce",
+                   "--seeds", "1", "--steps", "50", "--config", str(cfg),
+                   "--out", str(out))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "[algo.td3]" in err and named in err
     assert not out.exists() or not any(out.iterdir())
 
 

@@ -1,5 +1,6 @@
 """Experiment registry, config resolution, and the suite runner."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from climbench.algos import ALGORITHM_TAGS, make_config
 from climbench.configio import ConfigError, write_algo_fragment
 from climbench.experiments import (EXPERIMENTS, experiment_spec, make_experiment_env,
                                    plan_experiment_suite, resolve_config,
@@ -110,6 +112,37 @@ def test_bad_env_value_fails_before_the_pool_starts(tmp_path):
         run_experiment_suite("v0-homo-64L", ["reinforce"], [1, 2], out_dir=tmp_path,
                              workers=2, env_overrides={"max_steps": "1.5"}, steps=50)
     assert not list(tmp_path.glob("*.rec"))
+
+
+# (values rejected, values accepted) per range rule of the algorithm configs
+_RANGES = {"rate": (["0", "-1e-3", "nan"], ["1e-9"]),
+           "unit": (["-0.01", "1.01", "nan"], ["0", "1"]),
+           "count": (["0", "-2"], ["1"])}
+_RULES = {"learning_rate": "rate", "policy_lr": "rate", "q_lr": "rate",
+          "actor_adam_lr": "rate", "critic_adam_lr": "rate", "alpha_adam_lr": "rate",
+          "gamma": "unit", "tau": "unit", "gae_lambda": "unit",
+          "actor_critic_layer_size": "count", "batch_size": "count",
+          "num_minibatches": "count", "update_epochs": "count",
+          "policy_frequency": "count", "target_network_frequency": "count",
+          "n_quantiles": "count", "n_critics": "count", "cg_iterations": "count",
+          "backtrack_steps": "count"}
+
+
+@pytest.mark.parametrize("tag", ALGORITHM_TAGS)
+def test_out_of_range_hyperparameters_fail_when_the_config_is_built(tag):
+    names = [f.name for f in dataclasses.fields(make_config(tag))]
+    # every learning rate of the config has a rule
+    rates = {n for n in names if n.endswith("_lr") or n == "learning_rate"}
+    assert rates <= set(_RULES)
+    for name in names:
+        if name not in _RULES:
+            continue
+        rejected, accepted = _RANGES[_RULES[name]]
+        for value in rejected:
+            with pytest.raises(ConfigError, match=f"{name} = '{value}'.*{name} must"):
+                make_config(tag, **{name: value})
+        for value in accepted:
+            make_config(tag, **{name: value})
 
 
 def test_env_overrides_reach_environment():

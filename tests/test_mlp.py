@@ -1,11 +1,16 @@
 """Head behaviour, initialization, JVP, and the checkpoint round-trip."""
 
 import hashlib
+import os
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from climbench.nn import LOG_STD_MAX, LOG_STD_MIN, Head, Mlp, load_mlp, save_mlp
 
@@ -40,6 +45,54 @@ def test_gaussian_head_log_std_param_and_clamp():
     net.log_std[:] = [-9.0, 7.0]
     net.clamp_log_std()
     assert np.array_equal(net.log_std, [LOG_STD_MIN, LOG_STD_MAX])
+
+
+@given(data=st.data())
+def test_stacked_rows_match_one_row_passes(data):
+    # The on-policy value pass runs once over an episode's observations
+    # stacked as (N, 1, in_dim): N one-row products, each byte for byte the
+    # one-row pass. A numpy that folded the stack into one matrix product
+    # would fail here, as a plain (N, in_dim) batch differs in the last bits.
+    in_dim = data.draw(st.integers(1, 256), label="in_dim")
+    width = data.draw(st.integers(1, 256), label="width")
+    out_dim = data.draw(st.integers(1, 3), label="out_dim")
+    kind = data.draw(st.sampled_from(["linear", "tanh_scaled", "gaussian"]),
+                     label="head")
+    rows = data.draw(st.integers(1, 600), label="rows")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    head = Head(kind, low=-np.ones(out_dim), high=np.full(out_dim, 3.0)) \
+        if kind == "tanh_scaled" else Head(kind)
+    net = Mlp([in_dim, width, width, out_dim], head=head, rng=rng)
+    x = rng.normal(scale=3.0, size=(rows, in_dim))
+    stacked = net.forward_np(x[:, None, :])
+    assert stacked.shape == (rows, 1, out_dim)
+    one_row = np.stack([net.forward_np(row) for row in x])
+    assert stacked[:, 0, :].tobytes() == one_row.tobytes()
+
+
+def test_stacked_rows_match_one_row_passes_with_two_blas_threads():
+    # The same property in a child process whose OpenBLAS runs two threads.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    test = f"{__file__}::test_stacked_rows_match_one_row_passes"
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p",
+                           "no:cacheprovider", test],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-4000:]
+    assert "1 passed" in proc.stdout
+
+
+def test_one_row_pass_keeps_its_shape_and_rejects_a_wrong_width():
+    net = Mlp([3, 8, 2], head=Head("gaussian"), rng=np.random.default_rng(0))
+    x = np.random.default_rng(1).normal(size=3)
+    out = net.forward_np(x)
+    assert out.shape == (2,)
+    assert out.tobytes() == net.forward_np(x[None, :])[0].tobytes()
+    with pytest.raises(ValueError):
+        net.forward_np(np.zeros(4))
+    with pytest.raises(ValueError):
+        net.forward(x)  # a training pass takes a (batch, in_dim) array
 
 
 def parameters(net: Mlp) -> list[np.ndarray]:
