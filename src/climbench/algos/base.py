@@ -253,12 +253,17 @@ class OffPolicyTrainer(Trainer):
         self.critic_opt.step(g)
         self.n_critic_updates += 1
 
+    def rsample(self, s: np.ndarray):
+        """The stochastic actor's ``rsample`` at states ``s``, its noise drawn
+        from the explore stream: for the actor step and the critic targets."""
+        xi = self.streams.explore.normal(size=(s.shape[0], self.env.action_space.dim))
+        return self.actor.rsample(s, xi)
+
     def _update_actor(self, batch: dict[str, np.ndarray]) -> None:
         s = batch["s"]
         n = s.shape[0]
         if self.stochastic_actor:
-            xi = self.streams.explore.normal(size=(n, self.env.action_space.dim))
-            action, logp, saved = self.actor.rsample(s, xi)
+            action, logp, saved = self.rsample(s)
         else:
             action, saved = self.actor.net.forward(s)
         x = np.concatenate([s, action], axis=1)

@@ -130,22 +130,9 @@ class SquashedGaussianPolicy:
             u = u + np.exp(self.net.log_std) * rng.normal(size=u.shape)
         return self.center + self.half * np.tanh(u)
 
-    def sample_with_log_prob_np(self, obs_batch: np.ndarray, rng: np.random.Generator):
-        """Batch sample + log-prob without a graph (for critic targets)."""
-        mean = self.net.forward_np(obs_batch)
-        log_std = self.net.log_std
-        std = np.exp(log_std)
-        xi = rng.normal(size=mean.shape)
-        u = mean + std * xi
-        t = np.tanh(u)
-        action = self.center + self.half * t
-        logp = (-0.5 * xi * xi - log_std - 0.5 * LOG_2PI
-                - np.log(self.half * (1.0 - t * t) + 1e-6)).sum(axis=1)
-        return action, logp
-
     def rsample(self, obs: np.ndarray, xi: np.ndarray):
-        """Reparameterized sample at noise ``xi`` for the actor step:
-        (action, log_prob, what ``rsample_backward`` needs)."""
+        """Reparameterized sample at noise ``xi``, for the actor step and the
+        critic targets: (action, log_prob, what ``rsample_backward`` needs)."""
         mean, kept = self.net.forward(obs)
         log_std = self.net.log_std
         std = np.exp(log_std)

@@ -164,8 +164,10 @@ class OnPolicyTrainer(Trainer):
         views = np.split(g, np.cumsum([net.flat.size for net in self._adam_nets[:-1]]))
         for write, view in zip(write_grads, views):
             write(view)
-        clip_grad_norm([p for net, view in zip(self._adam_nets, views)
-                        for p in net.unflatten(view)], self.cfg.max_grad_norm)
+        # per parameter, as flat slices: a contiguous array sums in the same
+        # order whatever its shape, so these match the shaped views' sums
+        clip_grad_norm([view[s] for net, view in zip(self._adam_nets, views)
+                        for s, _ in net.param_slices], self.cfg.max_grad_norm)
         self.optimizer.step(g)
 
 

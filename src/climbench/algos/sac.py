@@ -26,8 +26,7 @@ class SacTrainer(OffPolicyTrainer):
     def compute_target(self, batch: dict[str, np.ndarray],
                        alpha: float | None = None) -> np.ndarray:
         alpha = self.alpha if alpha is None else alpha
-        a_next, logp_next = self.actor.sample_with_log_prob_np(
-            batch["s_next"], self.streams.explore)
+        a_next, logp_next, _ = self.rsample(batch["s_next"])
         q_next = self.min_target_q(batch["s_next"], a_next)
         return batch["r"] + self.cfg.gamma * (q_next - alpha * logp_next)
 

@@ -105,8 +105,7 @@ class TqcTrainer(OffPolicyTrainer):
         """Pooled, sorted, truncated target quantiles y of shape (B, kept)."""
         cfg = self.cfg
         alpha = self.alpha if alpha is None else alpha
-        a_next, logp_next = self.actor.sample_with_log_prob_np(
-            batch["s_next"], self.streams.explore)
+        a_next, logp_next, _ = self.rsample(batch["s_next"])
         pooled = np.concatenate(
             [tc.q_np(batch["s_next"], a_next) for tc in self.target_critics], axis=1)
         pooled.sort(axis=1)

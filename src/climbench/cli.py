@@ -18,7 +18,7 @@ from .evalharness import (confidence_curves, delta_from_final, frequency_table,
                           n_to_threshold, rank_algorithms, threshold_for_experiment,
                           top1_table, top3_lists, variance_after_threshold)
 from .experiments import EXPERIMENTS, experiment_spec, run_experiment_suite
-from .records import load_records_dir
+from .records import load_records_dir, record_filename
 
 __all__ = ["main"]
 
@@ -287,7 +287,9 @@ def cmd_export_curves(args) -> int:
 
 def cmd_export_profile(args) -> int:
     records_dir = Path(args.records)
-    pattern = f"{args.experiment or '*'}__{args.algo}__seed{args.seed}.profile.csv"
+    # the sidecar sits beside its record, as ``run_single_task`` writes it
+    pattern = Path(record_filename(args.experiment or "*", args.algo,
+                                   args.seed)).with_suffix(".profile.csv").name
     matches = sorted(records_dir.glob(pattern))
     if not matches:
         raise FileNotFoundError(

@@ -13,9 +13,9 @@ Discretization: levels are layer centers; interfaces sit at midpoints between
 neighbouring levels, with the bottom interface half a spacing below the lowest
 level and the top interface at 0 hPa. Layer mass weights are interface
 pressure differences, and the surface slab participates in the convective
-energy bookkeeping with the equivalent weight C_s * g / (cp * 100) hPa. These
-grid constants, and the log pressure ratios of the hydrostatic heights, are
-computed once per ``RcePhysicsParams``, which is frozen for that reason.
+energy bookkeeping with the equivalent weight C_s * g / (cp * 100) hPa. The
+grid and the physical constants are fixed, so these weights, and the log
+pressure ratios of the hydrostatic heights, are computed once, at import.
 
 The per-step energy budget is exact by construction: summed layer heating
 equals (surface emission - OLR - back radiation), so column + surface enthalpy
@@ -33,26 +33,31 @@ repeat with recomputed heights until no adjacent pair is super-critical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import BoxSpace, ClimateEnv
 
 __all__ = [
-    "PRESSURE_LEVELS_HPA", "RcePhysicsParams", "AtmosphericColumn", "RceEnv",
-    "grey_longwave_step", "convective_adjustment", "column_heights",
-    "export_profile_with_simulated", "standard_atmosphere_temperature",
-    "ColumnStateError",
+    "PRESSURE_LEVELS_HPA", "LAYER_DP_HPA", "OBSERVED_PROFILE", "SIGMA", "CP", "G",
+    "R_GAS", "RcePhysicsParams", "AtmosphericColumn", "RceEnv", "grey_longwave_step",
+    "convective_adjustment", "column_heights", "export_profile_with_simulated",
+    "standard_atmosphere_temperature", "ColumnStateError",
 ]
 
 # 1000..100 hPa in 60 hPa steps, then a refined 10 hPa top level.
 PRESSURE_LEVELS_HPA = np.array(
     [1000., 940., 880., 820., 760., 700., 640., 580., 520., 460.,
      400., 340., 280., 220., 160., 100., 10.])
+PRESSURE_LEVELS_HPA.flags.writeable = False
 
 N_LEVELS = 17
+
+SIGMA = 5.670374419e-8   # Stefan-Boltzmann, W/m^2/K^4
+CP = 1004.0              # J/kg/K
+G = 9.81                 # m/s^2
+R_GAS = 287.0            # J/kg/K, dry air
 
 TEMPERATURE_FLOOR = 100.0
 TEMPERATURE_CEILING = 400.0
@@ -71,80 +76,50 @@ class ColumnStateError(ValueError):
     non-finite or outside (100, 400) K, or an adjustment that did not settle."""
 
 
-def _interface_pressures(levels: np.ndarray) -> np.ndarray:
-    mids = (levels[:-1] + levels[1:]) / 2.0
-    bottom = levels[0] + (levels[0] - levels[1]) / 2.0
-    return np.concatenate([[bottom], mids, [0.0]])
+# -- the grid's geometry -----------------------------------------------------------
+
+_IFACE = np.concatenate([
+    [PRESSURE_LEVELS_HPA[0] + (PRESSURE_LEVELS_HPA[0] - PRESSURE_LEVELS_HPA[1]) / 2.0],
+    (PRESSURE_LEVELS_HPA[:-1] + PRESSURE_LEVELS_HPA[1:]) / 2.0, [0.0]])
+LAYER_DP_HPA = _IFACE[:-1] - _IFACE[1:]
+LAYER_DP_HPA.flags.writeable = False
+_LAYER_DP = tuple(LAYER_DP_HPA.tolist())
+_CP_DP = tuple((CP * LAYER_DP_HPA * 100.0).tolist())   # J/kg/K * Pa
+_R_OVER_G = R_GAS / G                                   # m/K
+# ln(bottom interface / level) and ln(bottom interface / top interface); the
+# top interface sits at 0 hPa, so the top layer's span ends at half its level
+_LOG_TO_CENTRE = tuple(math.log(bottom / level)
+                       for bottom, level in zip(_IFACE, PRESSURE_LEVELS_HPA))
+_LOG_ACROSS = tuple(math.log(bottom / (top if top > 0 else level / 2.0))
+                    for bottom, top, level in zip(_IFACE, _IFACE[1:], PRESSURE_LEVELS_HPA))
 
 
-class _ColumnGeometry(NamedTuple):
-    """Constants of the pressure grid that every step reuses."""
-
-    layer_dp: np.ndarray         # hPa, read-only
-    weights: tuple[float, ...]   # surface weight, then layer_dp (hPa)
-    cp_dp: tuple[float, ...]     # cp * layer_dp * 100 (J/kg/K * Pa)
-    r_over_g: float              # m/K
-    log_to_centre: tuple[float, ...]  # ln(bottom interface / level)
-    log_across: tuple[float, ...]     # ln(bottom interface / top interface)
-
-
-def _column_geometry(params: "RcePhysicsParams") -> _ColumnGeometry:
-    levels = params.pressure_levels
-    iface = _interface_pressures(levels)
-    layer_dp = iface[:-1] - iface[1:]
-    to_centre, across = [], []
-    for i in range(N_LEVELS):
-        top = iface[i + 1]
-        if top <= 0:
-            top = levels[i] / 2.0  # top interface at 0 hPa: finite log span
-        to_centre.append(math.log(iface[i] / levels[i]))
-        across.append(math.log(iface[i] / top))
-    layer_dp.flags.writeable = False
-    surface = params.surface_heat_capacity * params.g / (params.cp * 100.0)
-    return _ColumnGeometry(layer_dp, (surface, *layer_dp.tolist()),
-                           tuple((params.cp * layer_dp * 100.0).tolist()),
-                           params.r_gas / params.g, tuple(to_centre), tuple(across))
-
-
-# eq=False: field-wise equality would compare the pressure_levels arrays, whose
-# truth value numpy refuses; params compare and hash by identity.
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RcePhysicsParams:
+    """The task's settable parameters. The grid and the physical constants are
+    the module's; ``pressure_levels``, ``cp`` and ``g`` read them for callers
+    that take them from the params, such as the benchmark's enthalpy audit."""
+
     insolation: float = 120.0          # S0/4 of a dim sun: keeps the whole
                                        # action box inside (100, 400) K
     albedo: float = 0.3
-    sigma: float = 5.670374419e-8      # Stefan-Boltzmann, W/m^2/K^4
-    cp: float = 1004.0                 # J/kg/K
-    g: float = 9.81                    # m/s^2
-    r_gas: float = 287.0               # J/kg/K, dry air
     dt: float = 86400.0                # seconds per env step
     surface_heat_capacity: float = 4.2e6   # 1 m water-equivalent slab, J/m^2/K
     isothermal_init: float = 285.0     # K
     max_steps: int = 500
-    pressure_levels: np.ndarray = field(
-        default_factory=lambda: PRESSURE_LEVELS_HPA.copy())
+
+    pressure_levels = PRESSURE_LEVELS_HPA
+    cp = CP
+    g = G
 
     def __post_init__(self):
-        levels = np.array(self.pressure_levels, dtype=np.float64)
-        if levels.size != N_LEVELS:
-            raise ValueError(f"need exactly {N_LEVELS} pressure levels")
-        if not np.all(np.diff(levels) < 0):
-            raise ValueError("pressure levels must be strictly decreasing")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        # The geometry below is derived from these fields, so none may change.
-        levels.flags.writeable = False
-        object.__setattr__(self, "pressure_levels", levels)
-        object.__setattr__(self, "_geometry", _column_geometry(self))
-
-    @property
-    def layer_dp(self) -> np.ndarray:
-        return self._geometry.layer_dp
 
     @property
     def surface_weight_hpa(self) -> float:
         """Surface slab expressed as an equivalent pressure thickness."""
-        return self._geometry.weights[0]
+        return self.surface_heat_capacity * G / (CP * 100.0)
 
     @property
     def absorbed_shortwave(self) -> float:
@@ -196,14 +171,13 @@ def grey_longwave_step(column: AtmosphericColumn, emissivity: float):
     """
     if not 0.0 <= emissivity <= 1.0:
         raise ValueError("emissivity must be in [0, 1]")
-    p = column.params
     eps = emissivity
     keep = 1.0 - eps
     # numpy's power does not round like libm's pow, so T^4 stays one array
     # expression; the recurrences and heating run over Python floats, whose
     # + - * / round exactly as numpy's elementwise ones do.
-    emit = (eps * p.sigma * column.temperatures ** 4).tolist()
-    flux = float(p.sigma * column.surface_temperature ** 4)
+    emit = (eps * SIGMA * column.temperatures ** 4).tolist()
+    flux = float(SIGMA * column.surface_temperature ** 4)
     up = [flux]
     for e in emit:
         flux = flux * keep + e
@@ -214,27 +188,25 @@ def grey_longwave_step(column: AtmosphericColumn, emissivity: float):
         flux = flux * keep + e
         down.append(flux)
     down.reverse()
-    g = p.g
-    heating = np.array([(eps * (u + d) - 2.0 * e) * g / cp_dp for u, d, e, cp_dp
-                        in zip(up, down[1:], emit, p._geometry.cp_dp)])
-    return heating, up[-1], p.absorbed_shortwave + down[0] - up[0]
+    heating = np.array([(eps * (u + d) - 2.0 * e) * G / cp_dp for u, d, e, cp_dp
+                        in zip(up, down[1:], emit, _CP_DP)])
+    return heating, up[-1], column.params.absorbed_shortwave + down[0] - up[0]
 
 
 # -- geometry and convection -----------------------------------------------------
 
 
-def _static_temperatures(temps: list[float], gamma: float, geometry: _ColumnGeometry
+def _static_temperatures(temps: list[float], gamma: float
                          ) -> tuple[list[float], list[float], bool]:
     """Heights z (m) of (surface, layer 0, ..., layer 16) at temperatures
     ``temps`` in that order, s = T + gamma * z, and whether s falls upwards
     across any adjacent pair by more than ``LAPSE_TOLERANCE_K``."""
-    r_over_g = geometry.r_over_g
     z_bot = 0.0
     heights = [z_bot]
     s = [temps[0] + gamma * z_bot]
     unstable = False
-    for t_i, to_centre, across in zip(temps[1:], geometry.log_to_centre, geometry.log_across):
-        scale = r_over_g * t_i
+    for t_i, to_centre, across in zip(temps[1:], _LOG_TO_CENTRE, _LOG_ACROSS):
+        scale = _R_OVER_G * t_i
         z = z_bot + scale * to_centre
         z_bot = z_bot + scale * across
         s_i = t_i + gamma * z
@@ -251,8 +223,7 @@ def column_heights(column: AtmosphericColumn) -> np.ndarray:
     dz = -dp / (rho g) with rho = p / (R T), integrated interface to interface
     using each layer's current temperature.
     """
-    heights, _, _ = _static_temperatures([0.0] + column.temperatures.tolist(), 0.0,
-                                         column.params._geometry)
+    heights, _, _ = _static_temperatures([0.0] + column.temperatures.tolist(), 0.0)
     return np.array(heights[1:])
 
 
@@ -292,16 +263,16 @@ def convective_adjustment(column: AtmosphericColumn,
     if not 5.5 <= critical_lapse <= 9.8:
         raise ValueError("critical lapse rate outside [5.5, 9.8] K/km")
     p = column.params
-    geometry = p._geometry
+    weights = (p.surface_weight_hpa, *_LAYER_DP)
     gamma = critical_lapse / 1000.0  # K/m
     temps = [float(column.surface_temperature)] + column.temperatures.tolist()
 
     for _ in range(MAX_HEIGHT_PASSES):
-        heights, s, unstable = _static_temperatures(temps, gamma, geometry)
+        heights, s, unstable = _static_temperatures(temps, gamma)
         if not unstable:
             return AtmosphericColumn(np.array(temps[1:]), temps[0], p)
         start = 0
-        for total, mass, size in _pool_adjacent_violators(s, geometry.weights):
+        for total, mass, size in _pool_adjacent_violators(s, weights):
             end = start + size
             if size > 1:
                 mean = total / mass
@@ -333,14 +304,20 @@ def standard_atmosphere_temperature(pressure_hpa: float) -> float:
     return _ISA_T0 - _ISA_LAPSE * z
 
 
-def export_profile_with_simulated(path, pressures: np.ndarray, observed: np.ndarray,
-                                  simulated: np.ndarray) -> None:
-    """Write pressure_hPa,temperature_K,simulated_K rows, one per level."""
+# the profile the reward scores against: the standard atmosphere on the grid
+OBSERVED_PROFILE = np.array([standard_atmosphere_temperature(p)
+                             for p in PRESSURE_LEVELS_HPA])
+OBSERVED_PROFILE.flags.writeable = False
+
+
+def export_profile_with_simulated(path, simulated: np.ndarray) -> None:
+    """Write pressure_hPa,temperature_K,simulated_K rows, one per level: the
+    grid, the observed profile and ``simulated``."""
     simulated = np.asarray(simulated, dtype=np.float64)
     if simulated.size != N_LEVELS:
         raise ValueError("simulated profile must have 17 values")
     lines = ["pressure_hPa,temperature_K,simulated_K"]
-    for p, t, s in zip(pressures, observed, simulated):
+    for p, t, s in zip(PRESSURE_LEVELS_HPA, OBSERVED_PROFILE, simulated):
         lines.append(f"{float(p)!r},{float(t)!r},{float(s)!r}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -355,18 +332,15 @@ OBS_SCALE = 150.0
 class RceEnv(ClimateEnv):
     """Column model with actions [emissivity, critical lapse rate]."""
 
+    observed = OBSERVED_PROFILE
+
     def __init__(self, params: RcePhysicsParams | None = None):
         super().__init__()
         self.params = params or RcePhysicsParams()
-        # the profile the reward scores against: the standard atmosphere
-        self.observed = np.array([standard_atmosphere_temperature(p)
-                                  for p in self.params.pressure_levels])
         self.max_steps = self.params.max_steps
         self.action_space = BoxSpace(low=[0.0, 5.5], high=[1.0, 9.8])
         self.observation_space = BoxSpace(low=[-1.0] * N_LEVELS, high=[1.0] * N_LEVELS)
-        self.column = AtmosphericColumn(
-            np.full(N_LEVELS, self.params.isothermal_init),
-            self.params.isothermal_init, self.params)
+        self._reset_state()
 
     def _observe(self) -> np.ndarray:
         return (self.column.temperatures - OBS_CENTER) / OBS_SCALE

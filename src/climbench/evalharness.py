@@ -209,7 +209,12 @@ REFERENCE_TOP1_FREQUENCIES = {
 
 def confidence_curves(records: list[RunRecord], bucket_width: int | None = None):
     """Per-algorithm (step, mean, 1.96 sd/sqrt(n), n) rows bucketed by step;
-    ``bucket_width`` None takes the smallest gap between a record's steps."""
+    ``bucket_width`` None takes the smallest gap between a record's steps.
+    The records are the seeds of one experiment; ValueError if they span more."""
+    experiments = sorted({rec.experiment_id for rec in records})
+    if len(experiments) > 1:
+        raise ValueError(f"records span experiments {', '.join(experiments)}; "
+                         "curves average the seeds of one experiment")
     if bucket_width is None:
         widths = [min(np.diff(rec.steps)) for rec in records if len(rec.steps) > 1]
         bucket_width = int(min(widths)) if widths else 1

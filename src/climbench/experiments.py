@@ -116,9 +116,8 @@ def run_single_task(task: dict) -> RunRecord:
                                          task["seed"])
         record.save(path)
         if spec.is_rce:
-            export_profile_with_simulated(
-                path.with_suffix(".profile.csv"), env.params.pressure_levels,
-                env.observed, env.column.temperatures)
+            export_profile_with_simulated(path.with_suffix(".profile.csv"),
+                                          env.column.temperatures)
         if task.get("save_checkpoints"):
             save_mlp(trainer.actor_mlp(), path.with_suffix(".actor.ckpt"))
     return record

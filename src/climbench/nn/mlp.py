@@ -25,7 +25,6 @@ net's output.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,7 +82,10 @@ class Mlp:
             arrays += (w, b)
         if self.head.kind == "gaussian":
             arrays.append(np.full(layer_sizes[-1], -0.5))
-        self._shapes = [a.shape for a in arrays]
+        # each parameter's slice of ``flat``, and its shape
+        bounds = np.cumsum([0] + [a.size for a in arrays]).tolist()
+        self.param_slices = [(slice(lo, hi), a.shape)
+                             for lo, hi, a in zip(bounds, bounds[1:], arrays)]
         self.flat = np.concatenate([a.ravel() for a in arrays])
         self._bind_views()
 
@@ -109,12 +111,7 @@ class Mlp:
 
     def unflatten(self, vector: np.ndarray) -> list[np.ndarray]:
         """Views into a ``flat``-sized vector, shaped like the parameters."""
-        views, offset = [], 0
-        for shape in self._shapes:
-            n = math.prod(shape)
-            views.append(vector[offset:offset + n].reshape(shape))
-            offset += n
-        return views
+        return [vector[s].reshape(shape) for s, shape in self.param_slices]
 
     def clamp_log_std(self) -> None:
         if self.log_std is not None:

@@ -3,14 +3,33 @@
 These are the radiation, height, adjustment, validation and step functions
 the Python-float versions in ``climbench.envs.rce`` replaced, kept as the
 reference those must match byte for byte. ``OracleRceEnv`` is an ``RceEnv``
-whose steps run entirely on them.
+whose steps run entirely on them. The oracles derive the grid's geometry
+and the observed profile from the pressure levels themselves.
 """
+
+import math
 
 import numpy as np
 
-from climbench.envs.rce import (LAPSE_TOLERANCE_K, MAX_HEIGHT_PASSES, N_LEVELS,
-                                TEMPERATURE_CEILING, TEMPERATURE_FLOOR,
-                                AtmosphericColumn, ColumnStateError, RceEnv)
+from climbench.envs.rce import (CP, G, LAPSE_TOLERANCE_K, MAX_HEIGHT_PASSES, N_LEVELS,
+                                PRESSURE_LEVELS_HPA, R_GAS, SIGMA, TEMPERATURE_CEILING,
+                                TEMPERATURE_FLOOR, AtmosphericColumn, ColumnStateError,
+                                RceEnv, standard_atmosphere_temperature)
+
+
+def grid_geometry(levels):
+    """Layer thicknesses (hPa), and per layer ln(bottom interface / level) and
+    ln(bottom / top interface); the top interface at 0 hPa is taken at half
+    the top level."""
+    iface = np.concatenate([[levels[0] + (levels[0] - levels[1]) / 2.0],
+                            (levels[:-1] + levels[1:]) / 2.0, [0.0]])
+    top = np.where(iface[1:] > 0, iface[1:], levels / 2.0)
+    return (iface[:-1] - iface[1:], [math.log(b / p) for b, p in zip(iface, levels)],
+            [math.log(b / t) for b, t in zip(iface, top)])
+
+
+LAYER_DP, LOG_TO_CENTRE, LOG_ACROSS = grid_geometry(PRESSURE_LEVELS_HPA)
+OBSERVED = np.array([standard_atmosphere_temperature(p) for p in PRESSURE_LEVELS_HPA])
 
 
 def grey_longwave_step(column, emissivity):
@@ -19,10 +38,10 @@ def grey_longwave_step(column, emissivity):
     p = column.params
     t = column.temperatures
     eps = emissivity
-    emit = eps * p.sigma * t ** 4
+    emit = eps * SIGMA * t ** 4
 
     up = np.empty(N_LEVELS + 1)
-    up[0] = p.sigma * column.surface_temperature ** 4
+    up[0] = SIGMA * column.surface_temperature ** 4
     for i in range(N_LEVELS):
         up[i + 1] = up[i] * (1.0 - eps) + emit[i]
     down = np.empty(N_LEVELS + 1)
@@ -31,16 +50,16 @@ def grey_longwave_step(column, emissivity):
         down[i] = down[i + 1] * (1.0 - eps) + emit[i]
 
     absorbed = eps * (up[:N_LEVELS] + down[1:]) - 2.0 * emit
-    heating = absorbed * p.g / (p.cp * p.layer_dp * 100.0)
+    heating = absorbed * G / (CP * LAYER_DP * 100.0)
     surface_net = p.absorbed_shortwave + down[0] - up[0]
     return heating, up[N_LEVELS], surface_net
 
 
-def heights_from_lists(t, geometry):
-    r_over_g = geometry.r_over_g
+def heights_from_lists(t):
+    r_over_g = R_GAS / G
     z = []
     z_bot = 0.0
-    for t_i, to_centre, across in zip(t, geometry.log_to_centre, geometry.log_across):
+    for t_i, to_centre, across in zip(t, LOG_TO_CENTRE, LOG_ACROSS):
         scale = r_over_g * t_i
         z.append(z_bot + scale * to_centre)
         z_bot = z_bot + scale * across
@@ -64,17 +83,17 @@ def convective_adjustment(column, critical_lapse):
     if not 5.5 <= critical_lapse <= 9.8:
         raise ValueError("critical lapse rate outside [5.5, 9.8] K/km")
     p = column.params
-    geometry = p._geometry
+    weights = [p.surface_heat_capacity * G / (CP * 100.0)] + LAYER_DP.tolist()
     gamma = critical_lapse / 1000.0
     temps = [float(column.surface_temperature)] + column.temperatures.tolist()
 
     for _ in range(MAX_HEIGHT_PASSES):
-        heights = [0.0] + heights_from_lists(temps[1:], geometry)
+        heights = [0.0] + heights_from_lists(temps[1:])
         s = [t + gamma * z for t, z in zip(temps, heights)]
         if not any(lower - upper > LAPSE_TOLERANCE_K for lower, upper in zip(s, s[1:])):
             return AtmosphericColumn(np.array(temps[1:]), temps[0], p)
         start = 0
-        for total, mass, size in pool_adjacent_violators(s, geometry.weights):
+        for total, mass, size in pool_adjacent_violators(s, weights):
             end = start + size
             if size > 1:
                 mean = total / mass
@@ -104,6 +123,6 @@ class OracleRceEnv(RceEnv):
         self.column.surface_temperature += surface_net * p.dt / p.surface_heat_capacity
         self.column = convective_adjustment(self.column, lapse)
         validate(self.column)
-        diffs = self.column.temperatures - self.observed
+        diffs = self.column.temperatures - OBSERVED
         reward = -float(np.mean(diffs * diffs))
         return self._observe(), reward, {"olr": olr}

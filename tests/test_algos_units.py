@@ -506,8 +506,8 @@ def test_sac_alpha_zero_reduces_to_min_critic_target():
     rng_state = trainer.streams.explore.bit_generator.state
     y0 = trainer.compute_target(batch, alpha=0.0)
     trainer.streams.explore.bit_generator.state = rng_state
-    a_next, _ = trainer.actor.sample_with_log_prob_np(batch["s_next"],
-                                                      trainer.streams.explore)
+    a_next, _, _ = trainer.actor.rsample(batch["s_next"],
+                                         trainer.streams.explore.normal(size=(1, 1)))
     q = min(trainer.target_critics[0].q_np(batch["s_next"], a_next)[0, 0],
             trainer.target_critics[1].q_np(batch["s_next"], a_next)[0, 0])
     assert y0[0] == pytest.approx(0.7 + trainer.cfg.gamma * q, rel=1e-12)
@@ -694,8 +694,8 @@ def test_tqc_degenerates_to_sac_scalar_target():
     state = trainer.streams.explore.bit_generator.state
     y = trainer.compute_target(batch, alpha=0.2)
     trainer.streams.explore.bit_generator.state = state
-    a_next, logp = trainer.actor.sample_with_log_prob_np(batch["s_next"],
-                                                         trainer.streams.explore)
+    a_next, logp, _ = trainer.actor.rsample(batch["s_next"],
+                                            trainer.streams.explore.normal(size=(1, 1)))
     q = trainer.target_critics[0].q_np(batch["s_next"], a_next)[0, 0]
     expected = 0.7 + trainer.cfg.gamma * (q - 0.2 * logp[0])
     assert y.shape == (1, 1)

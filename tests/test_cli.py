@@ -114,6 +114,21 @@ def test_train_checks_the_sections_of_algorithms_it_does_not_run(tmp_path, capsy
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("key", ["pressure_levels", "sigma", "cp", "g", "r_gas"])
+def test_train_rce_grid_and_constants_are_not_env_keys(tmp_path, capsys, key):
+    # the column's grid and physical constants are fixed
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[env]\n{key} = 1\n")
+    out = tmp_path / "records"
+    code = run_cli("train", "--experiment", "rce-v0-homo-64L", "--algo", "reinforce",
+                   "--seeds", "1", "--steps", "50", "--config", str(cfg),
+                   "--out", str(out))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and f"unknown key {key!r}" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("section", ["algo.reinforce", "runn"])
 def test_tune_config_file_section_it_does_not_read_is_usage_error(tmp_path, capsys,
                                                                    section):
@@ -301,6 +316,22 @@ def test_export_curves_ci_halfwidth(tmp_path):
     assert float(first[2]) == pytest.approx(-0.9)
     assert float(first[3]) == pytest.approx(1.96 * sd / np.sqrt(3))
     assert int(first[4]) == 3
+
+
+def test_export_curves_refuses_records_of_two_experiments(tmp_path, capsys):
+    # one directory holds every experiment's records unless --out says otherwise
+    records_dir = tmp_path / "records"
+    records_dir.mkdir()
+    for experiment, value in (("v0-homo-64L", -0.1), ("rce-v0-homo-64L", -50_000.0)):
+        rec = RunRecord(experiment, "ddpg", 1)
+        rec.add(200, value)
+        rec.save(records_dir / record_filename(experiment, "ddpg", 1))
+    out = tmp_path / "curves.csv"
+    assert run_cli("export", "curves", "--records", str(records_dir),
+                   "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "experiments rce-v0-homo-64L, v0-homo-64L;" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bucket", ["0", "-100"])

@@ -1,6 +1,7 @@
 """Experiment registry, config resolution, and the suite runner."""
 
 import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
@@ -217,3 +218,22 @@ def test_rce_suite_writes_profile_sidecar(tmp_path):
     lines = sidecar.read_text().splitlines()
     assert lines[0] == "pressure_hPa,temperature_K,simulated_K"
     assert len(lines) == 18
+
+
+# sha256 of the sidecar of a 1000-step PPO run on rce-v0-homo-64L, seed 2
+PROFILE_SIDECAR_SHA256 = "343301ed5d3ebdca8b3343e53e194ecabc5fd312277da7e258b4f443d5a85c56"
+
+
+def test_rce_profile_sidecar_bytes_are_pinned(tmp_path):
+    # in a child with one BLAS thread, as the golden digests are
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    task = {"experiment_id": "rce-v0-homo-64L", "algorithm": "ppo", "seed": 2,
+            "steps": 1000, "out_dir": str(tmp_path)}
+    code = f"from climbench.experiments import run_single_task\nrun_single_task({task!r})\n"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    sidecar = tmp_path / "rce-v0-homo-64L__ppo__seed2.profile.csv"
+    assert hashlib.sha256(sidecar.read_bytes()).hexdigest() == PROFILE_SIDECAR_SHA256

@@ -25,7 +25,7 @@ def make_column(temps, ts, params=PARAMS):
 
 
 def weighted_mean(col):
-    w = col.params.layer_dp
+    w = rce.LAYER_DP_HPA
     ws = col.params.surface_weight_hpa
     total = float(np.dot(w, col.temperatures)) + ws * col.surface_temperature
     return total / (float(np.sum(w)) + ws)
@@ -38,7 +38,7 @@ def test_transparent_atmosphere_has_zero_heating():
     col = make_column(np.linspace(280, 200, N_LEVELS), 290.0)
     heating, olr, _ = grey_longwave_step(col, 0.0)
     assert np.array_equal(heating, np.zeros(N_LEVELS))
-    assert olr == pytest.approx(PARAMS.sigma * 290.0 ** 4)
+    assert olr == pytest.approx(rce.SIGMA * 290.0 ** 4)
 
 
 def test_opaque_isothermal_toa_flux_is_sigma_t4():
@@ -47,7 +47,7 @@ def test_opaque_isothermal_toa_flux_is_sigma_t4():
     heating, olr, _ = grey_longwave_step(col, 1.0)
     # Telescoping oracle: with eps=1 each layer re-emits sigma*T^4, so the TOA
     # flux is the top layer's emission and interior exchanges cancel exactly.
-    assert olr == pytest.approx(PARAMS.sigma * t ** 4, rel=1e-12)
+    assert olr == pytest.approx(rce.SIGMA * t ** 4, rel=1e-12)
     assert np.max(np.abs(heating[:-1])) < 1e-12
     assert heating[-1] < 0.0  # the top layer alone cools to space
 
@@ -57,7 +57,7 @@ def test_surface_upward_flux_is_sigma_ts4():
     # sigma*Ts^4 against the absorbed shortwave, and all of it reaches space.
     col = make_column(np.linspace(280, 180, N_LEVELS), 305.0)
     _, olr, surface_net = grey_longwave_step(col, 0.0)
-    upward = PARAMS.sigma * 305.0 ** 4
+    upward = rce.SIGMA * 305.0 ** 4
     assert olr == pytest.approx(upward, rel=1e-13)
     assert surface_net == pytest.approx(PARAMS.absorbed_shortwave - upward, rel=1e-13)
     # An opaque column at the surface's temperature sends all of it back.
@@ -74,8 +74,8 @@ def test_all_fluxes_non_negative_random_columns():
         col = make_column(rng.uniform(150, 350, N_LEVELS), ts)
         _, olr, surface_net = grey_longwave_step(col, float(rng.uniform(0, 1)))
         assert olr >= 0
-        back = surface_net - PARAMS.absorbed_shortwave + PARAMS.sigma * ts ** 4
-        assert back >= -1e-12 * PARAMS.sigma * ts ** 4
+        back = surface_net - PARAMS.absorbed_shortwave + rce.SIGMA * ts ** 4
+        assert back >= -1e-12 * rce.SIGMA * ts ** 4
 
 
 def test_energy_budget_exact_over_full_step():
@@ -83,7 +83,7 @@ def test_energy_budget_exact_over_full_step():
     env = RceEnv()
     env.reset(seed=1)
     p = env.params
-    c_layer = p.cp * p.layer_dp * 100.0 / p.g
+    c_layer = rce.CP * rce.LAYER_DP_HPA * 100.0 / rce.G
     c_surf = p.surface_heat_capacity
     rng = np.random.default_rng(1)
     for _ in range(50):
@@ -121,7 +121,7 @@ def test_two_level_pair_closed_form_oracle():
     z0 = column_heights(col)  # heights the first sweep operates with
     out = convective_adjustment(col, gamma)
     # Closed form: conserve w7*T7 + w8*T8 while setting the gap to gamma*dz.
-    w = PARAMS.layer_dp
+    w = rce.LAYER_DP_HPA
     gap = gamma / 1000.0 * (z0[8] - z0[7])
     t7 = (w[7] * temps[7] + w[8] * temps[8] + w[8] * gap) / (w[7] + w[8])
     t8 = t7 - gap
@@ -188,7 +188,7 @@ def sweep_oracle(col, critical_lapse):
     gamma = critical_lapse / 1000.0
     t = col.temperatures.tolist()
     ts = float(col.surface_temperature)
-    w = col.params.layer_dp.tolist()
+    w = rce.LAYER_DP_HPA.tolist()
     w_surf = col.params.surface_weight_hpa
     for _outer in range(10_000):
         z = column_heights(make_column(t, ts, col.params)).tolist()
@@ -257,7 +257,7 @@ def test_adjustment_properties_on_random_columns(case):
     temps, ts, gamma = case
     col = make_column(temps, ts)
     out = convective_adjustment(col, gamma)
-    w = PARAMS.layer_dp
+    w = rce.LAYER_DP_HPA
     ws = PARAMS.surface_weight_hpa
     before = float(np.dot(w, col.temperatures)) + ws * col.surface_temperature
     after = float(np.dot(w, out.temperatures)) + ws * out.surface_temperature
@@ -290,12 +290,12 @@ def test_lapse_rate_out_of_box_rejected():
 # -- grid geometry ------------------------------------------------------------------
 
 
-def uncached_heights(temps, params):
+def uncached_heights(temps):
     """The hydrostatic heights with every log taken afresh from the grid."""
-    levels = params.pressure_levels
+    levels = PRESSURE_LEVELS_HPA
     iface = np.concatenate([[levels[0] + (levels[0] - levels[1]) / 2.0],
                             (levels[:-1] + levels[1:]) / 2.0, [0.0]])
-    r_over_g = params.r_gas / params.g
+    r_over_g = rce.R_GAS / rce.G
     z = []
     z_bot = 0.0
     for i in range(N_LEVELS):
@@ -306,52 +306,39 @@ def uncached_heights(temps, params):
     return z
 
 
-OTHER_LEVELS = np.array([1010., 950., 890., 830., 770., 710., 650., 590., 530., 470.,
-                         410., 350., 290., 230., 170., 110., 20.])
-
-
 def test_cached_geometry_matches_uncached_heights_bit_for_bit():
     rng = np.random.default_rng(21)
-    other = RcePhysicsParams(pressure_levels=OTHER_LEVELS)
     for _ in range(200):
         temps = rng.uniform(150, 380, N_LEVELS)
-        for params in (PARAMS, other):
-            got = column_heights(make_column(temps, 280.0, params)).tolist()
-            assert got == uncached_heights(temps.tolist(), params)
-        assert not np.array_equal(column_heights(make_column(temps, 280.0, other)),
-                                  column_heights(make_column(temps, 280.0)))
+        got = column_heights(make_column(temps, 280.0)).tolist()
+        assert got == uncached_heights(temps.tolist())
 
 
 def test_geometry_survives_pickling():
-    # The tuner ships params to its workers inside pickled trainers.
-    params = RcePhysicsParams(pressure_levels=OTHER_LEVELS, insolation=150.0)
-    clone = pickle.loads(pickle.dumps(params))
-    temps = np.linspace(300, 200, N_LEVELS)
-    assert np.array_equal(column_heights(make_column(temps, 300.0, clone)),
-                          column_heights(make_column(temps, 300.0, params)))
-    assert np.array_equal(clone.layer_dp, params.layer_dp)
-    assert clone.surface_weight_hpa == params.surface_weight_hpa
+    # The tuner ships envs to its workers inside pickled trainers.
+    env = RceEnv(RcePhysicsParams(insolation=150.0))
+    env.reset()
+    env.step([0.7, 6.0])
+    clone = pickle.loads(pickle.dumps(env))
+    assert clone.params == env.params
+    for action in ([0.2, 9.0], [1.0, 5.5]):
+        got, want = clone.step(action), env.step(action)
+        assert got.observation.tobytes() == want.observation.tobytes()
+        assert got.reward == want.reward
 
 
 def test_params_cannot_change_under_their_geometry():
     params = RcePhysicsParams()
     with pytest.raises(dataclasses.FrozenInstanceError):
         params.g = 9.0
-    with pytest.raises(ValueError):
-        params.pressure_levels[0] = 990.0
-    with pytest.raises(ValueError):
-        params.layer_dp[0] = 1.0
-    levels = PRESSURE_LEVELS_HPA.copy()
-    RcePhysicsParams(pressure_levels=levels)
-    levels[0] = 990.0  # the caller's array stays theirs to change
-    assert PRESSURE_LEVELS_HPA[0] == 1000.0
-
-
-def test_params_compare_and_hash_by_identity():
-    params = RcePhysicsParams()
-    assert params == params
-    assert params != RcePhysicsParams()
-    assert len({params, params, RcePhysicsParams()}) == 2
+    assert params.pressure_levels is PRESSURE_LEVELS_HPA
+    assert (params.cp, params.g) == (rce.CP, rce.G)
+    for grid in (PRESSURE_LEVELS_HPA, rce.LAYER_DP_HPA, rce.OBSERVED_PROFILE):
+        with pytest.raises(ValueError):
+            grid[0] = 990.0
+    assert [f.name for f in dataclasses.fields(RcePhysicsParams)] == [
+        "insolation", "albedo", "dt", "surface_heat_capacity", "isothermal_init",
+        "max_steps"]
 
 
 # -- environment behaviour --------------------------------------------------------
@@ -468,18 +455,17 @@ def test_default_profile_endpoints():
 
 
 def test_observed_profile_is_the_standard_atmosphere_on_the_grid():
-    for params in (PARAMS, RcePhysicsParams(pressure_levels=OTHER_LEVELS)):
-        observed = RceEnv(params).observed
-        assert observed.shape == (N_LEVELS,)
-        expected = [standard_atmosphere_temperature(p) for p in params.pressure_levels]
-        assert observed.tolist() == expected
+    observed = RceEnv(RcePhysicsParams(insolation=150.0)).observed
+    assert observed is rce.OBSERVED_PROFILE
+    assert observed.shape == (N_LEVELS,)
+    assert observed.tolist() == [standard_atmosphere_temperature(p)
+                                 for p in PRESSURE_LEVELS_HPA]
 
 
 def test_export_with_simulated_column(tmp_path):
-    observed = RceEnv().observed
-    sim = observed + 1.5
+    sim = rce.OBSERVED_PROFILE + 1.5
     path = tmp_path / "export.csv"
-    export_profile_with_simulated(path, PRESSURE_LEVELS_HPA, observed, sim)
+    export_profile_with_simulated(path, sim)
     lines = path.read_text().splitlines()
     assert lines[0] == "pressure_hPa,temperature_K,simulated_K"
     assert len(lines) == 18

@@ -51,7 +51,7 @@ def test_adjustment_and_heights_match_oracle_bytes(column, lapse):
     ref = rce_oracle.convective_adjustment(col, lapse)
     assert same_bytes(out.temperatures, ref.temperatures)
     assert same_bytes(out.surface_temperature, ref.surface_temperature)
-    heights = rce_oracle.heights_from_lists(col.temperatures.tolist(), PARAMS._geometry)
+    heights = rce_oracle.heights_from_lists(col.temperatures.tolist())
     assert same_bytes(column_heights(col), np.array(heights))
 
 
