@@ -17,7 +17,7 @@ from .configio import ConfigError, parse_config_file, parse_seeds
 from .evalharness import (confidence_curves, delta_from_final, frequency_table,
                           n_to_threshold, rank_algorithms, threshold_for_experiment,
                           top1_table, top3_lists, variance_after_threshold)
-from .experiments import EXPERIMENTS, experiment_spec, run_experiment_suite
+from .experiments import EXPERIMENTS, run_experiment_suite
 from .records import load_records_dir, record_filename
 
 __all__ = ["main"]
@@ -38,15 +38,17 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     train = sub.add_parser("train", help="train algorithms and write run records")
-    train.add_argument("--experiment", help="experiment id (see --list)")
+    train.add_argument("--experiment", choices=EXPERIMENTS, metavar="ID",
+                       help="experiment id (see --list)")
     train.add_argument("--algo", dest="algos", action="append", default=None,
                        help="algorithm tag; repeat or comma-separate")
-    train.add_argument("--seeds", default=None, help="e.g. 1..10 or 1,2,5")
+    train.add_argument("--seeds", default="1..10", help="e.g. 1..10 or 1,2,5")
     train.add_argument("--steps", type=int, default=None,
                        help="override the experiment step budget")
-    train.add_argument("--workers", type=int, default=None)
-    train.add_argument("--config", default=None, help="run-config file")
-    train.add_argument("--out", default=None, help="records output directory")
+    train.add_argument("--workers", type=int, default=1)
+    train.add_argument("--config", default=None,
+                       help="file of [algo.<tag>] hyperparameter sections")
+    train.add_argument("--out", default="records", help="records output directory")
     train.add_argument("--tuned-dir", default=None,
                        help="tuner output directory (required for *-optim-L)")
     train.add_argument("--checkpoints", action="store_true",
@@ -54,14 +56,13 @@ def _build_parser() -> _Parser:
     train.add_argument("--list", action="store_true", help="list experiment ids")
 
     tune = sub.add_parser("tune", help="hyperparameter search with pruning")
-    tune.add_argument("--experiment", required=True)
+    tune.add_argument("--experiment", choices=EXPERIMENTS, metavar="ID", required=True)
     tune.add_argument("--algo", action="append", required=True)
     tune.add_argument("--trials", type=int, default=32)
     tune.add_argument("--workers", type=int, default=1)
     tune.add_argument("--seed", type=int, default=1)
     tune.add_argument("--budget", type=int, default=None,
                       help="steps per trial (default: experiment budget)")
-    tune.add_argument("--config", default=None)
     tune.add_argument("--out", required=True, help="tuned-config output directory")
 
     evaluate = sub.add_parser("evaluate", help="per-run metric table from records")
@@ -89,14 +90,18 @@ def _build_parser() -> _Parser:
 
 
 def _parse_algos(values) -> list[str]:
+    """The tags of the repeated or comma-separated ``--algo`` values; none may
+    repeat, since each (algorithm, seed) has one record path."""
     if not values:
         raise UsageError("at least one --algo is required")
     tags = []
     for v in values:
         tags.extend(t.strip() for t in v.split(",") if t.strip())
-    for t in tags:
+    for i, t in enumerate(tags):
         if t not in ALGORITHM_TAGS:
             raise UsageError(f"unknown algorithm {t!r}; known: {', '.join(ALGORITHM_TAGS)}")
+        if t in tags[:i]:
+            raise UsageError(f"repeated algorithm {t!r}")
     return tags
 
 
@@ -107,38 +112,21 @@ def _require_positive(**values) -> None:
             raise UsageError(f"--{name} must be at least 1, got {value}")
 
 
-def _read_config(args, sections: tuple[str, ...]) -> dict[str, dict[str, str]]:
-    """The sections of ``--config``; a section outside ``sections`` is a usage
-    error."""
-    found = parse_config_file(args.config) if args.config else {}
-    for name in found:
-        if name not in sections:
-            raise UsageError(f"{args.config}: {args.command} does not read [{name}]")
-    return found
-
-
-# train's defaults, keyed by the [run] keys, which are also its flags' dests
-_RUN_DEFAULTS = {"experiment": None, "algos": None, "seeds": "1..10", "steps": None,
-                "workers": 1, "out": "records", "tuned_dir": None}
-
-
-def _merge_run_section(args, run: dict[str, str]) -> dict:
-    """defaults < config-file [run] < command-line flags."""
-    merged = dict(_RUN_DEFAULTS)
-    for key, value in run.items():
-        if key not in merged:
-            raise UsageError(f"[run] unknown key {key!r}")
-        if key in ("steps", "workers"):
-            try:
-                value = int(value)
-            except ValueError:
-                raise UsageError(f"[run] {key} must be an integer, "
-                                 f"got {value!r}") from None
-        merged[key] = [value] if key == "algos" else value
-    for key in merged:
-        if getattr(args, key) is not None:
-            merged[key] = getattr(args, key)
-    return merged
+def _algo_overrides(path) -> dict[str, dict[str, str]]:
+    """The ``[algo.<tag>]`` sections of a config file, by tag; each must build,
+    and any other section is a usage error."""
+    overrides = {}
+    for name, values in parse_config_file(path).items():
+        tag = name.removeprefix("algo.")
+        if tag == name or tag not in ALGORITHM_TAGS:
+            raise UsageError(f"{path}: train reads only [algo.<tag>] sections, "
+                             f"not [{name}]")
+        try:
+            make_config(tag, **values)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: [{name}] {exc}") from None
+        overrides[tag] = values
+    return overrides
 
 
 def cmd_train(args) -> int:
@@ -146,40 +134,30 @@ def cmd_train(args) -> int:
         for experiment_id in EXPERIMENTS:
             print(experiment_id)
         return 0
-    sections = _read_config(args, ("run", "env",
-                                   *(f"algo.{tag}" for tag in ALGORITHM_TAGS)))
     # every [algo.<tag>] section, not only the selected ones, must build
-    for tag in ALGORITHM_TAGS:
-        if f"algo.{tag}" in sections:
-            try:
-                make_config(tag, **sections[f"algo.{tag}"])
-            except ConfigError as exc:
-                raise ConfigError(f"{args.config}: [algo.{tag}] {exc}") from None
-    merged = _merge_run_section(args, sections.get("run", {}))
-    if not merged["experiment"]:
+    overrides = _algo_overrides(args.config) if args.config else {}
+    if not args.experiment:
         raise UsageError("--experiment is required")
+    spec = EXPERIMENTS[args.experiment]
+    if spec.layer_policy == "optim" and args.tuned_dir is None:
+        raise UsageError(f"{spec.experiment_id} needs tuned hyperparameters: pass "
+                         "--tuned-dir, the output directory of 'tune'")
+    algos = _parse_algos(args.algos)
     try:
-        spec = experiment_spec(merged["experiment"])
-    except KeyError as exc:
-        raise UsageError(str(exc)) from exc
-    algos = _parse_algos(merged["algos"])
-    try:
-        seeds = parse_seeds(merged["seeds"])
+        seeds = parse_seeds(args.seeds)
     except ValueError as exc:
         raise UsageError(f"--seeds: {exc}") from exc
-    _require_positive(steps=merged["steps"], workers=merged["workers"])
+    _require_positive(steps=args.steps, workers=args.workers)
     records = run_experiment_suite(
-        spec.experiment_id, algos, seeds, out_dir=merged["out"],
-        workers=merged["workers"], env_overrides=sections.get("env"),
-        algo_overrides={tag: sections.get(f"algo.{tag}") for tag in algos},
-        tuned_dir=merged["tuned_dir"],
-        steps=merged["steps"], save_checkpoints=args.checkpoints)
+        spec.experiment_id, algos, seeds, out_dir=args.out, workers=args.workers,
+        algo_overrides=overrides, tuned_dir=args.tuned_dir, steps=args.steps,
+        save_checkpoints=args.checkpoints)
     aborted = [r for r in records if r.aborted]
     for rec in records:
         status = "ABORTED: " + rec.abort_reason if rec.aborted else \
             f"final return {rec.final_return():.4f}"
         print(f"{rec.experiment_id} {rec.algorithm} seed={rec.seed}: {status}")
-    print(f"wrote {len(records)} records to {merged['out']}")
+    print(f"wrote {len(records)} records to {args.out}")
     return 2 if aborted else 0
 
 
@@ -187,17 +165,10 @@ def cmd_tune(args) -> int:
     _require_positive(trials=args.trials, workers=args.workers, budget=args.budget)
     # imported here: the tuner's process pool stays out of every other command
     from .tuner import tune_algorithm
-    # [run] holds train's flags; tune takes its own from the command line
-    env_overrides = _read_config(args, ("run", "env")).get("env")
     for algo in _parse_algos(args.algo):
-        try:
-            experiment_spec(args.experiment)
-        except KeyError as exc:
-            raise UsageError(str(exc)) from exc
         result = tune_algorithm(algo, args.experiment, n_trials=args.trials,
                                 workers=args.workers, seed=args.seed,
-                                out_dir=args.out, trial_budget=args.budget,
-                                env_overrides=env_overrides)
+                                out_dir=args.out, trial_budget=args.budget)
         pruned = sum(t.status == "pruned" for t in result.trials)
         print(f"{args.experiment} {algo}: best trial {result.best.trial_id} "
               f"score {result.best.final_score:.4f} "

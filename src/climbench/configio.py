@@ -1,23 +1,16 @@
 """Run-config files, and the one checked constructor for config objects.
 
-Grammar (configparser syntax):
+Grammar (configparser syntax), for ``train --config`` and tuned fragments:
 
-    [run]                  # train only: experiment, algos, seeds, steps,
-    experiment = v0-homo-64L-60k   # workers, out, tuned_dir
-    algos = ddpg,td3
-    seeds = 1..10
-
-    [env]                  # overrides for the experiment's environment params
-    t_physics = 323.75
-
-    [algo.ddpg]            # train only: per-algorithm hyperparameter overrides
+    [algo.ddpg]            # overrides of one algorithm's config fields
     learning_rate = 3e-4
 
-Every algorithm config and environment-params object is built by
-``build_config``, which rejects unknown keys, coerces strings to the declared
-``float``/``int`` and raises ``ConfigError`` naming the class, key and value
-when a value is malformed or rejected. Seed lists accept "a..b" ranges and
-comma-separated integers.
+A run's experiment, algorithms, seeds and environment come from the command
+line; a config file holds only ``[algo.<tag>]`` sections. Every algorithm
+config is built by ``build_config``, which rejects unknown keys, coerces
+strings to the declared ``float``/``int`` and raises ``ConfigError`` naming
+the class, key and value when a value is malformed or rejected. Seed lists
+accept "a..b" ranges and comma-separated integers.
 """
 
 from __future__ import annotations

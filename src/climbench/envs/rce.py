@@ -86,12 +86,12 @@ LAYER_DP_HPA.flags.writeable = False
 _LAYER_DP = tuple(LAYER_DP_HPA.tolist())
 _CP_DP = tuple((CP * LAYER_DP_HPA * 100.0).tolist())   # J/kg/K * Pa
 _R_OVER_G = R_GAS / G                                   # m/K
-# ln(bottom interface / level) and ln(bottom interface / top interface); the
-# top interface sits at 0 hPa, so the top layer's span ends at half its level
+# ln(bottom interface / level) and ln(bottom interface / top interface) of
+# every layer; the top layer's span is 0, as no height above it is read
 _LOG_TO_CENTRE = tuple(math.log(bottom / level)
                        for bottom, level in zip(_IFACE, PRESSURE_LEVELS_HPA))
-_LOG_ACROSS = tuple(math.log(bottom / (top if top > 0 else level / 2.0))
-                    for bottom, top, level in zip(_IFACE, _IFACE[1:], PRESSURE_LEVELS_HPA))
+_LOG_ACROSS = tuple(math.log(bottom / top)
+                    for bottom, top in zip(_IFACE, _IFACE[1:-1])) + (0.0,)
 
 
 @dataclass(frozen=True)

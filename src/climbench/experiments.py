@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .algos import BaseConfig, make_config, make_trainer
-from .configio import build_config, read_algo_fragment
-from .envs import (BiasCorrectionEnv, BiasCorrParams, RceEnv, RcePhysicsParams,
-                   export_profile_with_simulated)
+from .configio import read_algo_fragment
+from .envs import BiasCorrectionEnv, RceEnv, export_profile_with_simulated
 from .nn import save_mlp
 from .records import RunRecord, record_filename
 
@@ -61,11 +60,9 @@ def experiment_spec(experiment_id: str) -> ExperimentSpec:
     return EXPERIMENTS[experiment_id]
 
 
-def make_experiment_env(spec: ExperimentSpec, env_overrides: dict | None = None):
-    if spec.is_rce:
-        return RceEnv(build_config(RcePhysicsParams, env_overrides or {}))
-    return BiasCorrectionEnv(spec.env_version,
-                             build_config(BiasCorrParams, env_overrides or {}))
+def make_experiment_env(spec: ExperimentSpec):
+    """The experiment's environment, with the task's fixed parameters."""
+    return RceEnv() if spec.is_rce else BiasCorrectionEnv(spec.env_version)
 
 
 def tuned_fragment_path(tuned_dir, env_version: str, algorithm: str) -> Path:
@@ -102,7 +99,7 @@ def plan_experiment_suite(experiment_id: str, algorithms: list[str],
 def run_single_task(task: dict) -> RunRecord:
     """Train one (experiment, algorithm, seed) and write its record file."""
     spec = experiment_spec(task["experiment_id"])
-    env = make_experiment_env(spec, task.get("env_overrides"))
+    env = make_experiment_env(spec)
     cfg = resolve_config(spec, task["algorithm"], task.get("algo_overrides"),
                          task.get("tuned_dir"), task.get("steps"))
     trainer = make_trainer(task["algorithm"], env, cfg, task["seed"],
@@ -125,7 +122,6 @@ def run_single_task(task: dict) -> RunRecord:
 
 def run_experiment_suite(experiment_id: str, algorithms: list[str], seeds: list[int],
                          out_dir=None, workers: int = 1,
-                         env_overrides: dict | None = None,
                          algo_overrides: dict[str, dict] | None = None,
                          tuned_dir=None, steps: int | None = None,
                          save_checkpoints: bool = False) -> list[RunRecord]:
@@ -136,7 +132,6 @@ def run_experiment_suite(experiment_id: str, algorithms: list[str], seeds: list[
         "algorithm": algo,
         "seed": seed,
         "out_dir": out_dir,
-        "env_overrides": env_overrides,
         "algo_overrides": (algo_overrides or {}).get(algo),
         "tuned_dir": tuned_dir,
         "steps": steps,
@@ -144,7 +139,6 @@ def run_experiment_suite(experiment_id: str, algorithms: list[str], seeds: list[
     } for _, algo, seed in plan]
     # Fail fast on config errors before spawning workers.
     spec = experiment_spec(experiment_id)
-    make_experiment_env(spec, env_overrides)
     for algo in algorithms:
         resolve_config(spec, algo, (algo_overrides or {}).get(algo), tuned_dir, steps)
     if workers <= 1 or len(tasks) == 1:

@@ -104,16 +104,13 @@ class StudyResult:
 class TrainingTrialRunner:
     """Builds and advances real trainers; state is the (picklable) trainer."""
 
-    def __init__(self, algorithm: str, experiment_id: str,
-                 env_overrides: dict | None = None, trial_seed: int = 1):
+    def __init__(self, algorithm: str, experiment_id: str, trial_seed: int = 1):
         self.algorithm = algorithm
         self.experiment_id = experiment_id
-        self.env_overrides = env_overrides
         self.trial_seed = trial_seed  # tuning uses one fixed seed
 
     def build(self, cfg: BaseConfig):
-        spec = experiment_spec(self.experiment_id)
-        env = make_experiment_env(spec, self.env_overrides)
+        env = make_experiment_env(experiment_spec(self.experiment_id))
         return make_trainer(self.algorithm, env, cfg, self.trial_seed,
                             self.experiment_id)
 
@@ -203,12 +200,11 @@ def run_study(runner, algorithm: str, n_trials: int, budget_steps: int,
 
 def tune_algorithm(algorithm: str, experiment_id: str, n_trials: int = 32,
                    workers: int = 1, seed: int = 1, out_dir=None,
-                   trial_budget: int | None = None,
-                   env_overrides: dict | None = None) -> StudyResult:
+                   trial_budget: int | None = None) -> StudyResult:
     """Run a study and write the best config fragment for *-optim-L runs."""
     spec = experiment_spec(experiment_id)
     budget = spec.steps if trial_budget is None else trial_budget
-    runner = TrainingTrialRunner(algorithm, experiment_id, env_overrides)
+    runner = TrainingTrialRunner(algorithm, experiment_id)
     result = run_study(runner, algorithm, n_trials, budget, workers=workers, seed=seed)
     if out_dir is not None:
         fragment = tuned_fragment_path(out_dir, spec.env_version, algorithm)

@@ -45,41 +45,14 @@ def test_train_non_positive_count_is_usage_error(tmp_path, capsys, flag, value):
     assert not out.exists() or not any(out.iterdir())
 
 
-def test_train_non_positive_steps_in_config_file_is_usage_error(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("[run]\nsteps = 0\n")
-    out = tmp_path / "records"
-    code = run_cli("train", "--experiment", "v0-homo-64L", "--algo", "reinforce",
-                   "--seeds", "1", "--config", str(cfg), "--out", str(out))
-    assert code == 1
-    assert not out.exists() or not any(out.iterdir())
-
-
-@pytest.mark.parametrize("line,key", [("steps = abc", "steps"),
-                                      ("workers = 1.5", "workers")])
-def test_train_malformed_integer_in_config_file_is_usage_error(tmp_path, capsys,
-                                                               line, key):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"[run]\n{line}\n")
-    out = tmp_path / "records"
-    code = run_cli("train", "--experiment", "v0-homo-64L", "--algo", "reinforce",
-                   "--seeds", "1", "--config", str(cfg), "--out", str(out))
-    assert code == 1
-    assert f"[run] {key} must be an integer" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
-
-
 @pytest.mark.parametrize("section,line,named", [
     ("algo.reinforce", "learning_rate = abc", "learning_rate = 'abc'"),
-    ("env", "max_steps = 1.5", "max_steps = '1.5'"),
-    ("env", "t_physics = 321.75", "t_physics = '321.75'"),
     ("algo.reinforce", "bogus = 1", "'bogus'"),
     ("algo.reinforce", "learning_rate = -1", "learning_rate must be positive"),
     ("algo.reinforce", "gamma = 1.5", "gamma must be in [0, 1]"),
     ("algo.reinforce", "actor_critic_layer_size = 0", "must be at least 1"),
     ("algo.nosuch", "x = 1", "[algo.nosuch]"),
     ("runn", "steps = 5", "[runn]"),
-    ("run", "step = 5", "'step'"),
     (None, "steps = 5", "no section headers")])
 def test_train_config_file_mistake_is_usage_error(tmp_path, capsys, section, line,
                                                   named):
@@ -114,32 +87,71 @@ def test_train_checks_the_sections_of_algorithms_it_does_not_run(tmp_path, capsy
     assert not out.exists() or not any(out.iterdir())
 
 
-@pytest.mark.parametrize("key", ["pressure_levels", "sigma", "cp", "g", "r_gas"])
-def test_train_rce_grid_and_constants_are_not_env_keys(tmp_path, capsys, key):
-    # the column's grid and physical constants are fixed
+@pytest.mark.parametrize("section,line", [("run", "steps = 5"),
+                                          ("env", "t_physics = 324.75"),
+                                          ("algos.dpg", "learning_rate = 0.01")])
+def test_train_config_file_section_other_than_algo_is_usage_error(tmp_path, capsys,
+                                                                  section, line):
+    # a run's experiment, seeds and environment come from the command line
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"[env]\n{key} = 1\n")
+    cfg.write_text(f"[algo.dpg]\nlearning_rate = 0.01\n\n[{section}]\n{line}\n")
     out = tmp_path / "records"
-    code = run_cli("train", "--experiment", "rce-v0-homo-64L", "--algo", "reinforce",
+    code = run_cli("train", "--experiment", "v0-homo-64L", "--algo", "dpg",
                    "--seeds", "1", "--steps", "50", "--config", str(cfg),
                    "--out", str(out))
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("usage error: ") and f"unknown key {key!r}" in err
-    assert not out.exists() or not any(out.iterdir())
+    assert err.startswith("usage error: ") and f"not [{section}]" in err
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("section", ["algo.reinforce", "runn"])
-def test_tune_config_file_section_it_does_not_read_is_usage_error(tmp_path, capsys,
-                                                                   section):
+def test_tune_takes_no_config_file(tmp_path, capsys):
+    # tune draws every tuned hyperparameter itself, on the experiment's env
     cfg = tmp_path / "tune.cfg"
-    cfg.write_text(f"[run]\nsteps = 5\n\n[{section}]\nlearning_rate = 0.01\n")
+    cfg.write_text("[algo.reinforce]\nlearning_rate = 0.01\n")
     out = tmp_path / "tuned"
     code = run_cli("tune", "--experiment", "v0-homo-64L", "--algo", "reinforce",
                    "--trials", "2", "--budget", "50", "--config", str(cfg),
                    "--out", str(out))
     assert code == 1
-    assert f"does not read [{section}]" in capsys.readouterr().err
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("algos,workers", [(["ddpg,ddpg"], "1"),
+                                           (["ddpg", "reinforce,ddpg"], "2")])
+def test_train_repeated_algorithm_is_usage_error(tmp_path, capsys, algos, workers):
+    # each (algorithm, seed) has one record path, which two runs would share
+    out = tmp_path / "records"
+    args = ["train", "--experiment", "v0-homo-64L", "--seeds", "1", "--steps", "50",
+            "--workers", workers, "--out", str(out)]
+    for value in algos:
+        args += ["--algo", value]
+    assert run_cli(*args) == 1
+    assert "usage error: repeated algorithm 'ddpg'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tune_repeated_algorithm_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "tuned"
+    code = run_cli("tune", "--experiment", "v0-homo-64L", "--algo", "reinforce",
+                   "--algo", "reinforce", "--trials", "2", "--budget", "50",
+                   "--out", str(out))
+    assert code == 1
+    assert "usage error: repeated algorithm 'reinforce'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_optim_experiment_needs_tuned_dir(tmp_path, capsys):
+    out = tmp_path / "records"
+    args = ["train", "--experiment", "v0-optim-L", "--algo", "ddpg", "--seeds", "1",
+            "--steps", "50", "--out", str(out)]
+    assert run_cli(*args) == 1
+    assert "v0-optim-L needs tuned hyperparameters: pass --tuned-dir" in \
+        capsys.readouterr().err
+    # a tuned directory without the algorithm's fragment is a runtime failure
+    assert run_cli(*args, "--tuned-dir", str(tmp_path / "tuned")) == 2
+    assert "no tuned fragment for ddpg" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -147,18 +159,10 @@ def test_tune_config_file_section_it_does_not_read_is_usage_error(tmp_path, caps
     ("3..1", "no seeds"), ("x", "malformed seeds"), ("1..2..3", "malformed seeds"),
     ("1,,x", "malformed seeds"), (",", "no seeds"), ("1,1", "repeated seed"),
     ("2,1..3", "malformed seeds"), ("1,2,1", "repeated seed")])
-@pytest.mark.parametrize("where", ["flag", "config"])
-def test_train_bad_seeds_are_usage_errors(tmp_path, capsys, seeds, message, where):
+def test_train_bad_seeds_are_usage_errors(tmp_path, capsys, seeds, message):
     out = tmp_path / "records"
-    args = ["train", "--experiment", "v0-homo-64L", "--algo", "reinforce",
-            "--steps", "50", "--out", str(out)]
-    if where == "flag":
-        args += ["--seeds", seeds]
-    else:
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"[run]\nseeds = {seeds}\n")
-        args += ["--config", str(cfg)]
-    assert run_cli(*args) == 1
+    assert run_cli("train", "--experiment", "v0-homo-64L", "--algo", "reinforce",
+                   "--seeds", seeds, "--steps", "50", "--out", str(out)) == 1
     assert f"usage error: --seeds: {message}" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
 
@@ -374,31 +378,19 @@ def test_export_profile_missing_exits_2(tmp_path, capsys):
     assert code == 2
 
 
-def test_config_file_env_and_algo_overrides(tmp_path):
+def test_config_file_algo_overrides(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("""
-[run]
-experiment = v0-homo-64L
-algos = dpg
-seeds = 1
-steps = 400
-
-[env]
-t_physics = 325.5
-
-[algo.dpg]
-learning_rate = 0.0005
-""")
-    out = tmp_path / "records"
-    code = run_cli("train", "--config", str(cfg), "--out", str(out))
-    assert code == 0
-    rec = load_record(out / record_filename("v0-homo-64L", "dpg", 1))
+    cfg.write_text("[algo.dpg]\nlearning_rate = 0.0005\n")
+    records = []
+    for name, extra in (("records", ["--config", str(cfg)]), ("records2", [])):
+        out = tmp_path / name
+        assert run_cli("train", "--experiment", "v0-homo-64L", "--algo", "dpg",
+                       "--seeds", "1", "--steps", "400", "--out", str(out),
+                       *extra) == 0
+        records.append(load_record(out / record_filename("v0-homo-64L", "dpg", 1)))
+    rec, rec2 = records
     assert rec.entries[-1][0] == 400
-    # different env physics shifts returns vs the default
-    out2 = tmp_path / "records2"
-    assert run_cli("train", "--experiment", "v0-homo-64L", "--algo", "dpg",
-                   "--seeds", "1", "--steps", "400", "--out", str(out2)) == 0
-    rec2 = load_record(out2 / record_filename("v0-homo-64L", "dpg", 1))
+    # a different learning rate shifts returns vs the default
     assert rec.entries != rec2.entries
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from climbench.algos import ALGORITHM_TAGS, make_config
 from climbench.configio import ConfigError, write_algo_fragment
+from climbench.envs import BiasCorrParams, RcePhysicsParams
 from climbench.experiments import (EXPERIMENTS, experiment_spec, make_experiment_env,
                                    plan_experiment_suite, resolve_config,
                                    run_experiment_suite, tuned_fragment_path)
@@ -108,13 +109,6 @@ def test_algo_overrides_win_over_width_and_tuned_fragment(tmp_path):
     assert (cfg.learning_rate, cfg.tau, cfg.total_timesteps) == (0.003, 0.02, 500)
 
 
-def test_bad_env_value_fails_before_the_pool_starts(tmp_path):
-    with pytest.raises(ConfigError, match="max_steps = '1.5'"):
-        run_experiment_suite("v0-homo-64L", ["reinforce"], [1, 2], out_dir=tmp_path,
-                             workers=2, env_overrides={"max_steps": "1.5"}, steps=50)
-    assert not list(tmp_path.glob("*.rec"))
-
-
 # (values rejected, values accepted) per range rule of the algorithm configs
 _RANGES = {"rate": (["0", "-1e-3", "nan"], ["1e-9"]),
            "unit": (["-0.01", "1.01", "nan"], ["0", "1"]),
@@ -146,14 +140,14 @@ def test_out_of_range_hyperparameters_fail_when_the_config_is_built(tag):
             make_config(tag, **{name: value})
 
 
-def test_env_overrides_reach_environment():
-    spec = experiment_spec("v0-homo-64L")
-    env = make_experiment_env(spec, {"t_physics": "325.0", "initial_temperature": "318"})
-    assert env.params.t_physics == 325.0
-    assert env.params.initial_temperature == 318.0
-    rce = make_experiment_env(experiment_spec("rce-v0-homo-64L"),
-                              {"isothermal_init": "280"})
-    assert rce.params.isothermal_init == 280.0
+def test_experiment_env_has_the_task_parameters():
+    # the paper fixes each experiment's environment; no run setting changes it
+    for spec in EXPERIMENTS.values():
+        env = make_experiment_env(spec)
+        if spec.is_rce:
+            assert env.params == RcePhysicsParams()
+        else:
+            assert (env.version, env.params) == (spec.env_version, BiasCorrParams())
 
 
 def test_suite_writes_one_record_per_algo_seed(tmp_path):

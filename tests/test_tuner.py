@@ -5,8 +5,9 @@ import json
 
 import numpy as np
 
-from climbench.algos import make_config
+from climbench.algos import make_config, make_trainer
 from climbench.algos.config import ALGORITHM_TAGS, TUNABLE_FIELDS, config_repr
+from climbench.envs import BiasCorrectionEnv, RceEnv, RcePhysicsParams
 from climbench.envs.core import rng_stream
 from climbench.tuner import (PARAMETER_RANGES, STREAM_TUNER, TrainingTrialRunner,
                              _advance_task, run_study, sample_config, tune_algorithm)
@@ -155,9 +156,6 @@ def test_real_training_study_deterministic_and_segment_consistent(tmp_path):
 
 def test_segmented_training_equals_unsegmented():
     # The tuner's resume contract: train(a) then train(b) == train(b).
-    from climbench.algos import make_config, make_trainer
-    from climbench.envs import BiasCorrectionEnv
-
     cfg = make_config("ddpg", total_timesteps=800)
     cfg.learning_starts = 100
     seg = make_trainer("ddpg", BiasCorrectionEnv("v0"), cfg, seed=3)
@@ -174,10 +172,10 @@ def test_segmented_training_equals_unsegmented():
 def test_aborted_trial_fails_with_its_abort_reason():
     # A policy pinned to the box's corner drives the column past 400 K in
     # step 58; the trial must fail there, not train on in the next wave.
-    runner = TrainingTrialRunner("ppo", "rce-v0-homo-64L",
-                                 {"insolation": 340.0, "max_steps": 100})
+    runner = TrainingTrialRunner("ppo", "rce-v0-homo-64L")
     cfg = make_config("ppo", total_timesteps=600)
-    trainer = runner.build(cfg)
+    env = RceEnv(RcePhysicsParams(insolation=340.0, max_steps=100))
+    trainer = make_trainer("ppo", env, cfg, runner.trial_seed, runner.experiment_id)
     trainer.policy.net.biases[-1][:] = 50.0
     trainer.policy.net.log_std[:] = -5.0
     state, value, steps, error = _advance_task((runner, trainer, cfg, 300))
