@@ -22,8 +22,8 @@ supplies up to three numpy hooks:
 A minibatch is a dict of (s, a, r, s_next) arrays, from replay or (DPG) the
 transition just seen; episodes only truncate, so every target bootstraps.
 
-Every critic and actor gradient is closed-form, written straight into one
-flat vector per optimizer; only the entropy coefficient's loss uses the tape.
+Every gradient, the entropy coefficient's included, is closed-form, written
+straight into one flat vector per optimizer.
 """
 
 from __future__ import annotations
@@ -164,8 +164,8 @@ class OffPolicyTrainer(Trainer):
         self.actor_opt = Optimizer([self.actor.net.flat], lrs[0])
         self.critic_opt = Optimizer([c.net.flat for c in self.critics], lrs[1])
         if self.stochastic_actor:
-            self.log_alpha = Tensor(np.array([np.log(cfg.alpha)]), requires_grad=True)
-            self.alpha_opt = Optimizer([self.log_alpha.data], lrs[2])
+            self.log_alpha = np.array([np.log(cfg.alpha)])
+            self.alpha_opt = Optimizer([self.log_alpha], lrs[2])
             self.target_entropy = -float(act_dim)
         self.buffer = None
         if not self.per_transition:
@@ -177,7 +177,7 @@ class OffPolicyTrainer(Trainer):
 
     @property
     def alpha(self) -> float:
-        return float(np.exp(self.log_alpha.data[0]))
+        return float(np.exp(self.log_alpha[0]))
 
     def actor_mlp(self):
         return self.actor.net
@@ -286,8 +286,26 @@ class OffPolicyTrainer(Trainer):
         self.n_actor_updates += 1
         if self.stochastic_actor:
             self.actor.net.clamp_log_std()
-            alpha_loss = (self.log_alpha.exp()
-                          * Tensor(logp + self.target_entropy)).mean() * (-1.0)
-            alpha_loss.backward()
-            self.alpha_opt.step(self.log_alpha.grad)
-            self.log_alpha.grad = None
+            self._update_alpha(logp)
+
+    def _update_alpha(self, logp: np.ndarray) -> None:
+        """One Adam step in log alpha on -mean(alpha * (logp + target_entropy)).
+
+        The gradient repeats, in order, the operations of differentiating the
+        loss one operation at a time on an autodiff tape: its per-state terms
+        are summed only when there is more than one (a sum starts from +0.0,
+        which would turn a lone -0.0 into +0.0).
+        """
+        excess = logp + self.target_entropy
+        alpha = np.exp(self.log_alpha)
+        n = excess.size
+        g = np.empty(1)
+
+        def backward():
+            g_alpha = np.full(n, -1.0 / n) * excess
+            if n > 1:
+                g_alpha = g_alpha.sum(axis=0, keepdims=True)
+            np.multiply(g_alpha, alpha, out=g)
+
+        Tensor(np.mean(alpha * excess) * (-1.0), backward).backward()
+        self.alpha_opt.step(g)

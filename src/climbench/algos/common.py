@@ -6,7 +6,7 @@ import numpy as np
 
 from ..envs.core import (BoxSpace, STREAM_BUFFER, STREAM_EXPLORE, STREAM_INIT,
                          STREAM_SHUFFLE, rng_stream)
-from ..nn import Head, Mlp, Tensor
+from ..nn import Head, Mlp
 
 __all__ = ["SeedStreams", "DeterministicPolicy", "GaussianPolicy",
            "SquashedGaussianPolicy", "QNet", "LOG_2PI", "hidden_layers"]
@@ -85,21 +85,33 @@ class GaussianPolicy:
         z = (actions - means) / std
         return (-0.5 * z * z - np.log(std) - 0.5 * LOG_2PI).sum(axis=1)
 
-    def log_prob_tensor(self, means: np.ndarray, kept: list, actions: np.ndarray):
-        """log pi(actions) over fresh tape leaves for ``forward``'s means (its layer
-        inputs ``kept``) and the log-std, and the function that, after the loss's
-        backward pass, writes the gradient reaching them into a ``flat`` vector."""
-        mean = Tensor(means, requires_grad=True)
-        log_std = Tensor(self.net.log_std, requires_grad=True)
-        inv_std = (-log_std).exp()
-        z = (Tensor(actions) - mean) * inv_std
-        per_dim = z * z * (-0.5) - log_std - 0.5 * LOG_2PI
+    def log_prob(self, means: np.ndarray, kept: list, actions: np.ndarray):
+        """log pi(actions) for the means and layer inputs ``kept`` that
+        ``forward`` returned, for a loss's gradient: (log-probs, what
+        ``log_prob_backward`` needs). The bytes differ from ``log_prob_np``'s,
+        which divides by the std where this multiplies by its inverse."""
+        inv_std = np.exp(-self.net.log_std)
+        diff = actions - means
+        z = diff * inv_std
+        per_dim = z * z * (-0.5) - self.net.log_std - 0.5 * LOG_2PI
+        return per_dim.sum(axis=1), (kept, inv_std, diff, z)
 
-        def write_grad(grad: np.ndarray) -> None:
-            self.net.backward(kept, mean.grad, grad)
-            grad[-self.act_dim:] = log_std.grad
+    def log_prob_backward(self, saved, g_logp: np.ndarray, grad: np.ndarray) -> None:
+        """Write the gradient of a loss in the log-probs of ``log_prob`` into
+        ``grad``, a ``flat``-shaped vector, log-std included.
 
-        return per_dim.sum(axis=1), write_grad
+        Each step repeats the operations, in order, of differentiating
+        ``log_prob``'s expression one operation at a time on an autodiff
+        tape, so the bytes match the tape's: z takes one term per factor of
+        z*z, the log-std its direct term and the one through 1/std.
+        """
+        kept, inv_std, diff, z = saved
+        g_per_dim = np.repeat(g_logp[:, None], self.act_dim, axis=1)
+        g_z = g_per_dim * (-0.5) * z
+        g_z += g_z
+        self.net.backward(kept, -(g_z * inv_std), grad)
+        grad[-self.act_dim:] = ((-g_per_dim).sum(axis=0)
+                                - (g_z * diff).sum(axis=0) * inv_std)
 
     def kl_old_new_np(self, old_means: np.ndarray, old_log_std: np.ndarray,
                       new_means: np.ndarray) -> float:

@@ -13,16 +13,17 @@ natural-gradient steps: conjugate gradient on Fisher-vector products
 (computed exactly for diagonal-Gaussian policies via a forward-tangent JVP and
 the net's closed-form backward pass), step length sqrt(2*delta / xHx), and
 backtracking by halving that accepts only surrogate-improving steps inside the
-KL region. The losses take the nets' outputs and the log-std onto the autodiff
-tape as fresh leaves; ``Mlp.backward`` turns what reaches an output leaf into
-the net's parameter gradient.
+KL region. Every loss gradient is closed form: the gradient at the nets'
+outputs and the log-std (``GaussianPolicy.log_prob_backward``,
+``OnPolicyTrainer.value_backward``) goes through ``Mlp.backward`` straight
+into the flat vector that Adam steps.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..nn import Mlp, Optimizer, Tensor, clip_grad_norm, minimum
+from ..nn import Mlp, Optimizer, Tensor, clip_grad_norm
 from ..rollout import discounted_returns, gae
 from .base import Trainer
 from .common import GaussianPolicy, hidden_layers
@@ -147,23 +148,25 @@ class OnPolicyTrainer(Trainer):
                                          new_means) > cfg.kl_limit:
                 break
 
-    def value_tensor(self, obs: np.ndarray):
-        """The value net's (batch,) output over a fresh tape leaf, and its
-        gradient writer (as in ``GaussianPolicy.log_prob_tensor``)."""
+    def value_error(self, obs: np.ndarray, returns: np.ndarray):
+        """The value net's (batch,) error against ``returns``, and its forward
+        pass's kept layer inputs."""
         out, kept = self.value_net.forward(obs)
-        value = Tensor(out, requires_grad=True)
-        return value.reshape(-1), lambda grad: self.value_net.backward(
-            kept, value.grad, grad)
+        return out.reshape(-1) - returns, kept
 
-    def _adam_step(self, loss: Tensor, write_grads, what: str) -> None:
-        """Backpropagate ``loss``, let ``write_grads`` (one per net of
-        ``adam_nets``) write each net's slice of one gradient, clip it and step."""
+    def value_backward(self, kept: list, error: np.ndarray, coef: float,
+                       grad: np.ndarray) -> None:
+        """Write the gradient of ``coef * mean(error ** 2)`` into ``grad``, a
+        value-net ``flat`` vector, repeating the autodiff tape's operations."""
+        g = np.full(error.size, coef / error.size) * 2 * error
+        self.value_net.backward(kept, g.reshape(-1, 1), grad)
+
+    def _adam_step(self, loss: Tensor, g: np.ndarray, what: str) -> None:
+        """Check ``loss``, run its backward, which writes one gradient over
+        ``adam_nets`` into ``g``, clip ``g`` and step."""
         self._check_finite_loss(float(loss.data), what)
         loss.backward()
-        g = np.empty(self.optimizer.m.size)
         views = np.split(g, np.cumsum([net.flat.size for net in self._adam_nets[:-1]]))
-        for write, view in zip(write_grads, views):
-            write(view)
         # per parameter, as flat slices: a contiguous array sums in the same
         # order whatever its shape, so these match the shaped views' sums
         clip_grad_norm([view[s] for net, view in zip(self._adam_nets, views)
@@ -176,20 +179,20 @@ class ReinforceTrainer(OnPolicyTrainer):
     adam_nets = ("policy",)
 
     def episode_loss(self, obs: np.ndarray, actions: np.ndarray,
-                     rewards: np.ndarray):
-        """-mean_t G_t log pi(a_t | s_t), minimized to ascend the return, and
-        the policy's gradient writer (see ``log_prob_tensor``)."""
+                     rewards: np.ndarray, grad: np.ndarray) -> Tensor:
+        """-mean_t G_t log pi(a_t | s_t), minimized to ascend the return; its
+        backward writes the gradient into ``grad``, a policy ``flat`` vector."""
         returns = discounted_returns(rewards, self.cfg.gamma)
-        logp, write_grad = self.policy.log_prob_tensor(*self.policy.net.forward(obs),
-                                                       actions)
-        return -(logp * Tensor(returns)).mean(), write_grad
+        logp, saved = self.policy.log_prob(*self.policy.net.forward(obs), actions)
+        n = returns.size
+        return Tensor(-(logp * returns).mean(), lambda: self.policy.log_prob_backward(
+            saved, np.full(n, -1.0 / n) * returns, grad))
 
     def update_from_batch(self, ep: dict[str, np.ndarray]) -> None:
-        loss, write_grad = self.episode_loss(ep["obs"], ep["actions"], ep["rewards"])
+        g = np.empty_like(self.policy.net.flat)
+        loss = self.episode_loss(ep["obs"], ep["actions"], ep["rewards"], g)
         self._check_finite_loss(float(loss.data), "reinforce loss")
         loss.backward()
-        g = np.empty_like(self.policy.net.flat)
-        write_grad(g)
         self.optimizer.step(g)
         self.policy.net.clamp_log_std()
         self.n_updates += 1
@@ -198,24 +201,37 @@ class ReinforceTrainer(OnPolicyTrainer):
 class PpoTrainer(OnPolicyTrainer):
     algorithm = "ppo"
 
-    def minibatch_loss(self, obs, actions, old_logp, adv, returns):
-        """The loss, and the policy's and value net's gradient writers."""
+    def minibatch_loss(self, obs, actions, old_logp, adv, returns,
+                       grad: np.ndarray) -> Tensor:
+        """-L_clip + vf_coef * L_value; its backward writes the gradient, policy
+        then value net, into ``grad``, one vector over both nets' ``flat``."""
         cfg = self.cfg
-        logp, write_policy = self.policy.log_prob_tensor(*self.policy.net.forward(obs),
-                                                         actions)
-        ratio = (logp - Tensor(old_logp)).exp()
-        adv_t = Tensor(adv)
-        surrogate = minimum(ratio * adv_t,
-                            ratio.clip(1.0 - cfg.clip_coef, 1.0 + cfg.clip_coef) * adv_t)
-        value, write_value = self.value_tensor(obs)
-        value_loss = ((value - Tensor(returns)) ** 2).mean()
-        return (-surrogate.mean() + cfg.vf_coef * value_loss,
-                [write_policy, write_value])
+        logp, saved = self.policy.log_prob(*self.policy.net.forward(obs), actions)
+        ratio = np.exp(logp - old_logp)
+        low, high = 1.0 - cfg.clip_coef, 1.0 + cfg.clip_coef
+        inside = (ratio > low) & (ratio < high)
+        unclipped, clipped = ratio * adv, np.clip(ratio, low, high) * adv
+        take_unclipped = unclipped <= clipped
+        error, value_kept = self.value_error(obs, returns)
+        policy_grad, value_grad = np.split(grad, [self.policy.net.flat.size])
+
+        def backward():
+            # the minimum's gradient goes to its smaller branch; the clipped
+            # branch's reaches the ratio only inside the clip range
+            g = np.full(adv.size, -1.0 / adv.size)
+            g_ratio = g * take_unclipped * adv
+            g_ratio += g * ~take_unclipped * adv * inside
+            self.policy.log_prob_backward(saved, g_ratio * ratio, policy_grad)
+            self.value_backward(value_kept, error, cfg.vf_coef, value_grad)
+
+        surrogate = np.where(take_unclipped, unclipped, clipped)
+        return Tensor(-surrogate.mean() + (error ** 2).mean() * cfg.vf_coef, backward)
 
     def minibatch_step(self, mb: dict[str, np.ndarray]) -> None:
-        self._adam_step(*self.minibatch_loss(mb["obs"], mb["actions"], mb["log_probs"],
-                                             mb["advantages"], mb["returns"]),
-                        "ppo loss")
+        g = np.empty(self.optimizer.m.size)
+        self._adam_step(self.minibatch_loss(mb["obs"], mb["actions"], mb["log_probs"],
+                                            mb["advantages"], mb["returns"], g),
+                        g, "ppo loss")
         self.policy.net.clamp_log_std()
         self.n_updates += 1
 
@@ -259,11 +275,11 @@ class TrpoTrainer(OnPolicyTrainer):
     def surrogate_grad(self, obs, actions, old_logp, adv):
         """The surrogate's gradient, and its forward pass's means and kept inputs."""
         means, kept = self.policy.net.forward(obs)
-        logp, write_grad = self.policy.log_prob_tensor(means, kept, actions)
-        ratio = (logp - Tensor(old_logp)).exp()
-        (ratio * Tensor(adv)).mean().backward()
+        logp, saved = self.policy.log_prob(means, kept, actions)
+        ratio = np.exp(logp - old_logp)
         g = np.empty_like(self.policy.net.flat)
-        write_grad(g)
+        Tensor((ratio * adv).mean(), lambda: self.policy.log_prob_backward(
+            saved, np.full(adv.size, 1.0 / adv.size) * adv * ratio, g)).backward()
         return g, means, kept
 
     def natural_step(self, obs, actions, old_logp, old_means, adv) -> bool:
@@ -298,8 +314,10 @@ class TrpoTrainer(OnPolicyTrainer):
         return False
 
     def minibatch_step(self, mb: dict[str, np.ndarray]) -> None:
-        value, write_grad = self.value_tensor(mb["obs"])
-        value_loss = ((value - Tensor(mb["returns"])) ** 2).mean() * 0.5
-        self._adam_step(value_loss, [write_grad], "trpo value loss")
+        error, kept = self.value_error(mb["obs"], mb["returns"])
+        g = np.empty(self.optimizer.m.size)
+        self._adam_step(Tensor((error ** 2).mean() * 0.5,
+                               lambda: self.value_backward(kept, error, 0.5, g)),
+                        g, "trpo value loss")
         self.natural_step(mb["obs"], mb["actions"], mb["log_probs"], mb["means"],
                           mb["advantages"])

@@ -92,8 +92,16 @@ def resolve_config(spec: ExperimentSpec, algorithm: str,
 
 def plan_experiment_suite(experiment_id: str, algorithms: list[str],
                           seeds: list[int]) -> list[tuple[str, str, int]]:
+    """The suite's (experiment, algorithm, seed) tasks. No (algorithm, seed)
+    pair may repeat: each has one record path."""
     spec = experiment_spec(experiment_id)
-    return [(spec.experiment_id, algo, seed) for algo in algorithms for seed in seeds]
+    plan = [(spec.experiment_id, algo, seed) for algo in algorithms for seed in seeds]
+    seen = set()
+    for task in plan:
+        if task in seen:
+            raise ValueError(f"repeated (algorithm, seed) pair {task[1:]!r}")
+        seen.add(task)
+    return plan
 
 
 def run_single_task(task: dict) -> RunRecord:

@@ -18,9 +18,8 @@ parameters in place; rebinding one would detach it from ``flat``.
 
 ``forward`` keeps each layer's input and ``backward`` writes the parameter
 gradients straight into a ``flat``-shaped vector for Adam. It is the one path
-by which any learner's gradient reaches a network; the on-policy learners feed
-it the gradient that their loss, built on the autodiff tape, leaves at the
-net's output.
+by which any learner's gradient reaches a network, fed the closed-form
+gradient of the learner's loss at the net's output.
 """
 
 from __future__ import annotations

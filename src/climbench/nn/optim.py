@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import NonFiniteError
-
-__all__ = ["Optimizer", "soft_update", "clip_grad_norm"]
+__all__ = ["NonFiniteError", "Optimizer", "soft_update", "clip_grad_norm"]
 
 BETA1, BETA2 = 0.9, 0.999
 EPSILON = 1e-8
+
+
+class NonFiniteError(ValueError):
+    """A value that must be finite (gradient, loss, parameter) is not."""
 
 
 class Optimizer:

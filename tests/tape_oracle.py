@@ -1,13 +1,13 @@
-"""Oracles on the autodiff tape for the closed-form network gradients.
+"""Oracles on the autodiff tape (``tape``) for the closed-form gradients.
 
 The learners once built every loss on the tape, each network's forward pass
 one node over per-parameter leaves (``node``), and gathered the leaves'
 gradients in ``flat`` order for Adam; these are those expressions, kept as the
 reference the one gradient path (``Mlp.backward`` into a flat vector) must
 match byte for byte. ``critic_grad`` and ``actor_grad`` give one off-policy
-step's gradient; ``reinforce_grad``, ``ppo_grad``, ``trpo_value_grad``,
-``surrogate_grad`` and ``fisher_vector_product`` (over its own ``jvp``) the
-on-policy ones.
+step's gradient and ``alpha_grad`` the entropy coefficient's;
+``reinforce_grad``, ``ppo_grad``, ``trpo_value_grad``, ``surrogate_grad`` and
+``fisher_vector_product`` (over its own ``jvp``) the on-policy ones.
 """
 
 import operator
@@ -19,8 +19,8 @@ import numpy as np
 from climbench.algos.common import LOG_2PI
 from climbench.algos.tqc import truncated_quantile_loss
 from climbench.envs import BoxSpace, ClimateEnv
-from climbench.nn import Tensor, minimum
 from climbench.rollout import discounted_returns
+from tape import Tensor, minimum
 
 
 class BoxEnv(ClimateEnv):
@@ -159,6 +159,13 @@ def actor_grad(trainer, batch: dict, xi: np.ndarray | None = None) -> np.ndarray
         loss = -actor_value(trainer, s, node(trainer.actor.net, leaves, s)).mean()
     loss.backward()
     return gather(leaves)
+
+
+def alpha_grad(trainer, logp: np.ndarray) -> np.ndarray:
+    """The gradient in log alpha of the entropy coefficient's loss."""
+    log_alpha = Tensor(trainer.log_alpha.copy(), requires_grad=True)
+    ((log_alpha.exp() * Tensor(logp + trainer.target_entropy)).mean() * (-1.0)).backward()
+    return log_alpha.grad
 
 
 # -- on-policy --------------------------------------------------------------------------

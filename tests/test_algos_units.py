@@ -13,9 +13,10 @@ from climbench.algos.onpolicy import conjugate_gradient
 from climbench.algos.tqc import quantile_fractions, truncated_quantile_loss
 from climbench.envs import BiasCorrectionEnv, BoxSpace, ClimateEnv, rng_stream
 from climbench.experiments import experiment_spec, make_experiment_env, resolve_config
-from climbench.nn import LOG_STD_MAX, LOG_STD_MIN, Mlp, Tensor
+from climbench.nn import LOG_STD_MAX, LOG_STD_MIN, Mlp
 from climbench.records import load_record
 from climbench.rollout import discounted_returns
+from tape import Tensor
 from tape_oracle import gather, node, param_leaves
 
 
@@ -70,11 +71,9 @@ def test_reinforce_loss_gradient_matches_finite_differences():
         logp = trainer.policy.log_prob_np(means, actions)
         return float(-(logp * returns).mean())
 
-    loss, write_grad = trainer.episode_loss(obs, actions, rewards)
-    loss.backward()
     net = trainer.policy.net
     grad = np.empty_like(net.flat)
-    write_grad(grad)
+    trainer.episode_loss(obs, actions, rewards, grad).backward()
     h = 1e-6
     for p, gp in zip(net.unflatten(net.flat), net.unflatten(grad)):
         flat = p.reshape(-1)
@@ -462,7 +461,8 @@ def test_ppo_loss_clips_ratios_outside_band():
     adv = np.array([1.3, 0.4, 0.9, 2.0, 0.8, 1.1, -1.3, -0.4, -0.9, -2.0, -0.8, -1.1])
     obs, actions, old_logp = _ppo_batch_with_ratios(trainer, ratios, rng)
     returns = rng.normal(size=ratios.size)
-    loss, _ = trainer.minibatch_loss(obs, actions, old_logp, adv, returns)
+    loss = trainer.minibatch_loss(obs, actions, old_logp, adv, returns,
+                                  np.empty(trainer.optimizer.m.size))
     surrogate = np.minimum(ratios * adv, np.clip(ratios, 0.8, 1.2) * adv)
     value = trainer.value_net.forward_np(obs)[:, 0]
     expected = -surrogate.mean() + trainer.cfg.vf_coef * np.mean((value - returns) ** 2)
@@ -473,11 +473,9 @@ def test_ppo_loss_clips_ratios_outside_band():
     ratios = np.array([1.5, 2.0, 0.5, 0.7])
     adv = np.array([0.8, 1.1, -1.3, -0.4])
     obs, actions, old_logp = _ppo_batch_with_ratios(trainer, ratios, rng)
-    loss, (write_policy_grad, _) = trainer.minibatch_loss(obs, actions, old_logp, adv,
-                                                          np.zeros(4))
-    loss.backward()
-    grad = np.full(trainer.policy.net.flat.size, np.nan)
-    write_policy_grad(grad)
+    both = np.full(trainer.optimizer.m.size, np.nan)
+    trainer.minibatch_loss(obs, actions, old_logp, adv, np.zeros(4), both).backward()
+    grad = both[:trainer.policy.net.flat.size]
     assert np.all(grad == 0.0)
 
 
@@ -489,7 +487,8 @@ def test_ppo_ratio_one_surrogate_is_mean_advantage():
     logp_old = trainer.policy.log_prob_np(trainer.policy.mean_np(obs), actions)
     adv = rng.normal(size=32)
     returns = rng.normal(size=32)
-    loss, _ = trainer.minibatch_loss(obs, actions, logp_old, adv, returns)
+    loss = trainer.minibatch_loss(obs, actions, logp_old, adv, returns,
+                                  np.empty(trainer.optimizer.m.size))
     value = trainer.value_net.forward_np(obs)[:, 0]
     expected = -float(adv.mean()) + trainer.cfg.vf_coef * float(
         np.mean((value - returns) ** 2))

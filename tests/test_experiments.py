@@ -75,6 +75,16 @@ def test_plan_cardinality_eight_algorithms_ten_seeds():
     assert len(set(plan)) == 80
 
 
+@pytest.mark.parametrize("algorithms, seeds", [(["dpg", "dpg"], [1]), (["dpg"], [1, 1])])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_suite_rejects_repeated_algorithm_seed_pair(tmp_path, algorithms, seeds, workers):
+    # two tasks would write, or with workers race to rename, one record file
+    with pytest.raises(ValueError, match=r"repeated \(algorithm, seed\) pair \('dpg', 1\)"):
+        run_experiment_suite("v0-homo-64L", algorithms, seeds, out_dir=tmp_path,
+                             workers=workers, steps=200)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_homo_64l_forces_layer_size():
     spec = experiment_spec("v1-homo-64L")
     for algo in ("ddpg", "tqc", "ppo"):

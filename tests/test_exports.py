@@ -3,10 +3,13 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 from pathlib import Path
 
 import climbench
+from climbench import nn
+from climbench.nn import tensor
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -21,17 +24,35 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
-def test_every_traced_name_exists():
-    # The benchmark's tracer wraps these names; a rename would break --trace 1.
+def traced_targets() -> list:
+    """The (owner, attribute, ...) entries the benchmark's tracer wraps."""
     path = ROOT / "bench" / "spans.py"
     spec = importlib.util.spec_from_file_location("bench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    targets = spans._targets()
+    return spans._targets()
+
+
+def test_every_traced_name_exists():
+    # The benchmark's tracer wraps these names; a rename would break --trace 1.
+    targets = traced_targets()
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, *_ in targets if not callable(vars(owner).get(attr))]
     assert len(targets) > 20
     assert missing == []
+
+
+def test_autodiff_tape_stays_out_of_src():
+    # Every gradient is closed form; the general tape is the tests' oracle
+    # (tests/tape.py). What is left in src/ is the loss node, whose backward
+    # the tracer times as nn.backward: no operators, reductions or reshapes.
+    methods = sorted(name for name, value in vars(tensor.Tensor).items()
+                     if callable(value))
+    assert methods == ["__init__", "backward"]
+    assert not {"minimum", "GraphConsumedError"} & set(nn.__all__)
+    assert (tensor.Tensor, "backward") in [(owner, attr)
+                                           for owner, attr, *_ in traced_targets()]
+    assert inspect.isfunction(vars(tensor.Tensor)["backward"])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -75,10 +96,10 @@ DATA_BINDERS = {("Tensor", "__init__")}
 def data_rebinds(source: str) -> list[str]:
     """Stores to an attribute named ``data`` outside ``DATA_BINDERS``.
 
-    The entropy coefficient's tape leaf holds the very array its optimizer
-    steps; binding a new array detaches it, so Adam stops moving it. Writes
-    through the array (``p.data[...] = x``) are not stores to the attribute
-    and pass.
+    The oracle tape's parameter leaves hold views into a net's ``flat``,
+    through which finite differences perturb the net; binding a new array
+    detaches a leaf, so the net no longer moves with it. Writes through the
+    array (``p.data[...] = x``) are not stores to the attribute and pass.
     """
     hits = []
 

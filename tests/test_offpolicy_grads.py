@@ -2,8 +2,9 @@
 
 For each of DPG, DDPG, TD3, SAC and TQC, one critic step and one actor step
 on a drawn minibatch must hand Adam the very bytes the tape gives over the
-same loss with one leaf per parameter (``tape_oracle``). The stochastic actor's gradient is
-also checked against central differences of its loss.
+same loss with one leaf per parameter (``tape_oracle``), and for SAC and TQC so
+must one entropy-coefficient step. The stochastic actor's gradient is also
+checked against central differences of its loss.
 """
 
 import numpy as np
@@ -38,7 +39,7 @@ def drawn_case(data, tag: str, max_width: int = 64, max_batch: int = 256):
     trainer = cls(env, make_config(tag, **fields), seed=int(rng.integers(1000)))
     if trainer.stochastic_actor:
         trainer.actor.net.log_std[:] = rng.uniform(-3.0, 1.0, size=act_dim)
-        trainer.log_alpha.data[:] = rng.uniform(-4.0, 1.0)
+        trainer.log_alpha[:] = rng.uniform(-4.0, 1.0)
     mb = {"s": rng.uniform(0.0, 1.0, size=(batch, obs_dim)),
           "a": rng.uniform(env.action_space.low, env.action_space.high,
                            size=(batch, act_dim))}
@@ -65,6 +66,21 @@ def test_critic_step_gradient_matches_tape_bytes(tag, data):
     trainer.compute_target = lambda batch: y
     seen = captured_step(trainer.critic_opt)
     trainer._update_critics(mb)
+    assert len(seen) == 1 and seen[0].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("tag", ["sac", "tqc"])
+@given(data=st.data(), log_alpha=st.floats(-10.0, 3.0))
+def test_alpha_step_gradient_matches_tape_bytes(tag, data, log_alpha):
+    trainer, mb, _ = drawn_case(data, tag)
+    trainer.log_alpha[:] = log_alpha
+    # -target_entropy makes a zero term, whose sign a sum over one state would lose
+    values = st.floats(-30.0, 30.0) | st.just(-trainer.target_entropy)
+    logp = np.array(data.draw(st.lists(values, min_size=len(mb["s"]),
+                                       max_size=len(mb["s"])), label="logp"))
+    expected = tape_oracle.alpha_grad(trainer, logp)
+    seen = captured_step(trainer.alpha_opt)
+    trainer._update_alpha(logp)
     assert len(seen) == 1 and seen[0].tobytes() == expected.tobytes()
 
 
@@ -106,7 +122,7 @@ def test_stochastic_actor_gradient_matches_central_differences(tag, data):
     alpha = trainer.alpha           # the step tunes alpha after the actor's update
     seen = captured_step(trainer.actor_opt)
     trainer._update_actor(mb)
-    trainer.log_alpha.data[:] = np.log(alpha)
+    trainer.log_alpha[:] = np.log(alpha)
     flat, h = trainer.actor.net.flat, 1e-5
     numeric = np.empty_like(flat)
     for i in range(flat.size):

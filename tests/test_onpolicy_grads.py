@@ -1,11 +1,11 @@
-"""The on-policy gradients against the autodiff tape, byte for byte.
+"""The closed-form on-policy gradients against the autodiff tape, byte for byte.
 
-REINFORCE, PPO and TRPO build their losses on the tape over fresh leaves for
-the nets' outputs and the log-std, and ``Mlp.backward`` turns what reaches
-those leaves into parameter gradients. Over drawn batch sizes, widths and
-minibatch counts, every gradient Adam is handed, every TRPO surrogate
-gradient and every Fisher-vector product must be the very bytes the tape
-gives with one leaf per parameter (``tape_oracle``).
+REINFORCE, PPO and TRPO write their losses' gradients at the nets' outputs
+and the log-std in closed form, and ``Mlp.backward`` turns them into
+parameter gradients. Over drawn batch sizes, widths and minibatch counts,
+every gradient Adam is handed, every TRPO surrogate gradient and every
+Fisher-vector product must be the very bytes the tape gives over the same
+losses with one leaf per parameter (``tape_oracle``).
 """
 
 import numpy as np

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from climbench.nn import GraphConsumedError, Head, Mlp, Tensor, minimum
+from climbench.nn import Head, Mlp
+from tape import GraphConsumedError, Tensor, minimum
 from tape_oracle import concat, gather, log, node, param_leaves, tanh
 
 
