@@ -70,7 +70,8 @@ class Trainer:
         raise NotImplementedError
 
     def actor_mlp(self):
-        """The policy network, for checkpointing in the nn text format."""
+        """The policy network, whose parameters the golden digests hash and
+        the non-finite abort test poisons."""
         return self.policy.net
 
     def train(self, total_steps: int | None = None) -> RunRecord:
@@ -180,6 +181,8 @@ class OffPolicyTrainer(Trainer):
         return float(np.exp(self.log_alpha[0]))
 
     def actor_mlp(self):
+        """The actor network, whose parameters the golden digests hash and
+        the non-finite abort test poisons."""
         return self.actor.net
 
     def select_action(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn import Mlp, Optimizer, Tensor, clip_grad_norm
+from ..nn import Mlp, NonFiniteError, Optimizer, Tensor, clip_grad_norm
 from ..rollout import discounted_returns, gae
 from .base import Trainer
 from .common import GaussianPolicy, hidden_layers
@@ -283,12 +283,13 @@ class TrpoTrainer(OnPolicyTrainer):
         return g, means, kept
 
     def natural_step(self, obs, actions, old_logp, old_means, adv) -> bool:
-        """One trust-region update on a minibatch; returns True if accepted."""
+        """One trust-region update on a minibatch; returns True if accepted.
+        A non-finite surrogate gradient raises NonFiniteError."""
         cfg = self.cfg
         flat = self.policy.net.flat
         g, means, kept = self.surrogate_grad(obs, actions, old_logp, adv)
         if not np.all(np.isfinite(g)):
-            return False
+            raise NonFiniteError("trpo surrogate gradient is not finite")
         fvp = lambda v: self.fisher_vector_product(kept, v)
         x = conjugate_gradient(fvp, g, cfg.cg_iterations)
         xhx = float(x @ fvp(x))

@@ -51,8 +51,6 @@ def _build_parser() -> _Parser:
     train.add_argument("--out", default="records", help="records output directory")
     train.add_argument("--tuned-dir", default=None,
                        help="tuner output directory (required for *-optim-L)")
-    train.add_argument("--checkpoints", action="store_true",
-                       help="save final actor networks next to the records")
     train.add_argument("--list", action="store_true", help="list experiment ids")
 
     tune = sub.add_parser("tune", help="hyperparameter search with pruning")
@@ -150,8 +148,7 @@ def cmd_train(args) -> int:
     _require_positive(steps=args.steps, workers=args.workers)
     records = run_experiment_suite(
         spec.experiment_id, algos, seeds, out_dir=args.out, workers=args.workers,
-        algo_overrides=overrides, tuned_dir=args.tuned_dir, steps=args.steps,
-        save_checkpoints=args.checkpoints)
+        algo_overrides=overrides, tuned_dir=args.tuned_dir, steps=args.steps)
     aborted = [r for r in records if r.aborted]
     for rec in records:
         status = "ABORTED: " + rec.abort_reason if rec.aborted else \
@@ -189,12 +186,12 @@ def cmd_evaluate(args) -> int:
     lines = ["experiment_id,algorithm,seed,n_to_threshold,var_after_threshold,"
              "delta_from_final"]
     for rec in sorted(records, key=lambda r: (r.experiment_id, r.algorithm, r.seed)):
-        spec = threshold_for_experiment(rec.experiment_id)
+        threshold = threshold_for_experiment(rec.experiment_id)
         lines.append(",".join([
             rec.experiment_id, rec.algorithm, str(rec.seed),
-            str(n_to_threshold(rec, spec) or ""),
-            _fmt(variance_after_threshold(rec, spec)),
-            _fmt(delta_from_final(rec, spec)),
+            str(n_to_threshold(rec, threshold) or ""),
+            _fmt(variance_after_threshold(rec, threshold)),
+            _fmt(delta_from_final(rec, threshold)),
         ]))
     lines.append("")
     lines.append("experiment_id,algorithm,seeds,median_n_to_threshold,"

@@ -61,11 +61,6 @@ class BoxSpace:
         # ndarray.clip is what np.clip dispatches to, without its wrappers
         return np.asarray(x, dtype=np.float64).clip(self.low, self.high)
 
-    def contains(self, x: np.ndarray) -> bool:
-        x = np.asarray(x)
-        return x.shape == self.low.shape and bool(
-            np.all(x >= self.low) and np.all(x <= self.high))
-
 
 @dataclass
 class StepResult:
@@ -103,7 +98,9 @@ class ClimateEnv:
         self._episode_over = True
 
     def reset(self, seed: int | None = None) -> np.ndarray:
-        """Start an episode; ``seed`` changes nothing, as no draws are made."""
+        """Start an episode from the task's fixed initial state. The dynamics
+        draw no numbers, so ``seed`` is ignored (only the benchmark's self-test
+        still passes one)."""
         self._step_index = 0
         self._episode_over = False
         return self._reset_state()

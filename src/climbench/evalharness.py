@@ -26,8 +26,8 @@ from .experiments import experiment_spec
 from .records import RunRecord
 
 __all__ = [
-    "ThresholdSpec", "THRESHOLDS", "threshold_for_experiment", "threshold_consistency",
-    "n_to_threshold", "variance_after_threshold", "delta_from_final",
+    "THRESHOLDS", "threshold_for_experiment", "n_to_threshold",
+    "variance_after_threshold", "delta_from_final",
     "AggregateScore", "aggregate_scores", "rank_algorithms", "frequency_table",
     "top1_table", "REFERENCE_TOP3_BIASCORR", "REFERENCE_TOP3_RCE",
     "REFERENCE_TOP3_FREQUENCIES", "REFERENCE_TOP1_FREQUENCIES",
@@ -35,69 +35,45 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ThresholdSpec:
-    environment_id: str
-    threshold: float
-    per_step_error: float
-    episode_steps: int
-    sparse_offset: float = 0.0  # constant part of the v2 threshold
-
-    def core_magnitude(self) -> float:
-        return abs(self.threshold) - self.sparse_offset
-
-    def consistent(self, tolerance: float = 0.02) -> bool:
-        implied = math.sqrt(self.core_magnitude() / self.episode_steps)
-        return abs(implied - self.per_step_error) / self.per_step_error <= tolerance
-
-
+# Each environment's episodic-return threshold, as the paper gives it: about
+# the return of a 200-step episode off by 0.035 (v0) or 0.116 (v1; v2 adds its
+# sparse reward's 160) at every step, or of a 500-step RCE episode off by 9.37 K.
 THRESHOLDS = {
-    "SimpleClimateBiasCorrection-v0": ThresholdSpec(
-        "SimpleClimateBiasCorrection-v0", -0.25, 0.035, 200),
-    "SimpleClimateBiasCorrection-v1": ThresholdSpec(
-        "SimpleClimateBiasCorrection-v1", -2.718, 0.116, 200),
-    "SimpleClimateBiasCorrection-v2": ThresholdSpec(
-        "SimpleClimateBiasCorrection-v2", -(160.0 + 2.718), 0.116, 200,
-        sparse_offset=160.0),
-    "RadiativeConvectiveModel-v0": ThresholdSpec(
-        "RadiativeConvectiveModel-v0", -43_900.0, 9.37, 500),
+    "SimpleClimateBiasCorrection-v0": -0.25,
+    "SimpleClimateBiasCorrection-v1": -2.718,
+    "SimpleClimateBiasCorrection-v2": -(160.0 + 2.718),
+    "RadiativeConvectiveModel-v0": -43_900.0,
 }
 
 
-def threshold_for_experiment(experiment_id: str) -> ThresholdSpec:
+def threshold_for_experiment(experiment_id: str) -> float:
     """The threshold of the experiment's environment; KeyError for unknown ids."""
     return THRESHOLDS[experiment_spec(experiment_id).environment_id]
-
-
-def threshold_consistency(specs=None, tolerance: float = 0.02) -> bool:
-    """Guard against transcription drift between thresholds and per-step errors."""
-    specs = THRESHOLDS.values() if specs is None else specs
-    return all(spec.consistent(tolerance) for spec in specs)
 
 
 # -- per-run metrics ---------------------------------------------------------------
 
 
-def n_to_threshold(record: RunRecord, spec: ThresholdSpec) -> int | None:
+def n_to_threshold(record: RunRecord, threshold: float) -> int | None:
     if not record.entries:
         raise ValueError("empty record")
     for step, ret in record.entries:
-        if ret >= spec.threshold:
+        if ret >= threshold:
             return step
     return None
 
 
-def variance_after_threshold(record: RunRecord, spec: ThresholdSpec) -> float | None:
+def variance_after_threshold(record: RunRecord, threshold: float) -> float | None:
     """Population variance of returns at and after the first crossing."""
-    crossing = n_to_threshold(record, spec)
+    crossing = n_to_threshold(record, threshold)
     if crossing is None:
         return None
     tail = [ret for step, ret in record.entries if step >= crossing]
     return float(np.var(tail))
 
 
-def delta_from_final(record: RunRecord, spec: ThresholdSpec) -> float:
-    return record.final_return() - spec.threshold
+def delta_from_final(record: RunRecord, threshold: float) -> float:
+    return record.final_return() - threshold
 
 
 # -- cross-seed aggregation and ranking -------------------------------------------
@@ -117,17 +93,17 @@ class AggregateScore:
 
 
 def aggregate_scores(records_by_seed: list[RunRecord],
-                     spec: ThresholdSpec) -> AggregateScore:
+                     threshold: float) -> AggregateScore:
     if not records_by_seed:
         raise ValueError("no records to aggregate")
     ns, variances, deltas = [], [], []
     for rec in records_by_seed:
-        n = n_to_threshold(rec, spec)
+        n = n_to_threshold(rec, threshold)
         ns.append(math.inf if n is None else float(n))
-        v = variance_after_threshold(rec, spec)
+        v = variance_after_threshold(rec, threshold)
         if v is not None:
             variances.append(v)
-        deltas.append(delta_from_final(rec, spec))
+        deltas.append(delta_from_final(rec, threshold))
     return AggregateScore(
         algorithm=records_by_seed[0].algorithm,
         median_n_to_threshold=float(np.median(ns)),
@@ -144,8 +120,8 @@ def rank_algorithms(records: list[RunRecord]) -> dict[str, list[AggregateScore]]
         grouped.setdefault(rec.experiment_id, {}).setdefault(rec.algorithm, []).append(rec)
     ranking: dict[str, list[AggregateScore]] = {}
     for experiment_id, by_algo in sorted(grouped.items()):
-        spec = threshold_for_experiment(experiment_id)
-        scores = [aggregate_scores(recs, spec) for recs in by_algo.values()]
+        threshold = threshold_for_experiment(experiment_id)
+        scores = [aggregate_scores(recs, threshold) for recs in by_algo.values()]
         ranking[experiment_id] = sorted(scores, key=AggregateScore.sort_key)
     return ranking
 

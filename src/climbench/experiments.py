@@ -15,7 +15,6 @@ from pathlib import Path
 from .algos import BaseConfig, make_config, make_trainer
 from .configio import read_algo_fragment
 from .envs import BiasCorrectionEnv, RceEnv, export_profile_with_simulated
-from .nn import save_mlp
 from .records import RunRecord, record_filename
 
 __all__ = ["ExperimentSpec", "EXPERIMENTS", "experiment_spec", "make_experiment_env",
@@ -123,16 +122,13 @@ def run_single_task(task: dict) -> RunRecord:
         if spec.is_rce:
             export_profile_with_simulated(path.with_suffix(".profile.csv"),
                                           env.column.temperatures)
-        if task.get("save_checkpoints"):
-            save_mlp(trainer.actor_mlp(), path.with_suffix(".actor.ckpt"))
     return record
 
 
 def run_experiment_suite(experiment_id: str, algorithms: list[str], seeds: list[int],
                          out_dir=None, workers: int = 1,
                          algo_overrides: dict[str, dict] | None = None,
-                         tuned_dir=None, steps: int | None = None,
-                         save_checkpoints: bool = False) -> list[RunRecord]:
+                         tuned_dir=None, steps: int | None = None) -> list[RunRecord]:
     """One RunRecord per (algorithm, seed); tasks run across worker processes."""
     plan = plan_experiment_suite(experiment_id, algorithms, seeds)
     tasks = [{
@@ -143,7 +139,6 @@ def run_experiment_suite(experiment_id: str, algorithms: list[str], seeds: list[
         "algo_overrides": (algo_overrides or {}).get(algo),
         "tuned_dir": tuned_dir,
         "steps": steps,
-        "save_checkpoints": save_checkpoints,
     } for _, algo, seed in plan]
     # Fail fast on config errors before spawning workers.
     spec = experiment_spec(experiment_id)

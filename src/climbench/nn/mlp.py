@@ -12,8 +12,8 @@ Weights init uniform in +-1/sqrt(fan_in); the output layer can be down-scaled
 
 Every net owns one contiguous float64 vector, ``flat``: each layer's weights
 then biases, input to output, then the log-std. ``weights``, ``biases`` and
-``log_std`` are ndarray views into it, so an optimizer, a target blend, TRPO's
-natural step or a checkpoint can treat the whole net as one vector. Write
+``log_std`` are ndarray views into it, so an optimizer, a target blend or
+TRPO's natural step can treat the whole net as one vector. Write
 parameters in place; rebinding one would detach it from ``flat``.
 
 ``forward`` keeps each layer's input and ``backward`` writes the parameter
@@ -28,15 +28,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Head", "Mlp", "LOG_STD_MIN", "LOG_STD_MAX", "save_mlp", "load_mlp"]
+__all__ = ["Head", "Mlp", "LOG_STD_MIN", "LOG_STD_MAX"]
 
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
 
 _HEADS = ("linear", "tanh_scaled", "gaussian")
-
-CHECKPOINT_MAGIC = "climbench-mlp"
-CHECKPOINT_VERSION = 1
 
 
 @dataclass
@@ -195,65 +192,3 @@ class Mlp:
                 h = kept[i + 1]
                 t = t * (1.0 - h * h)
         return t
-
-
-# -- checkpoint format ---------------------------------------------------------
-#
-# Text, one value per line after a fixed preamble:
-#   line 1: "<magic> <version>"
-#   line 2: layer sizes, space separated
-#   line 3: "tanh <head-kind>" (the hidden activation; tanh is the only one)
-#   line 4: head bounds ("-" when absent): low values ';' high values
-#   line 5: "log_std" or "-"
-#   then every value of ``flat`` as float.hex(), in order.
-
-
-def save_mlp(net: Mlp, path) -> None:
-    lines = [f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}",
-             " ".join(str(s) for s in net.layer_sizes),
-             f"tanh {net.head.kind}"]
-    if net.head.kind == "tanh_scaled":
-        low = " ".join(v.hex() for v in net.head.low.tolist())
-        high = " ".join(v.hex() for v in net.head.high.tolist())
-        lines.append(f"{low};{high}")
-    else:
-        lines.append("-")
-    lines.append("log_std" if net.log_std is not None else "-")
-    lines.extend(v.hex() for v in net.flat.tolist())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_mlp(path) -> Mlp:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    magic, version = lines[0].split()
-    if magic != CHECKPOINT_MAGIC:
-        raise ValueError(f"not a checkpoint file: bad magic {magic!r}")
-    if int(version) != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    layer_sizes = [int(s) for s in lines[1].split()]
-    activation, head_kind = lines[2].split()
-    if activation != "tanh":
-        raise ValueError(f"unsupported activation {activation!r}")
-    if lines[3] == "-":
-        head = Head(head_kind) if head_kind != "tanh_scaled" else None
-        if head is None:
-            raise ValueError("tanh_scaled head requires bounds")
-    else:
-        low_s, high_s = lines[3].split(";")
-        head = Head(head_kind,
-                    low=np.array([float.fromhex(v) for v in low_s.split()]),
-                    high=np.array([float.fromhex(v) for v in high_s.split()]))
-    net = Mlp(layer_sizes, head)
-    if lines[4] == "log_std" and net.log_std is None:
-        raise ValueError("checkpoint has log_std but head is not gaussian")
-    values = [float.fromhex(v) for v in lines[5:] if v]
-    if len(values) < net.flat.size:
-        raise ValueError("checkpoint truncated")
-    if len(values) > net.flat.size:
-        raise ValueError("checkpoint has trailing values")
-    net.flat[:] = values
-    if not np.all(np.isfinite(net.flat)):
-        raise ValueError("checkpoint contains non-finite parameters")
-    return net

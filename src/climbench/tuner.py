@@ -31,11 +31,11 @@ from .experiments import experiment_spec, make_experiment_env, tuned_fragment_pa
 from .records import RunRecord
 
 __all__ = ["PARAMETER_RANGES", "sample_config", "Trial", "StudyResult", "run_study",
-           "TrainingTrialRunner", "tune_algorithm", "CHECKPOINT_FRACTIONS",
+           "TrainingTrialRunner", "tune_algorithm", "PRUNING_FRACTIONS",
            "STREAM_TUNER"]
 
 STREAM_TUNER = 6
-CHECKPOINT_FRACTIONS = (0.2, 0.4, 0.6, 0.8)
+PRUNING_FRACTIONS = (0.2, 0.4, 0.6, 0.8)  # of the budget; then the median cut
 
 # (kind, ...) per tunable: log-uniform for learning rates, uniform for
 # coefficients, categorical for layer/batch sizes, integer ranges otherwise.
@@ -145,8 +145,7 @@ def _advance_task(args):
 
 
 def run_study(runner, algorithm: str, n_trials: int, budget_steps: int,
-              workers: int = 1, seed: int = 1,
-              checkpoint_fractions: tuple = CHECKPOINT_FRACTIONS) -> StudyResult:
+              workers: int = 1, seed: int = 1) -> StudyResult:
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     rng = rng_stream(seed, STREAM_TUNER)
@@ -158,8 +157,7 @@ def run_study(runner, algorithm: str, n_trials: int, budget_steps: int,
     states: dict[int, object] = {tid: None for tid in range(n_trials)}
     active = list(range(n_trials))
 
-    fractions = tuple(checkpoint_fractions) + (1.0,)
-    for fraction in fractions:
+    for fraction in PRUNING_FRACTIONS + (1.0,):
         target = max(1, int(round(fraction * budget_steps)))
         tasks = [(runner, states[tid], configs[tid], target) for tid in active]
         if workers > 1 and len(tasks) > 1:

@@ -13,7 +13,7 @@ from climbench.algos.onpolicy import conjugate_gradient
 from climbench.algos.tqc import quantile_fractions, truncated_quantile_loss
 from climbench.envs import BiasCorrectionEnv, BoxSpace, ClimateEnv, rng_stream
 from climbench.experiments import experiment_spec, make_experiment_env, resolve_config
-from climbench.nn import LOG_STD_MAX, LOG_STD_MIN, Mlp
+from climbench.nn import LOG_STD_MAX, LOG_STD_MIN, Mlp, NonFiniteError
 from climbench.records import load_record
 from climbench.rollout import discounted_returns
 from tape import Tensor
@@ -302,6 +302,34 @@ def test_trpo_no_op_on_unimprovable_surrogate():
     accepted = trainer.natural_step(obs, actions, logp, means, np.zeros(16))
     assert not accepted
     assert np.array_equal(before, trainer.policy.net.flat)
+
+
+def test_trpo_non_finite_surrogate_gradient_aborts_the_run(monkeypatch):
+    # like every other non-finite update: raised, then recorded as an abort
+    trainer = make("trpo")
+    rng = np.random.default_rng(5)
+    obs = rng.uniform(0, 1, size=(16, 1))
+    means = trainer.policy.mean_np(obs)
+    actions = means + 0.05 * rng.normal(size=(16, 1))
+    logp = trainer.policy.log_prob_np(means, actions)
+    adv = rng.normal(size=16)
+    adv[3] = np.nan
+    trainer._log_std_at_collect = trainer.policy.net.log_std.copy()
+    before = trainer.policy.net.flat.copy()
+    with pytest.raises(NonFiniteError, match="surrogate gradient"):
+        trainer.natural_step(obs, actions, logp, means, adv)
+    assert np.array_equal(before, trainer.policy.net.flat)
+    assert trainer.n_natural_steps == trainer.n_rejected_steps == 0
+    surrogate_grad = trainer.surrogate_grad
+
+    def poisoned(*args):
+        g, means, kept = surrogate_grad(*args)
+        return np.full_like(g, np.nan), means, kept
+
+    monkeypatch.setattr(trainer, "surrogate_grad", poisoned)
+    record = trainer.train(400)
+    assert record.aborted
+    assert "trpo surrogate gradient is not finite" in record.abort_reason
 
 
 @pytest.mark.parametrize("cg_iterations", [1, 10])

@@ -74,7 +74,7 @@ def test_v0_episodic_return_at_per_step_error_0035():
 
 def test_v2_lag_semantics():
     env = BiasCorrectionEnv("v2")
-    env.reset(seed=1)
+    env.reset()
     values = []
     rewards = []
     rng = np.random.default_rng(2)
@@ -93,8 +93,8 @@ def test_v2_total_equals_v1_total_with_truncation_flush():
     actions = rng.uniform(-1, 1, size=200)
     v1 = BiasCorrectionEnv("v1")
     v2 = BiasCorrectionEnv("v2")
-    v1.reset(seed=3)
-    v2.reset(seed=3)
+    v1.reset()
+    v2.reset()
     tot1 = sum(v1.step([a]).reward for a in actions)
     tot2 = sum(v2.step([a]).reward for a in actions)
     assert tot1 == pytest.approx(tot2, abs=1e-12)
@@ -122,7 +122,7 @@ def test_env_matches_vectorized_oracle_exactly():
     p = P
     d = p.bias_denominator
     env = BiasCorrectionEnv("v0")
-    env.reset(seed=9)
+    env.reset()
     rng = np.random.default_rng(9)
     t = p.initial_temperature
     for _ in range(200):
@@ -135,7 +135,7 @@ def test_env_matches_vectorized_oracle_exactly():
 
 def test_zero_action_drifts_monotonically_to_fixed_point():
     env = BiasCorrectionEnv("v0")
-    env.reset(seed=1)
+    env.reset()
     # Fixed point from iterating the closed form to convergence.
     t_star = 320.0
     for _ in range(10_000):

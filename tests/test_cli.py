@@ -34,6 +34,16 @@ def test_missing_required_flags_exit_1(tmp_path):
     assert run_cli("evaluate") == 1  # argparse error routed to exit 1
 
 
+def test_train_has_no_checkpoints_option(tmp_path, capsys):
+    # a run writes its record (and, on RCE, its profile sidecar), no networks
+    out = tmp_path / "records"
+    assert run_cli("train", "--experiment", "v0-homo-64L", "--algo", "dpg",
+                   "--seeds", "1", "--steps", "50", "--checkpoints",
+                   "--out", str(out)) == 1
+    assert "unrecognized arguments: --checkpoints" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag,value", [("--steps", "0"), ("--steps", "-5"),
                                         ("--workers", "0")])
 def test_train_non_positive_count_is_usage_error(tmp_path, capsys, flag, value):
@@ -421,3 +431,81 @@ def test_rank_rerun_byte_identical(tmp_path):
                        "--out", str(out_dir)) == 0
         outs.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
     assert outs[0] == outs[1]
+
+
+# Four returns per seed, two seeds per (experiment, algorithm); several land
+# exactly on a threshold (-0.25, -2.718, -162.718, -43900), which counts as
+# reaching it.
+PINNED_RETURNS = {
+    ("v0-homo-64L", "ddpg"): [[-1.0, -0.3, -0.25, -0.125], [-0.5, -0.5, -0.5, -0.75]],
+    ("v0-homo-64L", "td3"): [[-0.2, -0.3, -0.1, -0.2], [-2.0, -0.24, -1.0, -0.01]],
+    ("v1-homo-64L", "ddpg"): [[-5.0, -2.718, -3.0, -2.5], [-9.0, -8.0, -7.0, -6.0]],
+    ("v1-homo-64L", "sac"): [[-3.0, -2.0, -2.5, -1.0], [-2.5, -2.7, -1.5, -0.5]],
+    ("v2-homo-64L", "sac"): [[-170.0, -162.718, -165.0, -160.0],
+                             [-200.0, -180.0, -170.0, -163.0]],
+    ("v2-homo-64L", "tqc"): [[-162.0, -161.0, -170.0, -162.5],
+                             [-190.0, -162.7, -162.8, -150.0]],
+    ("rce-v0-homo-64L", "ppo"): [[-90_000.0, -60_000.0, -43_900.0, -50_000.0],
+                                 [-80_000.0, -70_000.0, -65_000.0, -45_000.0]],
+    ("rce-v0-homo-64L", "trpo"): [[-50_000.0, -43_000.0, -44_000.0, -40_000.0],
+                                  [-100_000.0, -43_899.5, -43_950.0, -41_000.0]],
+}
+
+PINNED_METRICS = """\
+experiment_id,algorithm,seed,n_to_threshold,var_after_threshold,delta_from_final
+rce-v0-homo-64L,ppo,1,1500,9302500.0,-6100.0
+rce-v0-homo-64L,ppo,2,,,-1100.0
+rce-v0-homo-64L,trpo,1,1000,2888888.8888888895,3900.0
+rce-v0-homo-64L,trpo,2,1000,1901350.0555555557,2900.0
+v0-homo-64L,ddpg,1,600,0.00390625,0.125
+v0-homo-64L,ddpg,2,,,-0.5
+v0-homo-64L,td3,1,200,0.004999999999999999,0.04999999999999999
+v0-homo-64L,td3,2,400,0.17895555555555553,0.24
+v1-homo-64L,ddpg,1,400,0.04189422222222222,0.21799999999999997
+v1-homo-64L,ddpg,2,,,-3.282
+v1-homo-64L,sac,1,400,0.38888888888888884,1.718
+v1-homo-64L,sac,2,200,0.7700000000000001,2.218
+v2-homo-64L,sac,1,400,4.177227555555555,2.7179999999999893
+v2-homo-64L,sac,2,,,-0.2820000000000107
+v2-homo-64L,tqc,1,200,12.796875,0.2179999999999893
+v2-homo-64L,tqc,2,400,36.126666666666665,12.71799999999999
+
+experiment_id,algorithm,seeds,median_n_to_threshold,mean_variance,mean_delta
+rce-v0-homo-64L,ppo,2,inf,9302500.0,-3600.0
+rce-v0-homo-64L,trpo,2,1000.0,2395119.4722222225,3400.0
+v0-homo-64L,ddpg,2,inf,0.00390625,-0.1875
+v0-homo-64L,td3,2,300.0,0.09197777777777777,0.145
+v1-homo-64L,ddpg,2,inf,0.04189422222222222,-1.532
+v1-homo-64L,sac,2,300.0,0.5794444444444444,1.968
+v2-homo-64L,sac,2,inf,4.177227555555555,1.2179999999999893
+v2-homo-64L,tqc,2,300.0,24.461770833333333,6.467999999999989
+"""
+
+PINNED_TABLES = {
+    "top3.csv": "experiment_id,rank1,rank2,rank3\nrce-v0-homo-64L,trpo,ppo\n"
+                "v0-homo-64L,td3,ddpg\nv1-homo-64L,sac,ddpg\nv2-homo-64L,tqc,sac\n",
+    "top3_frequency.csv": "algorithm,frequency\nddpg,2\nsac,2\nppo,1\ntd3,1\n"
+                          "tqc,1\ntrpo,1\n",
+    "top1_frequency.csv": "algorithm,frequency\nsac,1\ntd3,1\ntqc,1\ntrpo,1\n",
+}
+
+
+def test_evaluate_and_rank_output_bytes_are_pinned(tmp_path, capsys):
+    # One experiment of each environment, so every threshold takes part.
+    records_dir = tmp_path / "records"
+    records_dir.mkdir()
+    for (experiment_id, algo), by_seed in PINNED_RETURNS.items():
+        episode = 500 if experiment_id.startswith("rce") else 200
+        for seed, values in enumerate(by_seed, start=1):
+            rec = RunRecord(experiment_id, algo, seed)
+            for n, value in enumerate(values, start=1):
+                rec.add(n * episode, value)
+            rec.save(records_dir / record_filename(experiment_id, algo, seed))
+    metrics = tmp_path / "metrics.csv"
+    assert run_cli("evaluate", "--records", str(records_dir), "--out", str(metrics)) == 0
+    assert capsys.readouterr().out == PINNED_METRICS
+    assert metrics.read_bytes() == PINNED_METRICS.encode()
+    tables = tmp_path / "tables"
+    assert run_cli("rank", "--records", str(records_dir), "--out", str(tables)) == 0
+    assert {p.name: p.read_bytes() for p in tables.iterdir()} == {
+        name: text.encode() for name, text in PINNED_TABLES.items()}

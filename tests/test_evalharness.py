@@ -11,8 +11,8 @@ from climbench.evalharness import (REFERENCE_TOP1_FREQUENCIES,
                                    THRESHOLDS, aggregate_scores,
                                    confidence_curves, delta_from_final,
                                    frequency_table, n_to_threshold, rank_algorithms,
-                                   threshold_consistency, threshold_for_experiment,
-                                   top1_table, top3_lists, variance_after_threshold)
+                                   threshold_for_experiment, top1_table, top3_lists,
+                                   variance_after_threshold)
 from climbench.records import RunRecord
 
 
@@ -25,61 +25,71 @@ def make_record(returns, steps=None, experiment="v0-homo-64L-60k", algo="ddpg",
     return rec
 
 
-SPEC_V0 = THRESHOLDS["SimpleClimateBiasCorrection-v0"]
+V0 = THRESHOLDS["SimpleClimateBiasCorrection-v0"]
+
+# The paper's footnotes: each threshold is about the return of an episode of
+# ``steps`` steps off by ``error`` at every step, plus v2's constant sparse part.
+FOOTNOTES = {  # environment: (per-step error, episode steps, constant offset)
+    "SimpleClimateBiasCorrection-v0": (0.035, 200, 0.0),
+    "SimpleClimateBiasCorrection-v1": (0.116, 200, 0.0),
+    "SimpleClimateBiasCorrection-v2": (0.116, 200, 160.0),
+    "RadiativeConvectiveModel-v0": (9.37, 500, 0.0),
+}
+
+
+def implied_error(threshold: float, steps: int, offset: float) -> float:
+    return math.sqrt((abs(threshold) - offset) / steps)
 
 
 def test_threshold_registry_consistency():
-    assert threshold_consistency()
-    assert SPEC_V0.consistent()
-    # the three footnote identities
-    assert math.sqrt(0.25 / 200) == pytest.approx(0.035, rel=0.02)
-    assert math.sqrt(2.718 / 200) == pytest.approx(0.116, rel=0.02)
-    assert math.sqrt(43_900 / 500) == pytest.approx(9.37, rel=0.02)
+    # guards the thresholds against transcription drift
+    assert set(THRESHOLDS) == set(FOOTNOTES)
+    for env_id, (error, steps, offset) in FOOTNOTES.items():
+        assert implied_error(THRESHOLDS[env_id], steps, offset) == pytest.approx(
+            error, rel=0.02), env_id
 
 
 def test_threshold_inconsistent_spec_detected():
-    bad = THRESHOLDS["SimpleClimateBiasCorrection-v0"].__class__(
-        "x", -0.25, 0.05, 200)
-    assert not bad.consistent()
+    # a per-step error of 0.05 against v0's threshold is out of tolerance
+    assert implied_error(V0, 200, 0.0) != pytest.approx(0.05, rel=0.02)
 
 
 def test_v2_threshold_uses_sparse_offset():
-    spec = THRESHOLDS["SimpleClimateBiasCorrection-v2"]
-    assert spec.threshold == -162.718
-    assert spec.core_magnitude() == pytest.approx(2.718)
-    assert spec.consistent()
+    v2 = THRESHOLDS["SimpleClimateBiasCorrection-v2"]
+    assert v2 == -162.718
+    assert v2 + 160.0 == pytest.approx(THRESHOLDS["SimpleClimateBiasCorrection-v1"])
 
 
 def test_threshold_for_experiment_mapping():
-    assert threshold_for_experiment("v1-optim-L").threshold == -2.718
-    assert threshold_for_experiment("rce-v0-homo-64L-10k").threshold == -43_900
+    assert threshold_for_experiment("v1-optim-L") == -2.718
+    assert threshold_for_experiment("rce-v0-homo-64L-10k") == -43_900
     with pytest.raises(KeyError):
         threshold_for_experiment("nope")
 
 
 def test_n_to_threshold_first_crossing():
     rec = make_record([-1.0, -0.3, -0.2, -0.1], steps=[200, 400, 600, 800])
-    assert n_to_threshold(rec, SPEC_V0) == 600
+    assert n_to_threshold(rec, V0) == 600
 
 
 def test_n_to_threshold_absent_and_immediate():
-    assert n_to_threshold(make_record([-1.0, -0.9]), SPEC_V0) is None
-    assert n_to_threshold(make_record([-0.1, -0.9]), SPEC_V0) == 200
+    assert n_to_threshold(make_record([-1.0, -0.9]), V0) is None
+    assert n_to_threshold(make_record([-0.1, -0.9]), V0) == 200
 
 
 def test_variance_after_threshold_cases():
     rec = make_record([-1.0, -0.2, -0.2, -0.4])
-    got = variance_after_threshold(rec, SPEC_V0)
+    got = variance_after_threshold(rec, V0)
     assert got == pytest.approx(np.var([-0.2, -0.2, -0.4]))
     assert got == pytest.approx(0.0088888888888, abs=1e-10)
-    assert variance_after_threshold(make_record([-0.9]), SPEC_V0) is None
-    assert variance_after_threshold(make_record([-1.0, -0.1]), SPEC_V0) == 0.0
-    assert variance_after_threshold(make_record([-0.2, -0.2]), SPEC_V0) == 0.0
+    assert variance_after_threshold(make_record([-0.9]), V0) is None
+    assert variance_after_threshold(make_record([-1.0, -0.1]), V0) == 0.0
+    assert variance_after_threshold(make_record([-0.2, -0.2]), V0) == 0.0
 
 
 def test_delta_from_final_cases():
-    assert delta_from_final(make_record([-0.5, -0.25]), SPEC_V0) == 0.0
-    assert delta_from_final(make_record([-0.5, -0.1]), SPEC_V0) == pytest.approx(0.15)
+    assert delta_from_final(make_record([-0.5, -0.25]), V0) == 0.0
+    assert delta_from_final(make_record([-0.5, -0.1]), V0) == pytest.approx(0.15)
     rce = THRESHOLDS["RadiativeConvectiveModel-v0"]
     rec = make_record([-50_000.0, -43_000.0], experiment="rce-v0-optim-L-10k")
     assert delta_from_final(rec, rce) == pytest.approx(900.0)
@@ -89,10 +99,10 @@ def test_aggregation_median_with_absent_as_infinity():
     recs = [make_record([-1.0, -0.1], seed=1),
             make_record([-1.0, -0.9], seed=2),
             make_record([-0.1], seed=3)]
-    agg = aggregate_scores(recs, SPEC_V0)
+    agg = aggregate_scores(recs, V0)
     assert agg.median_n_to_threshold == 400.0  # median of (400, inf, 200)
     assert agg.seeds == 3
-    none_reached = aggregate_scores([make_record([-1.0])], SPEC_V0)
+    none_reached = aggregate_scores([make_record([-1.0])], V0)
     assert none_reached.median_n_to_threshold == math.inf
     assert none_reached.mean_variance == math.inf
 
@@ -113,15 +123,15 @@ def test_ranking_is_deterministic_and_ordered():
 def test_n_to_threshold_monotone_under_prepended_failures():
     base = make_record([-0.1], steps=[200])
     worse = make_record([-1.0, -0.1], steps=[200, 400])
-    assert n_to_threshold(worse, SPEC_V0) >= n_to_threshold(base, SPEC_V0)
+    assert n_to_threshold(worse, V0) >= n_to_threshold(base, V0)
 
 
 def test_metrics_do_not_mutate_records():
     rec = make_record([-1.0, -0.2, -0.1])
     before = list(rec.entries)
-    n_to_threshold(rec, SPEC_V0)
-    variance_after_threshold(rec, SPEC_V0)
-    delta_from_final(rec, SPEC_V0)
+    n_to_threshold(rec, V0)
+    variance_after_threshold(rec, V0)
+    delta_from_final(rec, V0)
     assert rec.entries == before
 
 

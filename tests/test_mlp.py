@@ -1,6 +1,5 @@
-"""Head behaviour, initialization, JVP, and the checkpoint round-trip."""
+"""Head behaviour, initialization, JVP, and the parameter vector."""
 
-import hashlib
 import os
 import pickle
 import subprocess
@@ -12,9 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from climbench.nn import LOG_STD_MAX, LOG_STD_MIN, Head, Mlp, load_mlp, save_mlp
-
-FIXTURES = Path(__file__).resolve().parent / "fixtures"
+from climbench.nn import LOG_STD_MAX, LOG_STD_MIN, Head, Mlp
 
 
 def test_tanh_scaled_head_stays_in_box():
@@ -153,65 +150,3 @@ def test_jvp_matches_finite_difference_directional_derivative():
     fd = (up - down) / (2 * h)
     jvp = net.jvp(net.forward(x)[1], net.unflatten(tangent))
     assert np.max(np.abs(jvp - fd)) < 1e-6
-
-
-@pytest.mark.parametrize("head,act", [
-    (Head("linear"), "tanh"),
-    (Head("tanh_scaled", low=[0.0, 5.5], high=[1.0, 9.8]), "tanh"),
-    (Head("gaussian"), "tanh"),
-])
-def test_checkpoint_round_trip_bit_exact(tmp_path, head, act):
-    net = Mlp([4, 16, 2], head=head, rng=np.random.default_rng(9))
-    path = tmp_path / "net.ckpt"
-    save_mlp(net, path)
-    assert path.read_text().splitlines()[2] == f"{act} {head.kind}"
-    loaded = load_mlp(path)
-    assert loaded.layer_sizes == net.layer_sizes
-    assert loaded.head.kind == net.head.kind
-    assert loaded.flat.tobytes() == net.flat.tobytes()
-    assert_parameters_view_flat(loaded)
-    x = np.random.default_rng(1).normal(size=(3, 4))
-    assert np.array_equal(net.forward_np(x), loaded.forward_np(x))
-
-
-@pytest.mark.parametrize("name,sha256", [
-    ("mlp_tanh_scaled.ckpt",
-     "764d5011c6951ffa409d0c92fff91ecbbc7f124534b9c43d1953e8f19f4f3b5c"),
-    ("mlp_gaussian.ckpt",
-     "bed2f08fc567b58a4809a055219f052fd03ff6c78652ac90bcaf0a5b00942e83"),
-])
-def test_checkpoint_from_per_tensor_layout_loads_same_bytes(tmp_path, name, sha256):
-    # Written by commit 01db5b2, when each parameter owned its own array; the
-    # digest is of those arrays' bytes, concatenated in declaration order.
-    net = load_mlp(FIXTURES / name)
-    assert hashlib.sha256(net.flat.tobytes()).hexdigest() == sha256
-    save_mlp(net, tmp_path / name)
-    assert (tmp_path / name).read_text() == (FIXTURES / name).read_text()
-
-
-def test_checkpoint_with_relu_activation_rejected(tmp_path):
-    net = Mlp([2, 3, 1], rng=np.random.default_rng(0))
-    path = tmp_path / "net.ckpt"
-    save_mlp(net, path)
-    lines = path.read_text().splitlines()
-    lines[2] = "relu linear"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="activation 'relu'"):
-        load_mlp(path)
-
-
-def test_checkpoint_bad_magic_rejected(tmp_path):
-    path = tmp_path / "bad.ckpt"
-    path.write_text("something-else 1\n1 1\ntanh linear\n-\n-\n")
-    with pytest.raises(ValueError, match="magic"):
-        load_mlp(path)
-
-
-def test_checkpoint_truncated_rejected(tmp_path):
-    net = Mlp([2, 2], rng=np.random.default_rng(0))
-    path = tmp_path / "net.ckpt"
-    save_mlp(net, path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-2]) + "\n")
-    with pytest.raises(ValueError, match="truncated"):
-        load_mlp(path)

@@ -81,7 +81,7 @@ def test_all_fluxes_non_negative_random_columns():
 def test_energy_budget_exact_over_full_step():
     # Column + surface enthalpy change per env step == (absorbed SW - OLR) * dt.
     env = RceEnv()
-    env.reset(seed=1)
+    env.reset()
     p = env.params
     c_layer = rce.CP * rce.LAYER_DP_HPA * 100.0 / rce.G
     c_surf = p.surface_heat_capacity
@@ -236,7 +236,7 @@ def test_adjustment_matches_uncapped_sweep_oracle(case):
 def test_adjustment_matches_oracle_along_trajectory():
     # Columns as the env hands them over: after radiation, before adjustment.
     env = RceEnv()
-    env.reset(seed=1)
+    env.reset()
     p = env.params
     worst = 0.0
     for _ in range(60):
@@ -346,30 +346,30 @@ def test_params_cannot_change_under_their_geometry():
 
 def test_reset_isothermal_17_levels_idempotent():
     env = RceEnv()
-    obs = env.reset(seed=2)
+    obs = env.reset()
     assert obs.shape == (17,)
     assert np.all(obs == obs[0])
     assert np.all(env.column.temperatures == env.params.isothermal_init)
     assert env.column.surface_temperature == env.params.isothermal_init
-    assert np.array_equal(env.reset(seed=2), obs)
+    assert np.array_equal(env.reset(), obs)
 
 
 def test_reward_zero_iff_profiles_match():
     # Score one step against the very column it produces, then against that
     # column shifted by 0.5 K at every level.
     probe = RceEnv()
-    probe.reset(seed=3)
+    probe.reset()
     probe.step([0.4, 6.5])
     for shift, reward in [(0.0, 0.0), (0.5, -0.25)]:
         env = RceEnv()
         env.observed = probe.column.temperatures + shift
-        env.reset(seed=3)
+        env.reset()
         assert env.step([0.4, 6.5]).reward == reward
 
 
 def test_reward_is_negative_mean_squared_level_difference():
     env = RceEnv()
-    env.reset(seed=3)
+    env.reset()
     res = env.step([0.4, 6.5])
     diffs = env.column.temperatures - env.observed
     assert res.reward == pytest.approx(-float(np.mean(diffs ** 2)), rel=1e-12)
@@ -383,7 +383,7 @@ def test_threshold_identity_500_steps_at_rms_937():
 def test_action_box_corners_stay_inside_temperature_bounds():
     for eps, gam in [(0.0, 5.5), (0.0, 9.8), (1.0, 5.5), (1.0, 9.8)]:
         env = RceEnv()
-        env.reset(seed=1)
+        env.reset()
         for _ in range(500):
             env.step([eps, gam])  # validate() raises if (100, 400) K is left
         t = env.column.temperatures
@@ -393,7 +393,7 @@ def test_action_box_corners_stay_inside_temperature_bounds():
 def test_runaway_column_raises_column_state_error_at_step_58():
     # Earth's mean insolation with an opaque, stiff column passes 400 K.
     env = RceEnv(RcePhysicsParams(insolation=340.0))
-    env.reset(seed=1)
+    env.reset()
     for _ in range(57):
         env.step([1.0, 9.8])
     with pytest.raises(ColumnStateError, match="outside"):
@@ -402,7 +402,7 @@ def test_runaway_column_raises_column_state_error_at_step_58():
 
 def test_fixed_parameters_approach_steady_state():
     env = RceEnv()
-    env.reset(seed=1)
+    env.reset()
     prev = env.column.temperatures.copy()
     diffs = []
     for _ in range(500):
@@ -417,7 +417,7 @@ def test_fixed_parameters_approach_steady_state():
 def test_three_regime_structure_with_full_opacity():
     # Convective troposphere at the critical lapse, radiative upper region.
     env = RceEnv(RcePhysicsParams(max_steps=2000))
-    env.reset(seed=1)
+    env.reset()
     for _ in range(2000):
         env.step([1.0, 6.5])
     z = column_heights(env.column)
@@ -433,7 +433,7 @@ def test_greenhouse_monotone_in_emissivity():
     finals = []
     for eps in (0.2, 0.5, 0.9):
         env = RceEnv(RcePhysicsParams(max_steps=900))
-        env.reset(seed=1)
+        env.reset()
         for _ in range(900):
             env.step([eps, 6.5])
         finals.append(env.column.surface_temperature)
