@@ -36,10 +36,11 @@ import numpy as np
 
 from ..envs.core import ClimateEnv
 from ..envs.rce import ColumnStateError
-from ..nn import NonFiniteError, Optimizer, Tensor, soft_update
+from ..nn import Mlp, NonFiniteError, Optimizer, Tensor, soft_update
 from ..records import RunRecord, config_digest
 from ..rollout import ReplayBuffer
-from .common import DeterministicPolicy, QNet, SeedStreams, SquashedGaussianPolicy
+from .common import (DeterministicPolicy, SeedStreams, SquashedGaussianPolicy,
+                     hidden_layers)
 from .config import BaseConfig, config_repr
 
 __all__ = ["Trainer", "OffPolicyTrainer"]
@@ -142,28 +143,28 @@ class OffPolicyTrainer(Trainer):
             return policy(obs_dim, self.env.action_space, width, init)
 
         def make_critics():
-            return [QNet(obs_dim, act_dim, width, init, out_dim=self.critic_width)
-                    for _ in range(self.n_critics)]
+            return [Mlp(hidden_layers(obs_dim + act_dim, width, self.critic_width),
+                        rng=init) for _ in range(self.n_critics)]
 
         # The init stream draws in this order: actor, critics, target actor,
         # target critics. A stochastic actor bootstraps from itself.
         self.actor = make_actor()
         self.critics = make_critics()
         self.target_actor, self.target_critics = self.actor, self.critics
-        pairs = []
+        self._blends = []
         if not self.per_transition:
             if not self.stochastic_actor:
                 self.target_actor = make_actor()
-                pairs.append((self.target_actor, self.actor))
+                self._blends.append((self.target_actor.net.flat, self.actor.net.flat))
             self.target_critics = make_critics()
-            pairs += zip(self.target_critics, self.critics)
-        self._blends = [(t.net.flat, o.net.flat) for t, o in pairs]
+            self._blends += [(t.flat, o.flat)
+                             for t, o in zip(self.target_critics, self.critics)]
         for target, online in self._blends:
             soft_update(target, online, 1.0)
         lrs = [getattr(cfg, name) for name in self.lr_fields]
         # each optimizer steps whole ``flat`` vectors, writing once per net
         self.actor_opt = Optimizer([self.actor.net.flat], lrs[0])
-        self.critic_opt = Optimizer([c.net.flat for c in self.critics], lrs[1])
+        self.critic_opt = Optimizer([c.flat for c in self.critics], lrs[1])
         if self.stochastic_actor:
             self.log_alpha = np.array([np.log(cfg.alpha)])
             self.alpha_opt = Optimizer([self.log_alpha], lrs[2])
@@ -171,7 +172,7 @@ class OffPolicyTrainer(Trainer):
         self.buffer = None
         if not self.per_transition:
             # a run can never store more transitions than its step budget
-            capacity = max(1, min(cfg.buffer_size, cfg.total_timesteps))
+            capacity = min(cfg.buffer_size, cfg.total_timesteps)
             self.buffer = ReplayBuffer(capacity, obs_dim, act_dim, self.streams.buffer)
         self.n_critic_updates = 0
         self.n_actor_updates = 0
@@ -198,8 +199,8 @@ class OffPolicyTrainer(Trainer):
 
     def min_target_q(self, s_next: np.ndarray, a_next: np.ndarray) -> np.ndarray:
         """Elementwise minimum over the target critics' scalar values."""
-        return reduce(np.minimum, [tc.q_np(s_next, a_next)[:, 0]
-                                   for tc in self.target_critics])
+        x = np.concatenate([s_next, a_next], axis=-1)
+        return reduce(np.minimum, [tc.forward_np(x)[:, 0] for tc in self.target_critics])
 
     def critic_losses(self, qs: list[np.ndarray], y: np.ndarray):
         """Summed mean squared error of the (batch, 1) critic values against
@@ -246,13 +247,13 @@ class OffPolicyTrainer(Trainer):
     def _update_critics(self, batch: dict[str, np.ndarray]) -> None:
         y = self.compute_target(batch)
         x = np.concatenate([batch["s"], batch["a"]], axis=1)
-        passes = [c.net.forward(x) for c in self.critics]
+        passes = [c.forward(x) for c in self.critics]
         loss, grads = self.critic_losses([q for q, _ in passes], y)
         self._check_finite_loss(loss, f"{self.algorithm} critic loss")
         g = np.empty(self.critic_opt.m.size)
         for c, (_, kept), dq, view in zip(self.critics, passes, grads,
                                           g.reshape(len(self.critics), -1)):
-            c.net.backward(kept, dq, view)
+            c.backward(kept, dq, view)
         self.critic_opt.step(g)
         self.n_critic_updates += 1
 
@@ -268,9 +269,9 @@ class OffPolicyTrainer(Trainer):
         if self.stochastic_actor:
             action, logp, saved = self.rsample(s)
         else:
-            action, saved = self.actor.net.forward(s)
+            action, saved = self.actor.forward(s)
         x = np.concatenate([s, action], axis=1)
-        passes = [c.net.forward(x) for c in self.critics[:self.actor_critics]]
+        passes = [c.forward(x) for c in self.critics[:self.actor_critics]]
         # the loss is the mean over states of alpha * logp - value (no logp
         # for a deterministic actor), so d(loss)/d(value) is -1/n
         value, grads = self.actor_value([q for q, _ in passes], np.full(n, -1.0 / n))
@@ -278,13 +279,13 @@ class OffPolicyTrainer(Trainer):
         self._check_finite_loss(float(loss.mean()), f"{self.algorithm} actor loss")
         # the critics pass the actor an action gradient and take none themselves
         g_action = reduce(operator.add, [
-            c.net.backward(kept, dq, input_grad=True)[:, s.shape[1]:]
+            c.backward(kept, dq, input_grad=True)[:, s.shape[1]:]
             for c, (_, kept), dq in zip(self.critics, passes, grads)])
         g = np.empty_like(self.actor.net.flat)
         if self.stochastic_actor:
             self.actor.rsample_backward(saved, g_action, np.full(n, 1.0 / n * self.alpha), g)
         else:
-            self.actor.net.backward(saved, g_action, g)
+            self.actor.backward(saved, g_action, g)
         self.actor_opt.step(g)
         self.n_actor_updates += 1
         if self.stochastic_actor:

@@ -1,4 +1,4 @@
-"""Shared pieces for the eight trainers: policies, critics, seed streams."""
+"""Shared pieces for the eight trainers: policies, seed streams, net shapes."""
 
 from __future__ import annotations
 
@@ -6,10 +6,10 @@ import numpy as np
 
 from ..envs.core import (BoxSpace, STREAM_BUFFER, STREAM_EXPLORE, STREAM_INIT,
                          STREAM_SHUFFLE, rng_stream)
-from ..nn import Head, Mlp
+from ..nn import Mlp
 
 __all__ = ["SeedStreams", "DeterministicPolicy", "GaussianPolicy",
-           "SquashedGaussianPolicy", "QNet", "LOG_2PI", "hidden_layers"]
+           "SquashedGaussianPolicy", "LOG_2PI", "hidden_layers"]
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -31,17 +31,32 @@ def hidden_layers(in_dim: int, layer_size: int, out_dim: int) -> list[int]:
 
 
 class DeterministicPolicy:
-    """tanh-squashed actor emitting actions inside the env box."""
+    """Actor whose net's output u maps into the env box as
+    tanh(u) * half + center."""
 
     def __init__(self, obs_dim: int, action_space: BoxSpace, layer_size: int,
                  rng: np.random.Generator):
-        head = Head("tanh_scaled", low=action_space.low, high=action_space.high)
         self.net = Mlp(hidden_layers(obs_dim, layer_size, action_space.dim),
-                       head=head, rng=rng, final_scale=1e-2)
+                       rng=rng, final_scale=1e-2)
         self.action_space = action_space
 
     def act_np(self, obs: np.ndarray) -> np.ndarray:
-        return self.net.forward_np(obs)
+        """The action at one state or a batch of states."""
+        box = self.action_space
+        return np.tanh(self.net.forward_np(obs)) * box.half + box.center
+
+    def forward(self, obs: np.ndarray):
+        """The training pass over a (batch, obs_dim) array: the actions, and
+        what ``backward`` needs."""
+        u, kept = self.net.forward(obs)
+        t = np.tanh(u)
+        return t * self.action_space.half + self.action_space.center, (kept, t)
+
+    def backward(self, saved, g_action: np.ndarray, grad: np.ndarray) -> None:
+        """Write the gradient of a loss in the actions of ``forward`` into
+        ``grad``, a ``flat``-shaped vector."""
+        kept, t = saved
+        self.net.backward(kept, g_action * self.action_space.half * (1.0 - t * t), grad)
 
 
 class GaussianPolicy:
@@ -57,11 +72,9 @@ class GaussianPolicy:
                  rng: np.random.Generator):
         act_dim = action_space.dim
         self.net = Mlp(hidden_layers(obs_dim, layer_size, act_dim),
-                       head=Head("gaussian"), rng=rng, final_scale=1e-2)
+                       with_log_std=True, rng=rng, final_scale=1e-2)
         self.act_dim = act_dim
         self.action_space = action_space
-        self.center = (action_space.high + action_space.low) / 2.0
-        self.half = (action_space.high - action_space.low) / 2.0
 
     def std_np(self) -> np.ndarray:
         return np.exp(self.net.log_std)
@@ -70,7 +83,8 @@ class GaussianPolicy:
         return self.net.forward_np(obs)
 
     def to_env(self, raw: np.ndarray) -> np.ndarray:
-        return self.action_space.clip(self.center + self.half * raw)
+        box = self.action_space
+        return box.clip(box.center + box.half * raw)
 
     def sample_np(self, obs: np.ndarray, noise: np.ndarray):
         """One step's sample at ``noise``, that step's row of ``std_np()`` times
@@ -130,27 +144,25 @@ class SquashedGaussianPolicy:
     def __init__(self, obs_dim: int, action_space: BoxSpace, layer_size: int,
                  rng: np.random.Generator):
         self.net = Mlp(hidden_layers(obs_dim, layer_size, action_space.dim),
-                       head=Head("gaussian"), rng=rng, final_scale=1e-2)
+                       with_log_std=True, rng=rng, final_scale=1e-2)
         self.action_space = action_space
-        self.center = (action_space.high + action_space.low) / 2.0
-        self.half = (action_space.high - action_space.low) / 2.0
 
     def sample_np(self, obs: np.ndarray, rng: np.random.Generator | None = None):
         """An action in the box: a sample, or without ``rng`` the mean's image."""
         u = self.net.forward_np(obs)
         if rng is not None:
             u = u + np.exp(self.net.log_std) * rng.normal(size=u.shape)
-        return self.center + self.half * np.tanh(u)
+        return self.action_space.center + self.action_space.half * np.tanh(u)
 
     def rsample(self, obs: np.ndarray, xi: np.ndarray):
         """Reparameterized sample at noise ``xi``, for the actor step and the
         critic targets: (action, log_prob, what ``rsample_backward`` needs)."""
         mean, kept = self.net.forward(obs)
-        log_std = self.net.log_std
+        log_std, box = self.net.log_std, self.action_space
         std = np.exp(log_std)
         t = np.tanh(mean + std * xi)
-        action = t * self.half + self.center
-        correction = (t * t * (-1.0) + 1.0) * self.half + 1e-6
+        action = t * box.half + box.center
+        correction = (t * t * (-1.0) + 1.0) * box.half + 1e-6
         per_dim = xi * xi * (-0.5) - log_std - 0.5 * LOG_2PI - np.log(correction)
         return action, per_dim.sum(axis=1), (kept, xi, std, t, correction)
 
@@ -165,22 +177,13 @@ class SquashedGaussianPolicy:
         of the correction first, then the action's term.
         """
         kept, xi, std, t, correction = saved
+        half = self.action_space.half
         g_per_dim = np.repeat(g_logp[:, None], t.shape[1], axis=1)
         # -log(correction), correction = (t*t*(-1) + 1) * half + 1e-6
-        g_t = (-g_per_dim / correction * self.half * (-1.0)) * t
+        g_t = (-g_per_dim / correction * half * (-1.0)) * t
         g_t += g_t                      # one term per factor of t*t
-        g_t += g_action * self.half     # action = t * half + center
+        g_t += g_action * half          # action = t * half + center
         g_u = g_t * (1.0 - t * t)
         self.net.backward(kept, g_u, grad)
         grad[-t.shape[1]:] = (-g_per_dim).sum(axis=0) + (g_u * xi).sum(axis=0) * std
 
-
-class QNet:
-    """State-action value network (scalar or quantile outputs)."""
-
-    def __init__(self, obs_dim: int, act_dim: int, layer_size: int,
-                 rng: np.random.Generator, out_dim: int = 1):
-        self.net = Mlp(hidden_layers(obs_dim + act_dim, layer_size, out_dim), rng=rng)
-
-    def q_np(self, s: np.ndarray, a: np.ndarray) -> np.ndarray:
-        return self.net.forward_np(np.concatenate([s, a], axis=-1))

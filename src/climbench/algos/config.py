@@ -43,15 +43,21 @@ TUNABLE_FIELDS: dict[str, tuple[str, ...]] = {
             "target_network_frequency", "actor_critic_layer_size"),
 }
 
-# Range rules by field name, for the fields each config has: learning rates
-# are positive, discount and blend factors lie in [0, 1], and sizes and
-# counts are at least 1.
-_LEARNING_RATES = ("learning_rate", "policy_lr", "q_lr", "actor_adam_lr",
-                   "critic_adam_lr", "alpha_adam_lr")
+# Range rules by field name, for the fields each config has: rates and the
+# entropy and trust-region scales are positive, noise scales, clip bounds,
+# loss weights and step offsets are non-negative, discount and blend factors
+# lie in [0, 1], and sizes and counts are at least 1. Every comparison is
+# false for NaN, so NaN fails each rule.
+_POSITIVE = ("learning_rate", "policy_lr", "q_lr", "actor_adam_lr", "critic_adam_lr",
+             "alpha_adam_lr", "alpha", "kl_limit")
+_NON_NEGATIVE = ("exploration_noise", "policy_noise", "noise_clip", "clip_coef",
+                 "max_grad_norm", "vf_coef", "cg_damping", "n_drop_per_critic",
+                 "learning_starts")
 _UNIT_INTERVAL = ("gamma", "tau", "gae_lambda")
-_COUNTS = ("actor_critic_layer_size", "batch_size", "num_minibatches", "update_epochs",
-           "policy_frequency", "target_network_frequency", "n_quantiles", "n_critics",
-           "cg_iterations", "backtrack_steps")
+_COUNTS = ("total_timesteps", "actor_critic_layer_size", "batch_size", "buffer_size",
+           "num_minibatches", "update_epochs", "policy_frequency",
+           "target_network_frequency", "n_quantiles", "n_critics", "cg_iterations",
+           "backtrack_steps")
 
 
 @dataclass
@@ -64,8 +70,10 @@ class BaseConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name in _LEARNING_RATES and not value > 0:
+            if f.name in _POSITIVE and not value > 0:
                 raise ValueError(f"{f.name} must be positive, got {value!r}")
+            if f.name in _NON_NEGATIVE and not value >= 0:
+                raise ValueError(f"{f.name} must be non-negative, got {value!r}")
             if f.name in _UNIT_INTERVAL and not 0 <= value <= 1:
                 raise ValueError(f"{f.name} must be in [0, 1], got {value!r}")
             if f.name in _COUNTS and not value >= 1:

@@ -106,8 +106,8 @@ class TqcTrainer(OffPolicyTrainer):
         cfg = self.cfg
         alpha = self.alpha if alpha is None else alpha
         a_next, logp_next, _ = self.rsample(batch["s_next"])
-        pooled = np.concatenate(
-            [tc.q_np(batch["s_next"], a_next) for tc in self.target_critics], axis=1)
+        x = np.concatenate([batch["s_next"], a_next], axis=1)
+        pooled = np.concatenate([tc.forward_np(x) for tc in self.target_critics], axis=1)
         pooled.sort(axis=1)
         # a config may drop more than the pooled width: then nothing is kept
         kept = pooled[:, :max(0, pooled.shape[1] - cfg.n_drop_per_critic * cfg.n_critics)]

@@ -40,7 +40,8 @@ class EpisodeOverError(RuntimeError):
 
 @dataclass
 class BoxSpace:
-    """Axis-aligned box; low[i] < high[i] on every axis."""
+    """Axis-aligned box; low[i] < high[i] on every axis. ``center`` and
+    ``half`` are its centre and half-width, which policies map onto."""
 
     low: np.ndarray
     high: np.ndarray
@@ -52,6 +53,8 @@ class BoxSpace:
             raise ValueError("low/high shape mismatch")
         if not np.all(self.low < self.high):
             raise ValueError("BoxSpace requires low < high on every axis")
+        self.center = (self.high + self.low) / 2.0
+        self.half = (self.high - self.low) / 2.0
 
     @property
     def dim(self) -> int:

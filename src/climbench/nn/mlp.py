@@ -1,11 +1,9 @@
 """Small fully-connected networks with closed-form gradients.
 
-Heads:
-  * ``linear``       — raw affine output (critics, value nets, policy means).
-  * ``tanh_scaled``  — tanh squashed into a box (deterministic actors).
-  * ``gaussian``     — affine mean plus a free per-dimension log-std parameter
-                       (stochastic policies); the log-std is projected into
-                       [LOG_STD_MIN, LOG_STD_MAX] after every optimizer step.
+A net is affine layers with tanh between them and a raw affine output; any
+map into an action box belongs to the policy that reads the net. A Gaussian
+policy's net (``with_log_std``) also holds a free per-dimension log-std,
+projected into [LOG_STD_MIN, LOG_STD_MAX] after every optimizer step.
 
 Weights init uniform in +-1/sqrt(fan_in); the output layer can be down-scaled
 (``final_scale``) so freshly built policies emit near-zero actions.
@@ -24,46 +22,22 @@ gradient of the learner's loss at the net's output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-__all__ = ["Head", "Mlp", "LOG_STD_MIN", "LOG_STD_MAX"]
+__all__ = ["Mlp", "LOG_STD_MIN", "LOG_STD_MAX"]
 
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
-
-_HEADS = ("linear", "tanh_scaled", "gaussian")
-
-
-@dataclass
-class Head:
-    kind: str = "linear"
-    low: np.ndarray | None = None   # tanh_scaled box bounds
-    high: np.ndarray | None = None
-    # the box's centre and half-width, from low and high
-    center: np.ndarray | None = field(default=None, init=False, repr=False)
-    half: np.ndarray | None = field(default=None, init=False, repr=False)
-
-    def __post_init__(self):
-        if self.kind not in _HEADS:
-            raise ValueError(f"unknown head kind {self.kind!r}")
-        if self.kind == "tanh_scaled":
-            self.low = np.asarray(self.low, dtype=np.float64)
-            self.high = np.asarray(self.high, dtype=np.float64)
-            self.center = (self.high + self.low) / 2.0
-            self.half = (self.high - self.low) / 2.0
 
 
 class Mlp:
     """Feed-forward net: len(layer_sizes)-1 affine layers, tanh between."""
 
-    def __init__(self, layer_sizes: list[int], head: Head | None = None,
+    def __init__(self, layer_sizes: list[int], with_log_std: bool = False,
                  rng: np.random.Generator | None = None, final_scale: float = 1.0):
         if len(layer_sizes) < 2:
             raise ValueError("need at least input and output sizes")
         self.layer_sizes = list(layer_sizes)
-        self.head = head or Head()
         if rng is None:
             rng = np.random.default_rng(0)
         arrays = []
@@ -76,7 +50,7 @@ class Mlp:
                 w *= final_scale
                 b *= final_scale
             arrays += (w, b)
-        if self.head.kind == "gaussian":
+        if with_log_std:
             arrays.append(np.full(layer_sizes[-1], -0.5))
         # each parameter's slice of ``flat``, and its shape
         bounds = np.cumsum([0] + [a.size for a in arrays]).tolist()
@@ -89,7 +63,7 @@ class Mlp:
         views = self.unflatten(self.flat)
         n = 2 * (len(self.layer_sizes) - 1)
         self.weights, self.biases = views[0:n:2], views[1:n:2]
-        self.log_std = views[-1] if self.head.kind == "gaussian" else None
+        self.log_std = views[n] if len(views) > n else None
 
     def __getstate__(self):
         # Pickle would copy each view apart from ``flat``: leave them out...
@@ -117,7 +91,7 @@ class Mlp:
 
     def _layers(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """The numpy forward pass over rows ``x[..., in_dim]``: the output, and
-        each layer's input followed (tanh_scaled head) by the head's tanh."""
+        each layer's input."""
         if x.ndim == 0 or x.shape[-1] != self.layer_sizes[0]:
             raise ValueError(f"input shape {x.shape} incompatible with net input "
                              f"width {self.layer_sizes[0]}")
@@ -129,16 +103,12 @@ class Mlp:
             h += b
             if i < last:
                 np.tanh(h, out=h)
-        if self.head.kind == "tanh_scaled":
-            h = np.tanh(h)
-            inputs.append(h)
-            h = h * self.head.half + self.head.center
         return h, inputs
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """The training pass over a (batch, in_dim) array: the output, and what
-        ``backward`` needs (each layer's input, then any tanh_scaled head's
-        tanh). A profile of ``forward`` counts training passes only."""
+        ``backward`` needs (each layer's input). A profile of ``forward``
+        counts training passes only."""
         if x.ndim != 2:
             raise ValueError(f"training input must be (batch, in_dim), got {x.shape}")
         return self._layers(x)
@@ -151,9 +121,6 @@ class Mlp:
         are written into it (any log-std entries are left alone). Returns the
         input gradient if ``input_grad``, else None. ``g`` is not modified.
         """
-        if self.head.kind == "tanh_scaled":
-            t = kept[-1]
-            g = g * self.head.half * (1.0 - t * t)
         views = None if grad is None else self.unflatten(grad)
         for i in range(len(self.weights) - 1, -1, -1):
             h, w = kept[i], self.weights[i]
@@ -178,7 +145,7 @@ class Mlp:
         return self._layers(np.asarray(x, dtype=np.float64))[0]
 
     def jvp(self, kept: list[np.ndarray], tangents: list[np.ndarray]) -> np.ndarray:
-        """Directional derivative of the pre-head output w.r.t. the affine
+        """Directional derivative of the output w.r.t. the affine
         parameters, in the direction ``tangents`` (one array per weight/bias in
         declaration order; any log-std tangent after them is ignored), at the
         layer inputs ``kept`` that ``forward`` returned. Used for Fisher-vector

@@ -101,7 +101,13 @@ def node(net, leaves: list[Tensor], x: Tensor) -> Tensor:
 
 
 def q_tensor(critic, leaves: list[Tensor], s: Tensor, a: Tensor) -> Tensor:
-    return node(critic.net, leaves, concat([s, a], axis=1))
+    return node(critic, leaves, concat([s, a], axis=1))
+
+
+def squash(policy, u: Tensor) -> Tensor:
+    """A deterministic actor's map of its net's output into the box."""
+    box = policy.action_space
+    return tanh(u) * box.half + box.center
 
 
 def rsample_tensor(policy, leaves: list[Tensor], obs: Tensor, xi: np.ndarray):
@@ -110,8 +116,9 @@ def rsample_tensor(policy, leaves: list[Tensor], obs: Tensor, xi: np.ndarray):
     log_std = leaves[-1]
     u = mean + log_std.exp() * Tensor(xi)
     t = tanh(u)
-    action = t * policy.half + policy.center
-    correction = (t * t * (-1.0) + 1.0) * policy.half + 1e-6
+    box = policy.action_space
+    action = t * box.half + box.center
+    correction = (t * t * (-1.0) + 1.0) * box.half + 1e-6
     per_dim = Tensor(xi * xi) * (-0.5) - log_std - 0.5 * LOG_2PI - log(correction)
     return action, per_dim.sum(axis=1)
 
@@ -132,7 +139,7 @@ def critic_loss(trainer, q: Tensor, y: np.ndarray) -> Tensor:
 
 def actor_value(trainer, s: Tensor, action: Tensor) -> Tensor:
     # the critics' parameters are leaves too, as they were on the old tape
-    qs = [q_tensor(c, param_leaves(c.net), s, action) for c in trainer.critics]
+    qs = [q_tensor(c, param_leaves(c), s, action) for c in trainer.critics]
     if trainer.algorithm == "sac":
         return reduce(minimum, qs).reshape(-1)
     if trainer.algorithm == "tqc":
@@ -142,7 +149,7 @@ def actor_value(trainer, s: Tensor, action: Tensor) -> Tensor:
 
 def critic_grad(trainer, batch: dict, y: np.ndarray) -> np.ndarray:
     s, a = Tensor(batch["s"]), Tensor(batch["a"])
-    leaves = [param_leaves(c.net) for c in trainer.critics]
+    leaves = [param_leaves(c) for c in trainer.critics]
     reduce(operator.add, [critic_loss(trainer, q_tensor(c, ls, s, a), y)
                           for c, ls in zip(trainer.critics, leaves)]).backward()
     return np.concatenate([gather(ls) for ls in leaves])
@@ -156,7 +163,8 @@ def actor_grad(trainer, batch: dict, xi: np.ndarray | None = None) -> np.ndarray
         action, logp = rsample_tensor(trainer.actor, leaves, s, xi)
         loss = (logp * trainer.alpha - actor_value(trainer, s, action)).mean()
     else:
-        loss = -actor_value(trainer, s, node(trainer.actor.net, leaves, s)).mean()
+        action = squash(trainer.actor, node(trainer.actor.net, leaves, s))
+        loss = -actor_value(trainer, s, action).mean()
     loss.backward()
     return gather(leaves)
 

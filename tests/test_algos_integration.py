@@ -60,7 +60,7 @@ def test_single_update_deterministic_on_frozen_batch():
                 trainer.buffer.push(*transition)
             trainer.global_step = 200
             trainer._on_transition(*transition)
-            outs.append(trainer.critics[0].net.flat.copy())
+            outs.append(trainer.critics[0].flat.copy())
         assert np.array_equal(outs[0], outs[1])
 
 

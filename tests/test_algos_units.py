@@ -103,7 +103,6 @@ class FrozenQuadraticCritic:
     """Q(s, a) = -(a - 0.3)^2 behind the critic net's forward/backward pair."""
 
     def __init__(self, obs_dim: int):
-        self.net = self
         self.obs_dim = obs_dim
 
     def forward(self, x):
@@ -133,11 +132,11 @@ def test_actor_update_gives_critics_no_gradient(tag):
     trainer = make(tag, total_timesteps=120, learning_starts=50)
     trainer.train()
     opt = trainer.critic_opt
-    critics = [c.net.flat.copy() for c in trainer.critics]
+    critics = [c.flat.copy() for c in trainer.critics]
     moments, count = (opt.m.copy(), opt.v.copy()), opt.step_count
     actor = trainer.actor.net.flat.copy()
     trainer._update_actor(trainer.buffer.sample(trainer.cfg.batch_size))
-    assert [c.net.flat.tobytes() for c in trainer.critics] == [c.tobytes() for c in critics]
+    assert [c.flat.tobytes() for c in trainer.critics] == [c.tobytes() for c in critics]
     assert opt.m.tobytes() == moments[0].tobytes() and opt.v.tobytes() == moments[1].tobytes()
     assert opt.step_count == count > 0
     assert not np.array_equal(trainer.actor.net.flat, actor)
@@ -167,7 +166,7 @@ def test_ddpg_target_uses_target_networks():
              "r": np.array([0.5]), "s_next": np.array([[0.5]])}
     y_before = trainer.compute_target(batch)
     trainer.actor.net.flat[:] += 0.37  # perturb online nets only
-    trainer.critics[0].net.flat[:] += 0.37
+    trainer.critics[0].flat[:] += 0.37
     y_after = trainer.compute_target(batch)
     assert np.array_equal(y_before, y_after)
 
@@ -190,8 +189,9 @@ def test_td3_min_critic_target_not_above_individual():
     rng = np.random.default_rng(1)
     s_next = rng.uniform(0, 1, size=(64, 1))
     a_next = trainer.smoothed_target_actions(s_next)
-    q1 = trainer.target_critics[0].q_np(s_next, a_next)[:, 0]
-    q2 = trainer.target_critics[1].q_np(s_next, a_next)[:, 0]
+    x = np.concatenate([s_next, a_next], axis=1)
+    q1 = trainer.target_critics[0].forward_np(x)[:, 0]
+    q2 = trainer.target_critics[1].forward_np(x)[:, 0]
     m = np.minimum(q1, q2)
     assert np.all(m <= q1 + 1e-15) and np.all(m <= q2 + 1e-15)
 
@@ -535,8 +535,9 @@ def test_sac_alpha_zero_reduces_to_min_critic_target():
     trainer.streams.explore.bit_generator.state = rng_state
     a_next, _, _ = trainer.actor.rsample(batch["s_next"],
                                          trainer.streams.explore.normal(size=(1, 1)))
-    q = min(trainer.target_critics[0].q_np(batch["s_next"], a_next)[0, 0],
-            trainer.target_critics[1].q_np(batch["s_next"], a_next)[0, 0])
+    x = np.concatenate([batch["s_next"], a_next], axis=1)
+    q = min(trainer.target_critics[0].forward_np(x)[0, 0],
+            trainer.target_critics[1].forward_np(x)[0, 0])
     assert y0[0] == pytest.approx(0.7 + trainer.cfg.gamma * q, rel=1e-12)
 
 
@@ -723,7 +724,8 @@ def test_tqc_degenerates_to_sac_scalar_target():
     trainer.streams.explore.bit_generator.state = state
     a_next, logp, _ = trainer.actor.rsample(batch["s_next"],
                                             trainer.streams.explore.normal(size=(1, 1)))
-    q = trainer.target_critics[0].q_np(batch["s_next"], a_next)[0, 0]
+    x = np.concatenate([batch["s_next"], a_next], axis=1)
+    q = trainer.target_critics[0].forward_np(x)[0, 0]
     expected = 0.7 + trainer.cfg.gamma * (q - 0.2 * logp[0])
     assert y.shape == (1, 1)
     assert y[0, 0] == pytest.approx(expected, rel=1e-12)

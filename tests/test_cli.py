@@ -61,6 +61,10 @@ def test_train_non_positive_count_is_usage_error(tmp_path, capsys, flag, value):
     ("algo.reinforce", "learning_rate = -1", "learning_rate must be positive"),
     ("algo.reinforce", "gamma = 1.5", "gamma must be in [0, 1]"),
     ("algo.reinforce", "actor_critic_layer_size = 0", "must be at least 1"),
+    ("algo.ppo", "max_grad_norm = -0.5", "max_grad_norm must be non-negative"),
+    ("algo.td3", "noise_clip = -0.5", "noise_clip must be non-negative"),
+    ("algo.tqc", "n_drop_per_critic = -1", "n_drop_per_critic must be non-negative"),
+    ("algo.dpg", "exploration_noise = -0.1", "exploration_noise must be non-negative"),
     ("algo.nosuch", "x = 1", "[algo.nosuch]"),
     ("runn", "steps = 5", "[runn]"),
     (None, "steps = 5", "no section headers")])

@@ -120,13 +120,22 @@ def test_algo_overrides_win_over_width_and_tuned_fragment(tmp_path):
 
 
 # (values rejected, values accepted) per range rule of the algorithm configs
-_RANGES = {"rate": (["0", "-1e-3", "nan"], ["1e-9"]),
+_RANGES = {"positive": (["0", "-1e-3", "nan"], ["1e-9"]),
+           "non_negative": (["-0.5", "-1e-9", "nan"], ["0", "0.5"]),
+           "non_negative_int": (["-1"], ["0", "1"]),
            "unit": (["-0.01", "1.01", "nan"], ["0", "1"]),
            "count": (["0", "-2"], ["1"])}
-_RULES = {"learning_rate": "rate", "policy_lr": "rate", "q_lr": "rate",
-          "actor_adam_lr": "rate", "critic_adam_lr": "rate", "alpha_adam_lr": "rate",
+_RULES = {"learning_rate": "positive", "policy_lr": "positive", "q_lr": "positive",
+          "actor_adam_lr": "positive", "critic_adam_lr": "positive",
+          "alpha_adam_lr": "positive", "alpha": "positive", "kl_limit": "positive",
+          "exploration_noise": "non_negative", "policy_noise": "non_negative",
+          "noise_clip": "non_negative", "clip_coef": "non_negative",
+          "max_grad_norm": "non_negative", "vf_coef": "non_negative",
+          "cg_damping": "non_negative",
+          "n_drop_per_critic": "non_negative_int", "learning_starts": "non_negative_int",
           "gamma": "unit", "tau": "unit", "gae_lambda": "unit",
-          "actor_critic_layer_size": "count", "batch_size": "count",
+          "total_timesteps": "count", "actor_critic_layer_size": "count",
+          "batch_size": "count", "buffer_size": "count",
           "num_minibatches": "count", "update_epochs": "count",
           "policy_frequency": "count", "target_network_frequency": "count",
           "n_quantiles": "count", "n_critics": "count", "cg_iterations": "count",
@@ -136,12 +145,9 @@ _RULES = {"learning_rate": "rate", "policy_lr": "rate", "q_lr": "rate",
 @pytest.mark.parametrize("tag", ALGORITHM_TAGS)
 def test_out_of_range_hyperparameters_fail_when_the_config_is_built(tag):
     names = [f.name for f in dataclasses.fields(make_config(tag))]
-    # every learning rate of the config has a rule
-    rates = {n for n in names if n.endswith("_lr") or n == "learning_rate"}
-    assert rates <= set(_RULES)
+    # every field of the config has a rule, so a field added without one fails
+    assert set(names) <= set(_RULES)
     for name in names:
-        if name not in _RULES:
-            continue
         rejected, accepted = _RANGES[_RULES[name]]
         for value in rejected:
             with pytest.raises(ConfigError, match=f"{name} = '{value}'.*{name} must"):

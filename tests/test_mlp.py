@@ -1,4 +1,5 @@
-"""Head behaviour, initialization, JVP, and the parameter vector."""
+"""The deterministic actor's squash, initialization, JVP, and the parameter
+vector."""
 
 import os
 import pickle
@@ -11,22 +12,44 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from climbench.nn import LOG_STD_MAX, LOG_STD_MIN, Head, Mlp
+from climbench.algos.common import DeterministicPolicy
+from climbench.envs import BoxSpace
+from climbench.nn import LOG_STD_MAX, LOG_STD_MIN, Mlp
+
+RCE_BOX = BoxSpace(low=[0.0, 5.5], high=[1.0, 9.8])
 
 
-def test_tanh_scaled_head_stays_in_box():
-    head = Head("tanh_scaled", low=[-1.0, 5.5], high=[1.0, 9.8])
-    net = Mlp([3, 16, 2], head=head, rng=np.random.default_rng(0))
+def test_deterministic_policy_stays_in_box():
+    policy = DeterministicPolicy(3, RCE_BOX, 16, np.random.default_rng(0))
+    policy.net.flat[:] = np.random.default_rng(2).normal(size=policy.net.flat.size)
     x = np.random.default_rng(1).normal(scale=10.0, size=(100, 3))
-    out = net.forward_np(x)
-    assert np.all(out[:, 0] >= -1.0) and np.all(out[:, 0] <= 1.0)
+    out = policy.act_np(x)
+    assert np.all(out[:, 0] >= 0.0) and np.all(out[:, 0] <= 1.0)
     assert np.all(out[:, 1] >= 5.5) and np.all(out[:, 1] <= 9.8)
 
 
+@pytest.mark.parametrize("u, corner", [(-50.0, [0.0, 5.5]), (50.0, [1.0, 9.8])])
+def test_saturated_deterministic_policy_lands_exactly_on_the_box_edge(u, corner):
+    # |u| >> 1 gives tanh(u) = +-1, and +-half + center is the bound itself
+    policy = DeterministicPolicy(3, RCE_BOX, 16, np.random.default_rng(0))
+    policy.net.weights[-1][:] = 0.0
+    policy.net.biases[-1][:] = u
+    x = np.random.default_rng(1).normal(size=(5, 3))
+    assert np.array_equal(policy.act_np(x), np.tile(corner, (5, 1)))
+    assert np.array_equal(policy.forward(x)[0], np.tile(corner, (5, 1)))
+
+
+def test_act_np_on_a_batch_matches_the_training_forward_bytes():
+    policy = DeterministicPolicy(17, RCE_BOX, 64, np.random.default_rng(4))
+    policy.net.flat[:] = np.random.default_rng(5).normal(size=policy.net.flat.size)
+    x = np.random.default_rng(6).normal(size=(64, 17))
+    assert policy.act_np(x).tobytes() == policy.forward(x)[0].tobytes()
+
+
 def test_final_scale_gives_near_zero_actions():
-    head = Head("tanh_scaled", low=[-1.0], high=[1.0])
-    net = Mlp([1, 64, 64, 1], head=head, rng=np.random.default_rng(3), final_scale=1e-2)
-    out = net.forward_np(np.linspace(0, 1, 50)[:, None])
+    box = BoxSpace(low=[-1.0], high=[1.0])
+    policy = DeterministicPolicy(1, box, 64, np.random.default_rng(3))
+    out = policy.act_np(np.linspace(0, 1, 50)[:, None])
     assert np.max(np.abs(out)) < 0.05
 
 
@@ -37,7 +60,7 @@ def test_init_bounds_respect_fan_in():
 
 
 def test_gaussian_head_log_std_param_and_clamp():
-    net = Mlp([2, 8, 2], head=Head("gaussian"), rng=np.random.default_rng(0))
+    net = Mlp([2, 8, 2], with_log_std=True, rng=np.random.default_rng(0))
     assert net.log_std is not None and net.log_std.shape == (2,)
     net.log_std[:] = [-9.0, 7.0]
     net.clamp_log_std()
@@ -53,13 +76,10 @@ def test_stacked_rows_match_one_row_passes(data):
     in_dim = data.draw(st.integers(1, 256), label="in_dim")
     width = data.draw(st.integers(1, 256), label="width")
     out_dim = data.draw(st.integers(1, 3), label="out_dim")
-    kind = data.draw(st.sampled_from(["linear", "tanh_scaled", "gaussian"]),
-                     label="head")
+    with_log_std = data.draw(st.booleans(), label="with_log_std")
     rows = data.draw(st.integers(1, 600), label="rows")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    head = Head(kind, low=-np.ones(out_dim), high=np.full(out_dim, 3.0)) \
-        if kind == "tanh_scaled" else Head(kind)
-    net = Mlp([in_dim, width, width, out_dim], head=head, rng=rng)
+    net = Mlp([in_dim, width, width, out_dim], with_log_std=with_log_std, rng=rng)
     x = rng.normal(scale=3.0, size=(rows, in_dim))
     stacked = net.forward_np(x[:, None, :])
     assert stacked.shape == (rows, 1, out_dim)
@@ -81,7 +101,7 @@ def test_stacked_rows_match_one_row_passes_with_two_blas_threads():
 
 
 def test_one_row_pass_keeps_its_shape_and_rejects_a_wrong_width():
-    net = Mlp([3, 8, 2], head=Head("gaussian"), rng=np.random.default_rng(0))
+    net = Mlp([3, 8, 2], with_log_std=True, rng=np.random.default_rng(0))
     x = np.random.default_rng(1).normal(size=3)
     out = net.forward_np(x)
     assert out.shape == (2,)
@@ -106,7 +126,7 @@ def assert_parameters_view_flat(net: Mlp) -> None:
 
 
 def test_parameters_are_views_into_flat():
-    net = Mlp([3, 4, 2], head=Head("gaussian"), rng=np.random.default_rng(0))
+    net = Mlp([3, 4, 2], with_log_std=True, rng=np.random.default_rng(0))
     assert net.flat.dtype == np.float64 and net.flat.flags.c_contiguous
     assert_parameters_view_flat(net)
     assert np.array_equal(net.flat[-2:], net.log_std)  # log-std is last
@@ -114,10 +134,9 @@ def test_parameters_are_views_into_flat():
     assert net.weights[0][0, 1] == 1.0 and net.biases[0][0] == 12.0
 
 
-@pytest.mark.parametrize("head", [Head("linear"), Head("gaussian"),
-                                  Head("tanh_scaled", low=[0.0, 5.5], high=[1.0, 9.8])])
-def test_parameters_stay_views_into_flat_through_pickle(head):
-    net = pickle.loads(pickle.dumps(Mlp([3, 4, 2], head=head,
+@pytest.mark.parametrize("with_log_std", [False, True])
+def test_parameters_stay_views_into_flat_through_pickle(with_log_std):
+    net = pickle.loads(pickle.dumps(Mlp([3, 4, 2], with_log_std=with_log_std,
                                         rng=np.random.default_rng(0))))
     assert_parameters_view_flat(net)
     net.flat[:] = np.arange(net.flat.size)
@@ -125,7 +144,7 @@ def test_parameters_stay_views_into_flat_through_pickle(head):
 
 
 def test_pickled_net_carries_its_parameters_once():
-    net = Mlp([17, 64, 64, 2], head=Head("gaussian"), rng=np.random.default_rng(0))
+    net = Mlp([17, 64, 64, 2], with_log_std=True, rng=np.random.default_rng(0))
     assert net.flat.nbytes == 43_552
     data = pickle.dumps(net)
     assert len(data) < 45_000

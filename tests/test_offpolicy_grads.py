@@ -108,7 +108,7 @@ def stochastic_actor_loss(trainer, s: np.ndarray, xi: np.ndarray) -> float:
     """The actor's loss at noise ``xi`` from the numpy forward passes."""
     action, logp, _ = trainer.actor.rsample(s, xi)
     x = np.concatenate([s, action], axis=1)
-    value, _ = trainer.actor_value([c.net.forward_np(x) for c in trainer.critics],
+    value, _ = trainer.actor_value([c.forward_np(x) for c in trainer.critics],
                                    np.zeros(len(s)))
     return float(np.mean(logp * trainer.alpha - value))
 

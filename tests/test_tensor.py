@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from climbench.nn import Head, Mlp
+from climbench.algos.common import DeterministicPolicy
+from climbench.envs import BoxSpace
+from climbench.nn import Mlp
 from tape import GraphConsumedError, Tensor, minimum
-from tape_oracle import concat, gather, log, node, param_leaves, tanh
+from tape_oracle import concat, gather, log, node, param_leaves, squash, tanh
 
 
 def finite_difference_grads(f, params, h=1e-5):
@@ -95,7 +97,7 @@ def test_quadratic_loss_at_minimum_has_tiny_grad():
 
 
 def test_backward_matches_finite_differences_many_nets():
-    # Spec invariant: smooth heads, 100 random (net, input) pairs, <=1e-4 relative.
+    # Spec invariant: 100 random (net, input) pairs, <=1e-4 relative.
     rng = np.random.default_rng(42)
     worst = 0.0
     for trial in range(100):
@@ -193,8 +195,6 @@ def tape_forward(net: Mlp, leaves: list[Tensor], x: Tensor) -> Tensor:
         h = matmul(h, leaves[2 * i]) + leaves[2 * i + 1]
         if i < last:
             h = tanh(h)
-    if net.head.kind == "tanh_scaled":
-        h = tanh(h) * net.head.half + net.head.center
     return h
 
 
@@ -203,12 +203,7 @@ def drawn_net(data, max_width: int, max_batch: int):
     batch = data.draw(st.integers(1, max_batch))
     seed = data.draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    head = Head()
-    if data.draw(st.booleans()):
-        low = rng.uniform(-3.0, 1.0, size=sizes[-1])
-        high = low + rng.uniform(0.1, 4.0, size=sizes[-1])
-        head = Head("tanh_scaled", low=low, high=high)
-    net = Mlp(sizes, head=head, rng=rng)
+    net = Mlp(sizes, rng=rng)
     x = rng.normal(scale=2.0, size=(batch, sizes[0]))
     g = rng.normal(size=(batch, sizes[-1]))
     return net, x, g
@@ -277,3 +272,27 @@ def test_mlp_node_gradients_match_central_differences(data):
             numeric.append((up - down) / (2 * h))
     numeric = np.array(numeric)
     assert np.max(np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))) < 1e-6
+
+
+@given(st.data())
+def test_deterministic_actor_matches_per_layer_tape_bytes(data):
+    # The actor's squash, tanh(u) * half + center, and its closed-form
+    # backward against the same expression on the tape after the per-layer
+    # net; the box is drawn, so half and center take any value.
+    obs_dim, width, act_dim = (data.draw(st.integers(1, n)) for n in (17, 64, 3))
+    batch = data.draw(st.integers(1, 256))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    low = rng.uniform(-3.0, 1.0, size=act_dim)
+    box = BoxSpace(low, low + rng.uniform(0.1, 4.0, size=act_dim))
+    policy = DeterministicPolicy(obs_dim, box, width, rng)
+    policy.net.flat[:] = rng.normal(size=policy.net.flat.size)  # leave the near-zero init
+    x = rng.normal(scale=2.0, size=(batch, obs_dim))
+    g = rng.normal(size=(batch, act_dim))
+    actions, saved = policy.forward(x)
+    grad = np.full(policy.net.flat.size, np.nan)
+    policy.backward(saved, g, grad)
+    leaves = param_leaves(policy.net)
+    out = squash(policy, tape_forward(policy.net, leaves, Tensor(x)))
+    out.backward(g)
+    assert actions.tobytes() == out.data.tobytes()
+    assert grad.tobytes() == gather(leaves).tobytes()
