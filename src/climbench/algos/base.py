@@ -47,7 +47,8 @@ __all__ = ["Trainer", "OffPolicyTrainer"]
 
 
 class Trainer:
-    """One (algorithm, environment, seed) training run."""
+    """One (algorithm, environment, seed) training run; ``actor`` is the
+    policy it acts with, whose net the golden digests hash."""
 
     algorithm = ""
 
@@ -69,11 +70,6 @@ class Trainer:
 
     def _run(self, total_steps: int) -> None:
         raise NotImplementedError
-
-    def actor_mlp(self):
-        """The policy network, whose parameters the golden digests hash and
-        the non-finite abort test poisons."""
-        return self.policy.net
 
     def train(self, total_steps: int | None = None) -> RunRecord:
         """Train on to ``total_steps``; an aborted run stays as it ended."""
@@ -181,11 +177,6 @@ class OffPolicyTrainer(Trainer):
     def alpha(self) -> float:
         return float(np.exp(self.log_alpha[0]))
 
-    def actor_mlp(self):
-        """The actor network, whose parameters the golden digests hash and
-        the non-finite abort test poisons."""
-        return self.actor.net
-
     def select_action(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
         obs = np.asarray(obs)
         if self.stochastic_actor:
@@ -206,7 +197,7 @@ class OffPolicyTrainer(Trainer):
         """Summed mean squared error of the (batch, 1) critic values against
         the target, and its gradient in each critic's values."""
         diffs = [q - y[:, None] for q in qs]
-        loss = sum(float(np.mean(d * d)) for d in diffs)
+        loss = sum(float((d * d).mean()) for d in diffs)
         return loss, [d * (2.0 / d.size) for d in diffs]
 
     def _run(self, total_steps: int) -> None:
@@ -311,5 +302,5 @@ class OffPolicyTrainer(Trainer):
                 g_alpha = g_alpha.sum(axis=0, keepdims=True)
             np.multiply(g_alpha, alpha, out=g)
 
-        Tensor(np.mean(alpha * excess) * (-1.0), backward).backward()
+        Tensor((alpha * excess).mean() * (-1.0), backward).backward()
         self.alpha_opt.step(g)

@@ -79,9 +79,9 @@ class OnPolicyTrainer(Trainer):
         obs_dim = self.env.observation_space.dim
         init = self.streams.init
         # The init stream draws in this order: policy, value net.
-        self.policy = GaussianPolicy(obs_dim, self.env.action_space,
-                                     cfg.actor_critic_layer_size, init)
-        nets = {"policy": self.policy.net}
+        self.actor = GaussianPolicy(obs_dim, self.env.action_space,
+                                    cfg.actor_critic_layer_size, init)
+        nets = {"policy": self.actor.net}
         self.value_net = None
         if "value" in self.adam_nets:
             self.value_net = nets["value"] = Mlp(
@@ -106,10 +106,10 @@ class OnPolicyTrainer(Trainer):
         obs = np.empty((n + 1, self.env.observation_space.dim))
         actions, means = np.empty((n, act_dim)), np.empty((n, act_dim))
         rewards = np.empty(n)
-        noise = self.policy.std_np() * self.streams.explore.normal(size=(n, act_dim))
+        noise = self.actor.std_np() * self.streams.explore.normal(size=(n, act_dim))
         obs[0] = self.env.reset()
         for t in range(n):
-            env_action, actions[t], means[t] = self.policy.sample_np(obs[t], noise[t])
+            env_action, actions[t], means[t] = self.actor.sample_np(obs[t], noise[t])
             res = self.env.step(env_action)
             self.global_step += 1
             rewards[t] = res.reward
@@ -122,7 +122,7 @@ class OnPolicyTrainer(Trainer):
                   else self.value_net.forward_np(obs[:, None, :]).reshape(-1))
         return {"obs": obs[:n], "actions": actions, "rewards": rewards,
                 "values": values, "means": means,
-                "log_probs": self.policy.log_prob_np(means, actions)}
+                "log_probs": self.actor.log_prob_np(means, actions)}
 
     def _run(self, total_steps: int) -> None:
         while self.global_step < total_steps:
@@ -135,7 +135,7 @@ class OnPolicyTrainer(Trainer):
         arrays = {k: ep[k] for k in ("obs", "actions", "log_probs", "means")}
         arrays["advantages"] = (adv - adv.mean()) / (adv.std() + 1e-8)
         arrays["returns"] = returns
-        self._log_std_at_collect = self.policy.net.log_std.copy()
+        self._log_std_at_collect = self.actor.net.log_std.copy()
         for epoch in range(cfg.update_epochs):
             order = self.streams.shuffle.permutation(adv.size)
             for idx in np.array_split(order, cfg.num_minibatches):
@@ -143,9 +143,9 @@ class OnPolicyTrainer(Trainer):
                     self.minibatch_step({k: v[idx] for k, v in arrays.items()})
             if epoch == cfg.update_epochs - 1:
                 break  # the sweep ends here whatever the KL
-            new_means = self.policy.mean_np(arrays["obs"])
-            if self.policy.kl_old_new_np(arrays["means"], self._log_std_at_collect,
-                                         new_means) > cfg.kl_limit:
+            new_means = self.actor.mean_np(arrays["obs"])
+            if self.actor.kl_old_new_np(arrays["means"], self._log_std_at_collect,
+                                        new_means) > cfg.kl_limit:
                 break
 
     def value_error(self, obs: np.ndarray, returns: np.ndarray):
@@ -183,18 +183,18 @@ class ReinforceTrainer(OnPolicyTrainer):
         """-mean_t G_t log pi(a_t | s_t), minimized to ascend the return; its
         backward writes the gradient into ``grad``, a policy ``flat`` vector."""
         returns = discounted_returns(rewards, self.cfg.gamma)
-        logp, saved = self.policy.log_prob(*self.policy.net.forward(obs), actions)
+        logp, saved = self.actor.log_prob(*self.actor.net.forward(obs), actions)
         n = returns.size
-        return Tensor(-(logp * returns).mean(), lambda: self.policy.log_prob_backward(
+        return Tensor(-(logp * returns).mean(), lambda: self.actor.log_prob_backward(
             saved, np.full(n, -1.0 / n) * returns, grad))
 
     def update_from_batch(self, ep: dict[str, np.ndarray]) -> None:
-        g = np.empty_like(self.policy.net.flat)
+        g = np.empty_like(self.actor.net.flat)
         loss = self.episode_loss(ep["obs"], ep["actions"], ep["rewards"], g)
         self._check_finite_loss(float(loss.data), "reinforce loss")
         loss.backward()
         self.optimizer.step(g)
-        self.policy.net.clamp_log_std()
+        self.actor.net.clamp_log_std()
         self.n_updates += 1
 
 
@@ -206,14 +206,14 @@ class PpoTrainer(OnPolicyTrainer):
         """-L_clip + vf_coef * L_value; its backward writes the gradient, policy
         then value net, into ``grad``, one vector over both nets' ``flat``."""
         cfg = self.cfg
-        logp, saved = self.policy.log_prob(*self.policy.net.forward(obs), actions)
+        logp, saved = self.actor.log_prob(*self.actor.net.forward(obs), actions)
         ratio = np.exp(logp - old_logp)
         low, high = 1.0 - cfg.clip_coef, 1.0 + cfg.clip_coef
         inside = (ratio > low) & (ratio < high)
         unclipped, clipped = ratio * adv, np.clip(ratio, low, high) * adv
         take_unclipped = unclipped <= clipped
         error, value_kept = self.value_error(obs, returns)
-        policy_grad, value_grad = np.split(grad, [self.policy.net.flat.size])
+        policy_grad, value_grad = np.split(grad, [self.actor.net.flat.size])
 
         def backward():
             # the minimum's gradient goes to its smaller branch; the clipped
@@ -221,7 +221,7 @@ class PpoTrainer(OnPolicyTrainer):
             g = np.full(adv.size, -1.0 / adv.size)
             g_ratio = g * take_unclipped * adv
             g_ratio += g * ~take_unclipped * adv * inside
-            self.policy.log_prob_backward(saved, g_ratio * ratio, policy_grad)
+            self.actor.log_prob_backward(saved, g_ratio * ratio, policy_grad)
             self.value_backward(value_kept, error, cfg.vf_coef, value_grad)
 
         surrogate = np.where(take_unclipped, unclipped, clipped)
@@ -232,7 +232,7 @@ class PpoTrainer(OnPolicyTrainer):
         self._adam_step(self.minibatch_loss(mb["obs"], mb["actions"], mb["log_probs"],
                                             mb["advantages"], mb["returns"], g),
                         g, "ppo loss")
-        self.policy.net.clamp_log_std()
+        self.actor.net.clamp_log_std()
         self.n_updates += 1
 
 
@@ -254,7 +254,7 @@ class TrpoTrainer(OnPolicyTrainer):
         Log-std block: the per-dimension Fisher is the constant 2. The log-std
         is last in the policy net's ``flat``.
         """
-        net = self.policy.net
+        net = self.actor.net
         n_mean = net.flat.size - net.log_std.size
         jv = net.jvp(kept, net.unflatten(vector))         # (B, act_dim)
         inv_var = np.exp(-2.0 * net.log_std)
@@ -269,16 +269,16 @@ class TrpoTrainer(OnPolicyTrainer):
 
     def surrogate_np(self, means, actions, old_logp, adv) -> float:
         """The surrogate of the policy whose means over the minibatch are ``means``."""
-        logp = self.policy.log_prob_np(means, actions)
-        return float(np.mean(np.exp(logp - old_logp) * adv))
+        logp = self.actor.log_prob_np(means, actions)
+        return float((np.exp(logp - old_logp) * adv).mean())
 
     def surrogate_grad(self, obs, actions, old_logp, adv):
         """The surrogate's gradient, and its forward pass's means and kept inputs."""
-        means, kept = self.policy.net.forward(obs)
-        logp, saved = self.policy.log_prob(means, kept, actions)
+        means, kept = self.actor.net.forward(obs)
+        logp, saved = self.actor.log_prob(means, kept, actions)
         ratio = np.exp(logp - old_logp)
-        g = np.empty_like(self.policy.net.flat)
-        Tensor((ratio * adv).mean(), lambda: self.policy.log_prob_backward(
+        g = np.empty_like(self.actor.net.flat)
+        Tensor((ratio * adv).mean(), lambda: self.actor.log_prob_backward(
             saved, np.full(adv.size, 1.0 / adv.size) * adv * ratio, g)).backward()
         return g, means, kept
 
@@ -286,9 +286,9 @@ class TrpoTrainer(OnPolicyTrainer):
         """One trust-region update on a minibatch; returns True if accepted.
         A non-finite surrogate gradient raises NonFiniteError."""
         cfg = self.cfg
-        flat = self.policy.net.flat
+        flat = self.actor.net.flat
         g, means, kept = self.surrogate_grad(obs, actions, old_logp, adv)
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NonFiniteError("trpo surrogate gradient is not finite")
         fvp = lambda v: self.fisher_vector_product(kept, v)
         x = conjugate_gradient(fvp, g, cfg.cg_iterations)
@@ -302,9 +302,9 @@ class TrpoTrainer(OnPolicyTrainer):
         scale = 1.0
         for _ in range(cfg.backtrack_steps):
             flat[:] = old_vector + scale * step
-            self.policy.net.clamp_log_std()
-            means = self.policy.mean_np(obs)  # the step's, for its KL and surrogate
-            kl = self.policy.kl_old_new_np(old_means, self._log_std_at_collect, means)
+            self.actor.net.clamp_log_std()
+            means = self.actor.mean_np(obs)  # the step's, for its KL and surrogate
+            kl = self.actor.kl_old_new_np(old_means, self._log_std_at_collect, means)
             improved = self.surrogate_np(means, actions, old_logp, adv) > base
             if improved and kl <= cfg.kl_limit:
                 self.n_natural_steps += 1

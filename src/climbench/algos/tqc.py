@@ -8,6 +8,10 @@ under the quantile Huber loss. The actor maximizes the mean over all critics'
 mean quantiles minus the entropy penalty (Kuznetsov et al. 2020). The shared
 off-policy core runs the schedule, the actor step and the alpha tuning; this
 module supplies the targets, the loss and the actor's value.
+
+The loss works in arrays that each trainer keeps (``LossWorkspace``) rather
+than about 1 MiB of fresh ones per update, which the allocator handed back to
+the system after every call and faulted in again on the next.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 
 from .base import OffPolicyTrainer
 
-__all__ = ["TqcTrainer", "truncated_quantile_loss", "quantile_fractions"]
+__all__ = ["TqcTrainer", "LossWorkspace", "truncated_quantile_loss", "quantile_fractions"]
 
 
 def quantile_fractions(n_quantiles: int) -> np.ndarray:
@@ -27,60 +31,148 @@ def quantile_fractions(n_quantiles: int) -> np.ndarray:
     return (2.0 * k - 1.0) / (2.0 * n_quantiles)
 
 
-def truncated_quantile_loss(q: np.ndarray, targets: np.ndarray, tau: np.ndarray,
-                            kappa: float = 1.0) -> tuple[float, np.ndarray]:
+class LossWorkspace:
+    """The arrays ``truncated_quantile_loss`` works in, kept between calls.
+
+    Allocated afresh, they are about 1 MiB of short-lived heap per call,
+    which glibc returns to the system after the call and faults back in on
+    the next: some 200 page faults per TQC update. A trainer keeps one
+    workspace, whose arrays are reallocated only when the (rows, columns,
+    targets) shape changes. It pickles empty, so a shipped trainer carries
+    none.
+    """
+
+    shape = None
+
+    def __getstate__(self):
+        return {}
+
+    def fit(self, rows: int, n_q: int, n_y: int) -> "LossWorkspace":
+        if self.shape == (rows, n_q, n_y):
+            return self
+        self.shape = rows, n_q, n_y
+        n3 = 3 * n_q
+        row = np.repeat(np.arange(rows), n3)    # of each threshold, row by row
+        self.shift = np.arange(rows * n3) - row
+        # ``index`` holds threshold j = t * n_q + k of row r at [t, r, k]
+        j = np.arange(n3)
+        self.block = j + j // n_q * (rows - 1) * n_q
+        self.row_offset = row * n_q
+        self.slot = np.empty(rows * n3, dtype=np.intp)
+        self.index = np.empty((3, rows, n_q), dtype=np.intp)
+        # per row: the prefix sums of y and of y^2, and the counts 0..n_y
+        self.table = np.zeros((3, rows, n_y + 1))
+        self.table[2] = np.arange(n_y + 1)
+        self.keys = np.empty((rows, n3 + n_y))
+        self.y = np.empty((rows, n_y))
+        self.x, self.out = np.empty((2, rows, n_q))
+        self.gathered = np.empty((3, 3, rows, n_q))
+        self.diff = np.empty((3, 2, rows, n_q))
+        self.lin, self.tmp = np.empty((2, 2, rows, n_q))
+        return self
+
+
+def truncated_quantile_loss(q: np.ndarray, targets: np.ndarray, weights: np.ndarray,
+                            kappa: float = 1.0, work: LossWorkspace | None = None
+                            ) -> tuple[float, np.ndarray]:
     """Sum over (batch, quantiles, targets) of rho_tau(target - quantile), and
     its gradient in ``q``.
 
     rho_tau(u) = |tau - 1{u<0}| * L_kappa(u) with the Huber loss L_kappa, on
-    residuals u = target - quantile; ``tau`` holds each column's fraction.
-    Against one predicted quantile x, a row's sorted targets y fall into four
-    regions: y < x-kappa, x-kappa <= y < x, x <= y <= x+kappa, y > x+kappa.
-    On each, the summed loss and its slope in x follow from the region's count
-    and its sums of y and y^2, read off prefix sums, so no (batch, quantiles,
-    targets) array is built. Rows are centred on their median target first,
-    because Q-values reach about 1e4. The tests check it against the pairwise
-    sum.
+    residuals u = target - quantile; ``weights`` is (2, columns), each
+    column's 1 - tau over its tau. Against one predicted quantile x, a row's
+    sorted targets y fall into four regions: y < x-kappa, x-kappa <= y < x,
+    x <= y <= x+kappa, y > x+kappa. On each, the summed loss and its slope in
+    x follow from the region's count and its sums of y and y^2, read off
+    prefix sums, so no (batch, quantiles, targets) array is built. Rows are
+    centred on their median target first, because Q-values reach about 1e4.
+
+    Every array lives in ``work`` (a fresh workspace if None); the gradient
+    returned is one of them, overwritten by the next call. Each float is the
+    result of the operations in the comments' formulas, in their order, and
+    the tests check it byte for byte against those formulas as written and
+    against the pairwise sum.
     """
-    x, y = q, np.sort(targets, axis=1)
-    if not (y.shape[1] and np.isfinite(x).all() and np.isfinite(y).all()):
+    (rows, n_q), n_y = q.shape, targets.shape[1]
+    if not (n_y and np.isfinite(q).all() and np.isfinite(targets).all()):
         # with no targets, or a non-finite value, the regions are undefined:
         # the loss and its gradient are NaN
-        return np.nan, np.full_like(x, np.nan)
-    (rows, n_q), n_y = x.shape, y.shape[1]
+        return np.nan, np.full_like(q, np.nan)
+    w = (LossWorkspace() if work is None else work).fit(rows, n_q, n_y)
+    n3 = 3 * n_q
+    y = w.y
+    np.copyto(y, targets)
+    y.sort(axis=1)
     centre = y[:, n_y // 2, None]
-    x, y = x - centre, y - centre
+    x = np.subtract(q, centre, out=w.x)
+    # keys = [x - kappa, x, x + kappa, y - centre] along each row
+    keys = w.keys
+    np.subtract(x, kappa, out=keys[:, :n_q])
+    keys[:, n_q:2 * n_q] = x
+    np.add(x, kappa, out=keys[:, 2 * n_q:n3])
+    y = np.subtract(y, centre, out=keys[:, n3:])
+    table = w.table
+    np.cumsum(y, axis=1, out=table[0, :, 1:])
+    np.cumsum(np.multiply(y, y, out=w.y), axis=1, out=table[1, :, 1:])
     # Sort each row's thresholds x-kappa, x, x+kappa among its targets; a
-    # threshold's count of targets below it indexes the row's prefix sums.
+    # threshold's count of targets before it indexes the row's prefix sums.
     # Where a target equals a threshold either order will do: the loss and
     # its slope agree there.
-    keys = np.concatenate([x - kappa, x, x + kappa, y], axis=1)
-    order = np.argsort(keys, axis=1)
-    # running count of targets over the flattened rows; row r holds r * n_y
-    # targets before it, and its prefix sums start at r * (n_y + 1)
-    row = np.arange(rows)[:, None]
-    below = np.cumsum(order >= 3 * n_q, axis=None).reshape(keys.shape) + row
-    order += row * keys.shape[1]
-    index = np.empty(keys.size, dtype=np.intp)
-    index[order.ravel()] = below.ravel()
-    index = index.reshape(keys.shape)[:, :3 * n_q]
-    s1, s2 = np.zeros((2, rows, n_y + 1))
-    np.cumsum(y, axis=1, out=s1[:, 1:])
-    np.cumsum(y * y, axis=1, out=s2[:, 1:])
-    # each as three (rows, n_q) views, one per threshold
-    (a1, a2, a3), (b1, b2, b3), (i1, i2, i3) = (
-        z.reshape(rows, 3, n_q).swapaxes(0, 1)
-        for z in (s1.take(index), s2.take(index), index - row * (n_y + 1)))
-    # per region: counts n1..n4 and target sums m1..m4 (of y^2: b2-b1, b3-b2)
-    n1, n2, n3, n4 = i1, i2 - i1, i3 - i2, n_y - i3
-    m1, m2, m3, m4 = a1, a2 - a1, a3 - a2, s1[:, -1:] - a3
-    lower = (1.0 - tau) * (kappa * (n1 * (x - 0.5 * kappa) - m1)
-                           + 0.5 * (b2 - b1 - 2.0 * x * m2 + n2 * x * x))
-    upper = tau * (0.5 * (b3 - b2 - 2.0 * x * m3 + n3 * x * x)
-                   + kappa * (m4 - n4 * (x + 0.5 * kappa)))
-    slope = ((1.0 - tau) * (kappa * n1 - m2 + n2 * x)
-             - tau * (m3 - n3 * x + kappa * n4))
-    return float((lower + upper).sum()), slope
+    order = keys.argsort(axis=1).ravel()
+    at = np.flatnonzero(order < n3)
+    # The i-th threshold found, at sorted position p of row r, has
+    # p - (i - r * n3) targets before it, so its table entry is at - i + r.
+    # (mode="clip" only skips a bounds check: every index is in range.)
+    slot = np.take(order, at, out=w.slot, mode="clip")
+    del order               # the largest transient array
+    np.take(w.block, slot, out=slot, mode="clip")   # elementwise, so in place
+    slot += w.row_offset
+    at -= w.shift
+    w.index.ravel()[slot] = at
+    # g[quantity, threshold], each (rows, n_q): the prefix sums a1, a2, a3 of
+    # y, b1, b2, b3 of y^2 and the counts n1 = i1, i2, i3
+    g = w.gathered
+    np.take(table.reshape(3, -1), w.index, axis=1, out=g.reshape(3, 3, rows, n_q),
+            mode="clip")
+    # per inner region: the sums m2 = a2 - a1, m3 = a3 - a2, those of y^2,
+    # b2 - b1 and b3 - b2, and the counts n2 = i2 - i1, n3 = i3 - i2
+    m23, db23, n23 = np.subtract(g[:, 1:], g[:, :2], out=w.diff)
+    # the outer regions: m1 = a1, m4 = total - a3; n1 = i1, n4 = n_y - i3
+    np.subtract(table[0, :, -1:], g[0, 2], out=g[0, 2])
+    np.subtract(n_y, g[2, 2], out=g[2, 2])
+    m14, n14 = g[0, ::2], g[2, ::2]
+    # lower = (1 - tau) * (kappa * (n1 * (x - kappa/2) - m1)
+    #                      + 0.5 * (b2 - b1 - 2.0 * x * m2 + n2 * x * x))
+    # upper = tau * (0.5 * (b3 - b2 - 2.0 * x * m3 + n3 * x * x)
+    #                + kappa * (m4 - n4 * (x + kappa/2)))
+    # each computed with its partner, stacked; a + b and b + a are the same
+    # bits, and so are a product with 1.0 and its factor
+    nx = np.multiply(n23, x, out=n23)
+    quad = np.subtract(db23, np.multiply(np.multiply(x, 2.0, out=w.out), m23,
+                                         out=w.tmp), out=db23)
+    quad += np.multiply(nx, x, out=w.tmp)
+    quad *= 0.5
+    half = 0.5 * kappa
+    lin = np.multiply(n14, np.add(x, np.array([[[-half]], [[half]]]), out=w.tmp),
+                      out=w.lin)
+    np.subtract(lin[0], m14[0], out=lin[0])
+    np.subtract(m14[1], lin[1], out=lin[1])
+    if kappa != 1.0:
+        lin *= kappa
+        n14 = np.multiply(n14, kappa, out=w.tmp)
+    quad += lin
+    weights = weights[:, None, :]
+    quad *= weights
+    loss = float(np.add(quad[0], quad[1], out=w.out).sum())
+    # slope = (1 - tau) * (kappa * n1 - m2 + n2 * x)
+    #         - tau * (m3 - n3 * x + kappa * n4)
+    part = lin
+    np.subtract(n14[0], m23[0], out=part[0])
+    part[0] += nx[0]
+    np.subtract(m23[1], nx[1], out=part[1])
+    part[1] += n14[1]
+    part *= weights
+    return loss, np.subtract(part[0], part[1], out=w.out)
 
 
 class TqcTrainer(OffPolicyTrainer):
@@ -98,7 +190,9 @@ class TqcTrainer(OffPolicyTrainer):
 
     def _build(self) -> None:
         super()._build()
-        self.fractions = quantile_fractions(self.cfg.n_quantiles)
+        tau = np.tile(quantile_fractions(self.cfg.n_quantiles), self.cfg.n_critics)
+        self.tau_weights = np.stack([1.0 - tau, tau])
+        self.loss_work = LossWorkspace()
 
     def compute_target(self, batch: dict[str, np.ndarray],
                        alpha: float | None = None) -> np.ndarray:
@@ -119,7 +213,7 @@ class TqcTrainer(OffPolicyTrainer):
         against the shared targets, from one call over all their quantiles."""
         n_q = self.cfg.n_quantiles
         total, slope = truncated_quantile_loss(np.concatenate(qs, axis=1), y,
-                                               np.tile(self.fractions, len(qs)))
+                                               self.tau_weights, work=self.loss_work)
         count = y.size * n_q        # the terms of one critic's mean
         if not count:               # a config can truncate every target away
             return total, []

@@ -125,7 +125,7 @@ class Mlp:
         for i in range(len(self.weights) - 1, -1, -1):
             h, w = kept[i], self.weights[i]
             if views is not None:
-                np.sum(g, axis=0, out=views[2 * i + 1])
+                np.add.reduce(g, axis=0, out=views[2 * i + 1])
                 np.matmul(h.T, g, out=views[2 * i])
             if i > 0:
                 g = g @ w.T

@@ -35,7 +35,7 @@ class Optimizer:
 
     def step(self, g: np.ndarray) -> None:
         """Apply one update from the flat gradient ``g``, which it overwrites."""
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             finite = g[np.isfinite(g)]
             raise NonFiniteError(
                 f"non-finite gradient (max |g| over finite entries: "
@@ -81,7 +81,7 @@ def clip_grad_norm(grads: list[np.ndarray], max_norm: float) -> float:
     """
     total = 0.0
     for g in grads:
-        total += float(np.sum(g * g))
+        total += float((g * g).sum())
     norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0:
         scale = max_norm / norm

@@ -17,9 +17,10 @@ from typing import Sequence
 import numpy as np
 
 from climbench.algos.common import LOG_2PI
-from climbench.algos.tqc import truncated_quantile_loss
+from climbench.algos.tqc import quantile_fractions
 from climbench.envs import BoxSpace, ClimateEnv
 from climbench.rollout import discounted_returns
+from quantile_oracle import truncated_quantile_loss
 from tape import Tensor, minimum
 
 
@@ -133,7 +134,7 @@ def tqc_critic_loss(q: Tensor, y: np.ndarray, tau: np.ndarray) -> Tensor:
 
 def critic_loss(trainer, q: Tensor, y: np.ndarray) -> Tensor:
     if trainer.algorithm == "tqc":
-        return tqc_critic_loss(q, y, trainer.fractions)
+        return tqc_critic_loss(q, y, quantile_fractions(trainer.cfg.n_quantiles))
     return ((q - Tensor(y[:, None])) ** 2).mean()
 
 
@@ -206,9 +207,9 @@ def clipped(leaves: list[Tensor], max_norm: float) -> np.ndarray:
 
 
 def reinforce_grad(trainer, ep: dict) -> np.ndarray:
-    leaves = param_leaves(trainer.policy.net)
+    leaves = param_leaves(trainer.actor.net)
     returns = discounted_returns(ep["rewards"], trainer.cfg.gamma)
-    logp = log_prob(trainer.policy, leaves, ep["obs"], ep["actions"])
+    logp = log_prob(trainer.actor, leaves, ep["obs"], ep["actions"])
     (-(logp * Tensor(returns)).mean()).backward()
     return gather(leaves)
 
@@ -216,9 +217,9 @@ def reinforce_grad(trainer, ep: dict) -> np.ndarray:
 def ppo_grad(trainer, mb: dict) -> np.ndarray:
     """The clipped gradient of PPO's loss, policy then value net."""
     cfg = trainer.cfg
-    policy_leaves = param_leaves(trainer.policy.net)
+    policy_leaves = param_leaves(trainer.actor.net)
     value_leaves = param_leaves(trainer.value_net)
-    logp = log_prob(trainer.policy, policy_leaves, mb["obs"], mb["actions"])
+    logp = log_prob(trainer.actor, policy_leaves, mb["obs"], mb["actions"])
     ratio = (logp - Tensor(mb["log_probs"])).exp()
     adv = Tensor(mb["advantages"])
     surrogate = minimum(ratio * adv,
@@ -237,8 +238,8 @@ def trpo_value_grad(trainer, mb: dict) -> np.ndarray:
 
 
 def surrogate_grad(trainer, obs, actions, old_logp, adv) -> np.ndarray:
-    leaves = param_leaves(trainer.policy.net)
-    logp = log_prob(trainer.policy, leaves, obs, actions)
+    leaves = param_leaves(trainer.actor.net)
+    logp = log_prob(trainer.actor, leaves, obs, actions)
     ratio = (logp - Tensor(old_logp)).exp()
     (ratio * Tensor(adv)).mean().backward()
     return gather(leaves)
@@ -258,7 +259,7 @@ def jvp(net, x: np.ndarray, tangents: list[np.ndarray]) -> np.ndarray:
 
 def fisher_vector_product(trainer, obs: np.ndarray, vector: np.ndarray) -> np.ndarray:
     """TRPO's damped Fisher-vector product, with the VJP taken on the tape."""
-    net = trainer.policy.net
+    net = trainer.actor.net
     n_mean = net.flat.size - net.log_std.size
     jv = jvp(net, obs, net.unflatten(vector))
     inv_var = np.exp(-2.0 * net.log_std)

@@ -68,7 +68,7 @@ def test_single_update_deterministic_on_frozen_batch():
 def test_non_finite_poisoning_aborts_with_diagnostic(tag):
     trainer = short_trainer(tag, steps=600)
     # poison one weight: forward values become NaN, the run must mark abort
-    trainer.actor_mlp().weights[0][0, 0] = np.nan
+    trainer.actor.net.weights[0][0, 0] = np.nan
     rec = trainer.train()
     assert rec.aborted
     assert "non-finite" in rec.abort_reason

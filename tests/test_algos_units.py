@@ -16,6 +16,7 @@ from climbench.experiments import experiment_spec, make_experiment_env, resolve_
 from climbench.nn import LOG_STD_MAX, LOG_STD_MIN, Mlp, NonFiniteError
 from climbench.records import load_record
 from climbench.rollout import discounted_returns
+from quantile_oracle import weights_of
 from tape import Tensor
 from tape_oracle import gather, node, param_leaves
 
@@ -54,7 +55,7 @@ def test_reinforce_bandit_drifts_positive():
     trainer = make("reinforce", env=BanditEnv(), total_timesteps=2000,
                    learning_rate=3e-2)
     trainer.train()
-    mean_action = trainer.policy.mean_np(np.array([0.5]))[0]
+    mean_action = trainer.actor.mean_np(np.array([0.5]))[0]
     assert mean_action > 0.05
 
 
@@ -67,11 +68,11 @@ def test_reinforce_loss_gradient_matches_finite_differences():
 
     def loss_value():
         returns = discounted_returns(rewards, trainer.cfg.gamma)
-        means = trainer.policy.mean_np(obs)
-        logp = trainer.policy.log_prob_np(means, actions)
+        means = trainer.actor.mean_np(obs)
+        logp = trainer.actor.log_prob_np(means, actions)
         return float(-(logp * returns).mean())
 
-    net = trainer.policy.net
+    net = trainer.actor.net
     grad = np.empty_like(net.flat)
     trainer.episode_loss(obs, actions, rewards, grad).backward()
     h = 1e-6
@@ -232,27 +233,27 @@ def test_trpo_ratio_one_gives_zero_kl_and_mean_advantage():
     trainer = make("trpo")
     rng = np.random.default_rng(3)
     obs = rng.uniform(0, 1, size=(32, 1))
-    actions = trainer.policy.mean_np(obs) + rng.normal(size=(32, 1)) * 0.1
-    means = trainer.policy.mean_np(obs)
-    logp = trainer.policy.log_prob_np(means, actions)
+    actions = trainer.actor.mean_np(obs) + rng.normal(size=(32, 1)) * 0.1
+    means = trainer.actor.mean_np(obs)
+    logp = trainer.actor.log_prob_np(means, actions)
     adv = rng.normal(size=32)
-    trainer._log_std_at_collect = trainer.policy.net.log_std.copy()
+    trainer._log_std_at_collect = trainer.actor.net.log_std.copy()
     assert trainer.surrogate_np(means, actions, logp, adv) == pytest.approx(
         float(adv.mean()), rel=1e-12)
-    kl = trainer.policy.kl_old_new_np(means, trainer._log_std_at_collect,
-                                      trainer.policy.mean_np(obs))
+    kl = trainer.actor.kl_old_new_np(means, trainer._log_std_at_collect,
+                                     trainer.actor.mean_np(obs))
     assert kl == pytest.approx(0.0, abs=1e-15)
 
 
 def test_analytic_gaussian_kl_closed_form():
     # Equal sigmas: KL(N(mu1, s) || N(mu2, s)) = (mu1 - mu2)^2 / (2 s^2).
     trainer = make("trpo")
-    sigma = float(np.exp(trainer.policy.net.log_std[0]))
+    sigma = float(np.exp(trainer.actor.net.log_std[0]))
     old_means = np.array([[0.3], [0.1]])
     new_means = np.array([[0.5], [0.4]])
     expected = float(np.mean((old_means - new_means) ** 2 / (2 * sigma ** 2)))
-    got = trainer.policy.kl_old_new_np(old_means, trainer.policy.net.log_std,
-                                       new_means)
+    got = trainer.actor.kl_old_new_np(old_means, trainer.actor.net.log_std,
+                                      new_means)
     assert got == pytest.approx(expected, abs=1e-10)
 
 
@@ -261,8 +262,8 @@ def test_fisher_vector_product_matches_kl_gradient_differences():
     trainer = make("trpo", actor_critic_layer_size=8)
     rng = np.random.default_rng(4)
     obs = rng.uniform(0, 1, size=(16, 1))
-    net = trainer.policy.net
-    old_means = trainer.policy.mean_np(obs)
+    net = trainer.actor.net
+    old_means = trainer.actor.mean_np(obs)
     old_log_std = net.log_std.copy()
     trainer.cfg.cg_damping = 0.0
 
@@ -294,14 +295,14 @@ def test_trpo_no_op_on_unimprovable_surrogate():
     trainer = make("trpo")
     rng = np.random.default_rng(5)
     obs = rng.uniform(0, 1, size=(16, 1))
-    means = trainer.policy.mean_np(obs)
+    means = trainer.actor.mean_np(obs)
     actions = means + 0.05 * rng.normal(size=(16, 1))
-    logp = trainer.policy.log_prob_np(means, actions)
-    trainer._log_std_at_collect = trainer.policy.net.log_std.copy()
-    before = trainer.policy.net.flat.copy()
+    logp = trainer.actor.log_prob_np(means, actions)
+    trainer._log_std_at_collect = trainer.actor.net.log_std.copy()
+    before = trainer.actor.net.flat.copy()
     accepted = trainer.natural_step(obs, actions, logp, means, np.zeros(16))
     assert not accepted
-    assert np.array_equal(before, trainer.policy.net.flat)
+    assert np.array_equal(before, trainer.actor.net.flat)
 
 
 def test_trpo_non_finite_surrogate_gradient_aborts_the_run(monkeypatch):
@@ -309,16 +310,16 @@ def test_trpo_non_finite_surrogate_gradient_aborts_the_run(monkeypatch):
     trainer = make("trpo")
     rng = np.random.default_rng(5)
     obs = rng.uniform(0, 1, size=(16, 1))
-    means = trainer.policy.mean_np(obs)
+    means = trainer.actor.mean_np(obs)
     actions = means + 0.05 * rng.normal(size=(16, 1))
-    logp = trainer.policy.log_prob_np(means, actions)
+    logp = trainer.actor.log_prob_np(means, actions)
     adv = rng.normal(size=16)
     adv[3] = np.nan
-    trainer._log_std_at_collect = trainer.policy.net.log_std.copy()
-    before = trainer.policy.net.flat.copy()
+    trainer._log_std_at_collect = trainer.actor.net.log_std.copy()
+    before = trainer.actor.net.flat.copy()
     with pytest.raises(NonFiniteError, match="surrogate gradient"):
         trainer.natural_step(obs, actions, logp, means, adv)
-    assert np.array_equal(before, trainer.policy.net.flat)
+    assert np.array_equal(before, trainer.actor.net.flat)
     assert trainer.n_natural_steps == trainer.n_rejected_steps == 0
     surrogate_grad = trainer.surrogate_grad
 
@@ -341,13 +342,13 @@ def test_trpo_natural_step_runs_two_policy_forward_passes(monkeypatch, cg_iterat
     trainer = make("trpo", cg_iterations=cg_iterations)
     rng = np.random.default_rng(6)
     obs = rng.uniform(0, 1, size=(64, 1))
-    means = trainer.policy.mean_np(obs)
+    means = trainer.actor.mean_np(obs)
     actions = means + 0.05 * rng.normal(size=(64, 1))
-    logp = trainer.policy.log_prob_np(means, actions)
+    logp = trainer.actor.log_prob_np(means, actions)
     # a gradient far from CG's tolerance, so the solve takes several products
     adv = 1e4 * rng.normal(size=64)
-    trainer._log_std_at_collect = trainer.policy.net.log_std.copy()
-    net = trainer.policy.net
+    trainer._log_std_at_collect = trainer.actor.net.log_std.copy()
+    net = trainer.actor.net
     forwards, passes, products = [], [], []
     monkeypatch.setattr(net, "forward",
                         lambda x: forwards.append(x) or Mlp.forward(net, x))
@@ -358,14 +359,14 @@ def test_trpo_natural_step_runs_two_policy_forward_passes(monkeypatch, cg_iterat
                         lambda kept, v: products.append(v) or fvp(kept, v))
     before = net.flat.copy()
     # every scale's KL inside the region: the full step improves the surrogate
-    monkeypatch.setattr(trainer.policy, "kl_old_new_np", lambda *args: 0.0)
+    monkeypatch.setattr(trainer.actor, "kl_old_new_np", lambda *args: 0.0)
     assert trainer.natural_step(obs, actions, logp, means, adv)
     assert len(products) == 2 if cg_iterations == 1 else len(products) > 2
     assert (len(forwards), len(passes)) == (1, 1)
     # from the same parameters, every scale's KL outside the region
     net.flat[:] = before
     forwards.clear(), passes.clear()
-    monkeypatch.setattr(trainer.policy, "kl_old_new_np", lambda *args: np.inf)
+    monkeypatch.setattr(trainer.actor, "kl_old_new_np", lambda *args: np.inf)
     assert not trainer.natural_step(obs, actions, logp, means, adv)
     assert np.array_equal(net.flat, before)
     assert (len(forwards), len(passes)) == (1, trainer.cfg.backtrack_steps)
@@ -403,15 +404,15 @@ def test_episode_log_probs_match_each_steps_own_sample(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     trainer = make(tag, env=NoiseEnv(obs_dim, act_dim, n, rng), total_timesteps=n)
     bound = st.sampled_from([LOG_STD_MIN, LOG_STD_MAX])
-    trainer.policy.net.log_std[:] = data.draw(st.lists(
+    trainer.actor.net.log_std[:] = data.draw(st.lists(
         bound | st.floats(LOG_STD_MIN, LOG_STD_MAX), min_size=act_dim,
         max_size=act_dim), label="log_std")
     explore = copy.deepcopy(trainer.streams.explore)
     ep = trainer.collect_episode()
-    std = np.exp(trainer.policy.net.log_std)
+    std = np.exp(trainer.actor.net.log_std)
     expected = np.empty(n)
     for t, obs in enumerate(ep["obs"]):
-        mean = trainer.policy.net.forward_np(obs)
+        mean = trainer.actor.net.forward_np(obs)
         raw = mean + std * explore.normal(size=act_dim)
         assert (ep["means"][t].tobytes(), ep["actions"][t].tobytes()) == (
             mean.tobytes(), raw.tobytes())
@@ -445,7 +446,7 @@ def test_episode_step_loop_runs_only_the_policy_and_env(monkeypatch):
     trainer = make("ppo", env=env)
     explore = trainer.streams.explore = CountingGenerator(trainer.streams.explore)
     passes = {"policy": [], "value": []}
-    for name, net in (("policy", trainer.policy.net), ("value", trainer.value_net)):
+    for name, net in (("policy", trainer.actor.net), ("value", trainer.value_net)):
         monkeypatch.setattr(net, "forward_np", lambda x, net=net, log=passes[name]:
                             log.append(np.shape(x)) or Mlp.forward_np(net, x))
     ep = trainer.collect_episode()
@@ -462,11 +463,11 @@ def test_no_kl_check_after_the_last_epoch(monkeypatch, tag):
     env = NoiseEnv(1, 1, 48, np.random.default_rng(2))
     trainer = make(tag, env=env, update_epochs=3, num_minibatches=4)
     ep = trainer.collect_episode()
-    net = trainer.policy.net
+    net = trainer.actor.net
     full_batch = []
     monkeypatch.setattr(net, "forward_np", lambda x: full_batch.append(
         len(x) == 48) or Mlp.forward_np(net, x))
-    monkeypatch.setattr(trainer.policy, "kl_old_new_np", lambda *args: 0.0)
+    monkeypatch.setattr(trainer.actor, "kl_old_new_np", lambda *args: 0.0)
     trainer.update_from_batch(ep)
     assert sum(full_batch) == trainer.cfg.update_epochs - 1
 
@@ -477,8 +478,8 @@ def test_no_kl_check_after_the_last_epoch(monkeypatch, tag):
 def _ppo_batch_with_ratios(trainer, ratios, rng):
     # old log-probs chosen so that pi_new / pi_old equals each given ratio
     obs = rng.uniform(0, 1, size=(len(ratios), 1))
-    actions = trainer.policy.mean_np(obs) + 0.1 * rng.normal(size=(len(ratios), 1))
-    logp = trainer.policy.log_prob_np(trainer.policy.mean_np(obs), actions)
+    actions = trainer.actor.mean_np(obs) + 0.1 * rng.normal(size=(len(ratios), 1))
+    logp = trainer.actor.log_prob_np(trainer.actor.mean_np(obs), actions)
     return obs, actions, logp - np.log(ratios)
 
 
@@ -503,7 +504,7 @@ def test_ppo_loss_clips_ratios_outside_band():
     obs, actions, old_logp = _ppo_batch_with_ratios(trainer, ratios, rng)
     both = np.full(trainer.optimizer.m.size, np.nan)
     trainer.minibatch_loss(obs, actions, old_logp, adv, np.zeros(4), both).backward()
-    grad = both[:trainer.policy.net.flat.size]
+    grad = both[:trainer.actor.net.flat.size]
     assert np.all(grad == 0.0)
 
 
@@ -511,8 +512,8 @@ def test_ppo_ratio_one_surrogate_is_mean_advantage():
     trainer = make("ppo")
     rng = np.random.default_rng(6)
     obs = rng.uniform(0, 1, size=(32, 1))
-    actions = trainer.policy.mean_np(obs) + 0.1 * rng.normal(size=(32, 1))
-    logp_old = trainer.policy.log_prob_np(trainer.policy.mean_np(obs), actions)
+    actions = trainer.actor.mean_np(obs) + 0.1 * rng.normal(size=(32, 1))
+    logp_old = trainer.actor.log_prob_np(trainer.actor.mean_np(obs), actions)
     adv = rng.normal(size=32)
     returns = rng.normal(size=32)
     loss = trainer.minibatch_loss(obs, actions, logp_old, adv, returns,
@@ -628,6 +629,11 @@ def pairwise_quantile_loss(q: np.ndarray, targets: np.ndarray, tau: np.ndarray,
     return float(huber.sum()), -d.sum(axis=2)
 
 
+def closed_form_loss(q, targets, tau, kappa=1.0):
+    """``truncated_quantile_loss`` called with fractions, as the oracles are."""
+    return truncated_quantile_loss(q, targets, weights_of(tau), kappa)
+
+
 def loss_and_grad(loss_fn, q_data, y, tau, kappa=1.0):
     """The loss's mean over (batch, quantiles, targets), and its gradient."""
     total, grad = loss_fn(q_data.copy(), y, tau, kappa)
@@ -646,7 +652,7 @@ def test_fused_loss_equals_composed_path():
     u = Tensor(y[:, None, :]) - q2.reshape(b, nq, 1)
     composed = quantile_huber_loss(u, tau[None, :, None]).mean()
     composed.backward()
-    for loss_fn in (pairwise_quantile_loss, truncated_quantile_loss):
+    for loss_fn in (pairwise_quantile_loss, closed_form_loss):
         loss, grad = loss_and_grad(loss_fn, q_data, y, tau)
         assert loss == pytest.approx(float(composed.data), rel=1e-12)
         assert np.max(np.abs(grad - q2.grad.reshape(b, nq))) < 1e-12
@@ -670,7 +676,7 @@ def test_closed_form_loss_matches_pairwise_oracle(n_q, n_y, rows, kappa, offset,
     y[:equal_rows] = y[:equal_rows, :1]        # rows of one repeated target value
     q_data, y = q_data + offset, np.sort(y + offset, axis=1)
     tau = quantile_fractions(n_q)
-    loss, grad = loss_and_grad(truncated_quantile_loss, q_data, y, tau, kappa)
+    loss, grad = loss_and_grad(closed_form_loss, q_data, y, tau, kappa)
     ref_loss, ref_grad = loss_and_grad(pairwise_quantile_loss, q_data, y, tau, kappa)
     assert abs(loss - ref_loss) <= 1e-10 * ref_loss
     # each gradient entry against the sum of its terms' magnitudes
@@ -685,14 +691,14 @@ def test_closed_form_loss_matches_pairwise_oracle(n_q, n_y, rows, kappa, offset,
 def test_closed_form_loss_of_non_finite_input_is_nan(bad, where):
     q_data, y = np.zeros((3, 4)), np.zeros((3, 5))
     (q_data if where == "q" else y)[1, 2] = bad
-    loss, grad = truncated_quantile_loss(q_data, y, quantile_fractions(4))
+    loss, grad = closed_form_loss(q_data, y, quantile_fractions(4))
     assert np.isnan(loss) and np.all(np.isnan(grad))
 
 
 def test_closed_form_loss_over_no_targets_is_nan():
     # a config can truncate every pooled target away
-    loss, grad = truncated_quantile_loss(np.zeros((3, 4)), np.zeros((3, 0)),
-                                         quantile_fractions(4))
+    loss, grad = closed_form_loss(np.zeros((3, 4)), np.zeros((3, 0)),
+                                  quantile_fractions(4))
     assert np.isnan(loss) and np.all(np.isnan(grad))
     trainer = make("tqc", total_timesteps=120, learning_starts=50, n_quantiles=2,
                    n_drop_per_critic=2)
@@ -701,9 +707,12 @@ def test_closed_form_loss_over_no_targets_is_nan():
 
 
 def test_tqc_trajectory_with_closed_form_loss_matches_pairwise_oracle(monkeypatch):
+    def pairwise(q, targets, weights, kappa=1.0, work=None):
+        return pairwise_quantile_loss(q, targets, weights[1], kappa)
+
     spec = experiment_spec("v2-homo-64L")
     runs = []
-    for loss_fn in (pairwise_quantile_loss, truncated_quantile_loss):
+    for loss_fn in (pairwise, truncated_quantile_loss):
         monkeypatch.setattr(tqc, "truncated_quantile_loss", loss_fn)
         cfg = resolve_config(spec, "tqc", steps=400)
         cfg.learning_starts = 50
@@ -790,8 +799,8 @@ def test_select_action_always_in_box():
     # The on-policy trainers act through their Gaussian policy's sample.
     for tag in ("reinforce", "ppo", "trpo"):
         trainer = make(tag)
-        trainer.policy.net.log_std[:] = 1.0  # most raw samples leave the box
+        trainer.actor.net.log_std[:] = 1.0  # most raw samples leave the box
         for _ in range(200):
-            noise = trainer.policy.std_np() * trainer.streams.explore.normal(size=1)
-            a, _, _ = trainer.policy.sample_np(np.array([0.5]), noise)
+            noise = trainer.actor.std_np() * trainer.streams.explore.normal(size=1)
+            a, _, _ = trainer.actor.sample_np(np.array([0.5]), noise)
             assert -1.0 <= a[0] <= 1.0

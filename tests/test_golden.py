@@ -116,7 +116,7 @@ def compute_digests() -> dict[str, list[str]]:
             trainer = make_trainer(algorithm, make_experiment_env(spec), cfg, SEED,
                                    experiment_id)
             record = trainer.train()
-            params = trainer.actor_mlp().flat.tobytes()
+            params = trainer.actor.net.flat.tobytes()
             out[f"{experiment_id}/{algorithm}"] = [
                 hashlib.sha256(record.body_bytes()).hexdigest(),
                 hashlib.sha256(params).hexdigest()]

@@ -34,7 +34,7 @@ def drawn_case(data, tag: str):
             max_grad_norm=data.draw(st.sampled_from([1e-3, 0.5, 1e6]), label="clip"))
     trainer = TRAINER_CLASSES[tag](env, make_config(tag, **fields),
                                    seed=int(rng.integers(1000)))
-    policy = trainer.policy
+    policy = trainer.actor
     policy.net.log_std[:] = rng.uniform(-3.0, 1.0, size=act_dim)
     obs = rng.uniform(0.0, 1.0, size=(n, obs_dim))
     means = policy.mean_np(obs)
@@ -111,8 +111,8 @@ def test_fisher_vector_product_matches_tape_bytes(data):
     trainer, ep = drawn_case(data, "trpo")
     trainer.cfg.cg_damping = data.draw(st.sampled_from([0.0, 0.1]), label="damping")
     vector = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(
-        size=trainer.policy.net.flat.size)
-    kept = trainer.policy.net.forward(ep["obs"])[1]
+        size=trainer.actor.net.flat.size)
+    kept = trainer.actor.net.forward(ep["obs"])[1]
     got = trainer.fisher_vector_product(kept, vector)
     expected = tape_oracle.fisher_vector_product(trainer, ep["obs"], vector)
     assert got.tobytes() == expected.tobytes()

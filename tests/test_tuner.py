@@ -176,8 +176,8 @@ def test_aborted_trial_fails_with_its_abort_reason():
     cfg = make_config("ppo", total_timesteps=600)
     env = RceEnv(RcePhysicsParams(insolation=340.0, max_steps=100))
     trainer = make_trainer("ppo", env, cfg, runner.trial_seed, runner.experiment_id)
-    trainer.policy.net.biases[-1][:] = 50.0
-    trainer.policy.net.log_std[:] = -5.0
+    trainer.actor.net.biases[-1][:] = 50.0
+    trainer.actor.net.log_std[:] = -5.0
     state, value, steps, error = _advance_task((runner, trainer, cfg, 300))
     assert state is None and value == float("-inf") and steps == 57
     assert error == trainer.record.abort_reason
