@@ -73,7 +73,7 @@ class LossWorkspace:
 
 
 def truncated_quantile_loss(q: np.ndarray, targets: np.ndarray, weights: np.ndarray,
-                            kappa: float = 1.0, work: LossWorkspace | None = None
+                            work: LossWorkspace, kappa: float = 1.0
                             ) -> tuple[float, np.ndarray]:
     """Sum over (batch, quantiles, targets) of rho_tau(target - quantile), and
     its gradient in ``q``.
@@ -87,18 +87,17 @@ def truncated_quantile_loss(q: np.ndarray, targets: np.ndarray, weights: np.ndar
     prefix sums, so no (batch, quantiles, targets) array is built. Rows are
     centred on their median target first, because Q-values reach about 1e4.
 
-    Every array lives in ``work`` (a fresh workspace if None); the gradient
-    returned is one of them, overwritten by the next call. Each float is the
-    result of the operations in the comments' formulas, in their order, and
-    the tests check it byte for byte against those formulas as written and
-    against the pairwise sum.
+    Every array lives in ``work``; the gradient returned is one of them,
+    overwritten by the next call. Each float is the result of the operations
+    in the comments' formulas, in their order, and the tests check it byte
+    for byte against those formulas as written and against the pairwise sum.
     """
     (rows, n_q), n_y = q.shape, targets.shape[1]
     if not (n_y and np.isfinite(q).all() and np.isfinite(targets).all()):
         # with no targets, or a non-finite value, the regions are undefined:
         # the loss and its gradient are NaN
         return np.nan, np.full_like(q, np.nan)
-    w = (LossWorkspace() if work is None else work).fit(rows, n_q, n_y)
+    w = work.fit(rows, n_q, n_y)
     n3 = 3 * n_q
     y = w.y
     np.copyto(y, targets)
@@ -146,7 +145,7 @@ def truncated_quantile_loss(q: np.ndarray, targets: np.ndarray, weights: np.ndar
     # upper = tau * (0.5 * (b3 - b2 - 2.0 * x * m3 + n3 * x * x)
     #                + kappa * (m4 - n4 * (x + kappa/2)))
     # each computed with its partner, stacked; a + b and b + a are the same
-    # bits, and so are a product with 1.0 and its factor
+    # bits
     nx = np.multiply(n23, x, out=n23)
     quad = np.subtract(db23, np.multiply(np.multiply(x, 2.0, out=w.out), m23,
                                          out=w.tmp), out=db23)
@@ -157,9 +156,8 @@ def truncated_quantile_loss(q: np.ndarray, targets: np.ndarray, weights: np.ndar
                       out=w.lin)
     np.subtract(lin[0], m14[0], out=lin[0])
     np.subtract(m14[1], lin[1], out=lin[1])
-    if kappa != 1.0:
-        lin *= kappa
-        n14 = np.multiply(n14, kappa, out=w.tmp)
+    lin *= kappa
+    n14 = np.multiply(n14, kappa, out=w.tmp)
     quad += lin
     weights = weights[:, None, :]
     quad *= weights
@@ -213,7 +211,7 @@ class TqcTrainer(OffPolicyTrainer):
         against the shared targets, from one call over all their quantiles."""
         n_q = self.cfg.n_quantiles
         total, slope = truncated_quantile_loss(np.concatenate(qs, axis=1), y,
-                                               self.tau_weights, work=self.loss_work)
+                                               self.tau_weights, self.loss_work)
         count = y.size * n_q        # the terms of one critic's mean
         if not count:               # a config can truncate every target away
             return total, []

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from climbench.algos import make_config, make_trainer, tqc
 from climbench.algos.common import LOG_2PI, SquashedGaussianPolicy
 from climbench.algos.onpolicy import conjugate_gradient
-from climbench.algos.tqc import quantile_fractions, truncated_quantile_loss
+from climbench.algos.tqc import LossWorkspace, quantile_fractions, truncated_quantile_loss
 from climbench.envs import BiasCorrectionEnv, BoxSpace, ClimateEnv, rng_stream
 from climbench.experiments import experiment_spec, make_experiment_env, resolve_config
 from climbench.nn import LOG_STD_MAX, LOG_STD_MIN, Mlp, NonFiniteError
@@ -631,7 +631,7 @@ def pairwise_quantile_loss(q: np.ndarray, targets: np.ndarray, tau: np.ndarray,
 
 def closed_form_loss(q, targets, tau, kappa=1.0):
     """``truncated_quantile_loss`` called with fractions, as the oracles are."""
-    return truncated_quantile_loss(q, targets, weights_of(tau), kappa)
+    return truncated_quantile_loss(q, targets, weights_of(tau), LossWorkspace(), kappa)
 
 
 def loss_and_grad(loss_fn, q_data, y, tau, kappa=1.0):
@@ -707,7 +707,7 @@ def test_closed_form_loss_over_no_targets_is_nan():
 
 
 def test_tqc_trajectory_with_closed_form_loss_matches_pairwise_oracle(monkeypatch):
-    def pairwise(q, targets, weights, kappa=1.0, work=None):
+    def pairwise(q, targets, weights, work, kappa=1.0):
         return pairwise_quantile_loss(q, targets, weights[1], kappa)
 
     spec = experiment_spec("v2-homo-64L")

@@ -5,6 +5,7 @@ leaves behind, and what a trainer that holds one pickles and faults.
 
 import os
 import pickle
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -42,7 +43,7 @@ def loss_case(rng, rows, n_cols, n_y, on_grid=False, equal_rows=0, offset=0.0,
 
 def assert_same_bytes(q, y, tau, kappa, work):
     want_loss, want_slope = oracle(q, y, tau, kappa)
-    loss, slope = truncated_quantile_loss(q, y, weights_of(tau), kappa, work)
+    loss, slope = truncated_quantile_loss(q, y, weights_of(tau), work, kappa)
     assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
     assert slope.shape == want_slope.shape
     assert slope.tobytes() == want_slope.tobytes()
@@ -58,7 +59,7 @@ def test_workspace_loss_matches_oracle_bytes(rows, n_cols, n_y, on_grid, equal_r
     rng = np.random.default_rng(seed)
     tau = rng.uniform(size=n_cols) if random_tau else None
     q, y, tau = loss_case(rng, rows, n_cols, n_y, on_grid, equal_rows, offset, kappa, tau)
-    assert_same_bytes(q, y, tau, kappa, None)
+    assert_same_bytes(q, y, tau, kappa, LossWorkspace())
 
 
 @given(shapes=st.lists(st.tuples(st.sampled_from([1, 64, 128, 256]),
@@ -91,12 +92,12 @@ def late_run_case():
 def test_warm_call_transient_heap_is_small():
     q, y, weights = late_run_case()
     work = LossWorkspace()
-    truncated_quantile_loss(q, y, weights, work=work)
+    truncated_quantile_loss(q, y, weights, work)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        truncated_quantile_loss(q, y, weights, work=work)
+        truncated_quantile_loss(q, y, weights, work)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -150,7 +151,8 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 400)
 """
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"),
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or platform.libc_ver()[0] != "glibc",
                     reason="counts the minor faults of glibc's heap trimming")
 def test_tqc_task_does_not_refault_the_heap():
     pytest.importorskip("resource")
