@@ -181,6 +181,13 @@ class TqcConfig(BaseConfig):
     buffer_size: int = 100_000
     learning_starts: int = 1000
 
+    def __post_init__(self):
+        super().__post_init__()
+        # each critic keeps a quantile, so no target set is empty
+        if not self.n_drop_per_critic < self.n_quantiles:
+            raise ValueError(f"n_drop_per_critic must be below n_quantiles, got "
+                             f"{self.n_drop_per_critic!r} >= {self.n_quantiles!r}")
+
 
 CONFIG_CLASSES = {
     "reinforce": ReinforceConfig,

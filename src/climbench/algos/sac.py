@@ -23,12 +23,10 @@ class SacTrainer(OffPolicyTrainer):
     # The entropy coefficient follows the q-network learning rate.
     lr_fields = ("policy_lr", "q_lr", "q_lr")
 
-    def compute_target(self, batch: dict[str, np.ndarray],
-                       alpha: float | None = None) -> np.ndarray:
-        alpha = self.alpha if alpha is None else alpha
+    def compute_target(self, batch: dict[str, np.ndarray]) -> np.ndarray:
         a_next, logp_next, _ = self.rsample(batch["s_next"])
         q_next = self.min_target_q(batch["s_next"], a_next)
-        return batch["r"] + self.cfg.gamma * (q_next - alpha * logp_next)
+        return batch["r"] + self.cfg.gamma * (q_next - self.alpha * logp_next)
 
     def actor_value(self, qs: list[np.ndarray], g: np.ndarray):
         """The minimum over the critics, taken pairwise in critic order; the

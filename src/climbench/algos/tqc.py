@@ -4,10 +4,10 @@ Each of the N_c critics outputs N_q quantiles at the fractions
 tau_k = (2k-1)/(2 N_q). Targets pool every target critic's quantiles at the
 next state, sort them, drop the largest n_drop_per_critic * N_c, and shift by
 the entropy term; every critic then regresses the shared truncated target set
-under the quantile Huber loss. The actor maximizes the mean over all critics'
-mean quantiles minus the entropy penalty (Kuznetsov et al. 2020). The shared
-off-policy core runs the schedule, the actor step and the alpha tuning; this
-module supplies the targets, the loss and the actor's value.
+under the quantile Huber loss at kappa = 1. The actor maximizes the mean over
+all critics' mean quantiles minus the entropy penalty (Kuznetsov et al. 2020).
+The shared off-policy core runs the schedule, the actor step and the alpha
+tuning; this module supplies the targets, the loss and the actor's value.
 
 The loss works in arrays that each trainer keeps (``LossWorkspace``) rather
 than about 1 MiB of fresh ones per update, which the allocator handed back to
@@ -73,19 +73,20 @@ class LossWorkspace:
 
 
 def truncated_quantile_loss(q: np.ndarray, targets: np.ndarray, weights: np.ndarray,
-                            work: LossWorkspace, kappa: float = 1.0
-                            ) -> tuple[float, np.ndarray]:
+                            work: LossWorkspace) -> tuple[float, np.ndarray]:
     """Sum over (batch, quantiles, targets) of rho_tau(target - quantile), and
     its gradient in ``q``.
 
-    rho_tau(u) = |tau - 1{u<0}| * L_kappa(u) with the Huber loss L_kappa, on
-    residuals u = target - quantile; ``weights`` is (2, columns), each
-    column's 1 - tau over its tau. Against one predicted quantile x, a row's
-    sorted targets y fall into four regions: y < x-kappa, x-kappa <= y < x,
-    x <= y <= x+kappa, y > x+kappa. On each, the summed loss and its slope in
-    x follow from the region's count and its sums of y and y^2, read off
-    prefix sums, so no (batch, quantiles, targets) array is built. Rows are
-    centred on their median target first, because Q-values reach about 1e4.
+    rho_tau(u) = |tau - 1{u<0}| * L(u), with the Huber loss L(u) = u^2 / 2 for
+    |u| <= 1 and |u| - 1/2 beyond, on residuals u = target - quantile;
+    ``weights`` is (2, columns), each column's 1 - tau over its tau. Each row
+    of ``targets`` must be non-empty and sorted ascending, as
+    ``TqcTrainer.compute_target`` returns it. Against one predicted quantile
+    x, a row's targets y fall into four regions: y < x-1, x-1 <= y < x,
+    x <= y <= x+1, y > x+1. On each, the summed loss and its slope in x
+    follow from the region's count and its sums of y and y^2, read off prefix
+    sums, so no (batch, quantiles, targets) array is built. Rows are centred
+    on their median target first, because Q-values reach about 1e4.
 
     Every array lives in ``work``; the gradient returned is one of them,
     overwritten by the next call. Each float is the result of the operations
@@ -93,27 +94,24 @@ def truncated_quantile_loss(q: np.ndarray, targets: np.ndarray, weights: np.ndar
     for byte against those formulas as written and against the pairwise sum.
     """
     (rows, n_q), n_y = q.shape, targets.shape[1]
-    if not (n_y and np.isfinite(q).all() and np.isfinite(targets).all()):
-        # with no targets, or a non-finite value, the regions are undefined:
-        # the loss and its gradient are NaN
+    if not (np.isfinite(q).all() and np.isfinite(targets).all()):
+        # with a non-finite value the regions are undefined: the loss and its
+        # gradient are NaN
         return np.nan, np.full_like(q, np.nan)
     w = work.fit(rows, n_q, n_y)
     n3 = 3 * n_q
-    y = w.y
-    np.copyto(y, targets)
-    y.sort(axis=1)
-    centre = y[:, n_y // 2, None]
+    centre = targets[:, n_y // 2, None]
     x = np.subtract(q, centre, out=w.x)
-    # keys = [x - kappa, x, x + kappa, y - centre] along each row
+    # keys = [x - 1, x, x + 1, y - centre] along each row
     keys = w.keys
-    np.subtract(x, kappa, out=keys[:, :n_q])
+    np.subtract(x, 1.0, out=keys[:, :n_q])
     keys[:, n_q:2 * n_q] = x
-    np.add(x, kappa, out=keys[:, 2 * n_q:n3])
-    y = np.subtract(y, centre, out=keys[:, n3:])
+    np.add(x, 1.0, out=keys[:, 2 * n_q:n3])
+    y = np.subtract(targets, centre, out=keys[:, n3:])
     table = w.table
     np.cumsum(y, axis=1, out=table[0, :, 1:])
     np.cumsum(np.multiply(y, y, out=w.y), axis=1, out=table[1, :, 1:])
-    # Sort each row's thresholds x-kappa, x, x+kappa among its targets; a
+    # Sort each row's thresholds x-1, x, x+1 among its targets; a
     # threshold's count of targets before it indexes the row's prefix sums.
     # Where a target equals a threshold either order will do: the loss and
     # its slope agree there.
@@ -140,10 +138,10 @@ def truncated_quantile_loss(q: np.ndarray, targets: np.ndarray, weights: np.ndar
     np.subtract(table[0, :, -1:], g[0, 2], out=g[0, 2])
     np.subtract(n_y, g[2, 2], out=g[2, 2])
     m14, n14 = g[0, ::2], g[2, ::2]
-    # lower = (1 - tau) * (kappa * (n1 * (x - kappa/2) - m1)
+    # lower = (1 - tau) * ((n1 * (x - 0.5) - m1)
     #                      + 0.5 * (b2 - b1 - 2.0 * x * m2 + n2 * x * x))
     # upper = tau * (0.5 * (b3 - b2 - 2.0 * x * m3 + n3 * x * x)
-    #                + kappa * (m4 - n4 * (x + kappa/2)))
+    #                + (m4 - n4 * (x + 0.5)))
     # each computed with its partner, stacked; a + b and b + a are the same
     # bits
     nx = np.multiply(n23, x, out=n23)
@@ -151,19 +149,15 @@ def truncated_quantile_loss(q: np.ndarray, targets: np.ndarray, weights: np.ndar
                                          out=w.tmp), out=db23)
     quad += np.multiply(nx, x, out=w.tmp)
     quad *= 0.5
-    half = 0.5 * kappa
-    lin = np.multiply(n14, np.add(x, np.array([[[-half]], [[half]]]), out=w.tmp),
+    lin = np.multiply(n14, np.add(x, np.array([[[-0.5]], [[0.5]]]), out=w.tmp),
                       out=w.lin)
     np.subtract(lin[0], m14[0], out=lin[0])
     np.subtract(m14[1], lin[1], out=lin[1])
-    lin *= kappa
-    n14 = np.multiply(n14, kappa, out=w.tmp)
     quad += lin
     weights = weights[:, None, :]
     quad *= weights
     loss = float(np.add(quad[0], quad[1], out=w.out).sum())
-    # slope = (1 - tau) * (kappa * n1 - m2 + n2 * x)
-    #         - tau * (m3 - n3 * x + kappa * n4)
+    # slope = (1 - tau) * (n1 - m2 + n2 * x) - tau * (m3 - n3 * x + n4)
     part = lin
     np.subtract(n14[0], m23[0], out=part[0])
     part[0] += nx[0]
@@ -192,18 +186,17 @@ class TqcTrainer(OffPolicyTrainer):
         self.tau_weights = np.stack([1.0 - tau, tau])
         self.loss_work = LossWorkspace()
 
-    def compute_target(self, batch: dict[str, np.ndarray],
-                       alpha: float | None = None) -> np.ndarray:
-        """Pooled, sorted, truncated target quantiles y of shape (B, kept)."""
+    def compute_target(self, batch: dict[str, np.ndarray]) -> np.ndarray:
+        """Pooled, sorted, truncated target quantiles y of shape (B, kept), with
+        kept >= n_critics. A per-row shift, a scale by gamma >= 0 and an offset
+        by r keep each row sorted under rounding, as the loss requires."""
         cfg = self.cfg
-        alpha = self.alpha if alpha is None else alpha
         a_next, logp_next, _ = self.rsample(batch["s_next"])
         x = np.concatenate([batch["s_next"], a_next], axis=1)
         pooled = np.concatenate([tc.forward_np(x) for tc in self.target_critics], axis=1)
         pooled.sort(axis=1)
-        # a config may drop more than the pooled width: then nothing is kept
-        kept = pooled[:, :max(0, pooled.shape[1] - cfg.n_drop_per_critic * cfg.n_critics)]
-        shifted = kept - alpha * logp_next[:, None]
+        kept = pooled[:, :pooled.shape[1] - cfg.n_drop_per_critic * cfg.n_critics]
+        shifted = kept - self.alpha * logp_next[:, None]
         return batch["r"][:, None] + cfg.gamma * shifted
 
     def critic_losses(self, qs: list[np.ndarray], y: np.ndarray):
@@ -213,8 +206,6 @@ class TqcTrainer(OffPolicyTrainer):
         total, slope = truncated_quantile_loss(np.concatenate(qs, axis=1), y,
                                                self.tau_weights, self.loss_work)
         count = y.size * n_q        # the terms of one critic's mean
-        if not count:               # a config can truncate every target away
-            return total, []
         return total / count, [slope[:, i * n_q:(i + 1) * n_q] * (1.0 / count)
                                for i in range(len(qs))]
 

@@ -103,21 +103,16 @@ def plan_experiment_suite(experiment_id: str, algorithms: list[str],
     return plan
 
 
-def run_single_task(task: dict) -> RunRecord:
-    """Train one (experiment, algorithm, seed) and write its record file."""
-    spec = experiment_spec(task["experiment_id"])
+def run_single_task(task: tuple) -> RunRecord:
+    """Train one (spec, algorithm, seed, config, out_dir) task and write its
+    record file."""
+    spec, algorithm, seed, cfg, out_dir = task
     env = make_experiment_env(spec)
-    cfg = resolve_config(spec, task["algorithm"], task.get("algo_overrides"),
-                         task.get("tuned_dir"), task.get("steps"))
-    trainer = make_trainer(task["algorithm"], env, cfg, task["seed"],
-                           spec.experiment_id)
-    record = trainer.train()
-    out_dir = task.get("out_dir")
+    record = make_trainer(algorithm, env, cfg, seed, spec.experiment_id).train()
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / record_filename(spec.experiment_id, task["algorithm"],
-                                         task["seed"])
+        path = out_dir / record_filename(spec.experiment_id, algorithm, seed)
         record.save(path)
         if spec.is_rce:
             export_profile_with_simulated(path.with_suffix(".profile.csv"),
@@ -131,19 +126,11 @@ def run_experiment_suite(experiment_id: str, algorithms: list[str], seeds: list[
                          tuned_dir=None, steps: int | None = None) -> list[RunRecord]:
     """One RunRecord per (algorithm, seed); tasks run across worker processes."""
     plan = plan_experiment_suite(experiment_id, algorithms, seeds)
-    tasks = [{
-        "experiment_id": experiment_id,
-        "algorithm": algo,
-        "seed": seed,
-        "out_dir": out_dir,
-        "algo_overrides": (algo_overrides or {}).get(algo),
-        "tuned_dir": tuned_dir,
-        "steps": steps,
-    } for _, algo, seed in plan]
-    # Fail fast on config errors before spawning workers.
     spec = experiment_spec(experiment_id)
-    for algo in algorithms:
-        resolve_config(spec, algo, (algo_overrides or {}).get(algo), tuned_dir, steps)
+    # each config is resolved once, so a bad one fails before any task starts
+    configs = {algo: resolve_config(spec, algo, (algo_overrides or {}).get(algo),
+                                    tuned_dir, steps) for algo in algorithms}
+    tasks = [(spec, algo, seed, configs[algo], out_dir) for _, algo, seed in plan]
     if workers <= 1 or len(tasks) == 1:
         return [run_single_task(t) for t in tasks]
     # imported here, so that a serial run never loads the process pool

@@ -33,13 +33,11 @@ LOG_STD_MAX = 2.0
 class Mlp:
     """Feed-forward net: len(layer_sizes)-1 affine layers, tanh between."""
 
-    def __init__(self, layer_sizes: list[int], with_log_std: bool = False,
-                 rng: np.random.Generator | None = None, final_scale: float = 1.0):
+    def __init__(self, layer_sizes: list[int], rng: np.random.Generator,
+                 with_log_std: bool = False, final_scale: float = 1.0):
         if len(layer_sizes) < 2:
             raise ValueError("need at least input and output sizes")
         self.layer_sizes = list(layer_sizes)
-        if rng is None:
-            rng = np.random.default_rng(0)
         arrays = []
         n_layers = len(layer_sizes) - 1
         for i, (fan_in, fan_out) in enumerate(zip(layer_sizes[:-1], layer_sizes[1:])):

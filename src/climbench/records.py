@@ -47,10 +47,6 @@ class RunRecord:
         self.entries.append((int(global_step), float(episodic_return)))
 
     @property
-    def returns(self) -> list[float]:
-        return [r for _, r in self.entries]
-
-    @property
     def steps(self) -> list[int]:
         return [s for s, _ in self.entries]
 

@@ -30,7 +30,7 @@ def test_run_records_share_schema(tag):
     steps = rec.steps
     assert steps == sorted(steps) and len(set(steps)) == len(steps)
     assert steps[-1] == 600
-    assert all(np.isfinite(r) for r in rec.returns)
+    assert all(np.isfinite(r) for _, r in rec.entries)
     assert not rec.aborted
 
 

@@ -11,10 +11,10 @@ from climbench.algos import make_config, make_trainer, tqc
 from climbench.algos.common import LOG_2PI, SquashedGaussianPolicy
 from climbench.algos.onpolicy import conjugate_gradient
 from climbench.algos.tqc import LossWorkspace, quantile_fractions, truncated_quantile_loss
+from climbench.configio import ConfigError
 from climbench.envs import BiasCorrectionEnv, BoxSpace, ClimateEnv, rng_stream
 from climbench.experiments import experiment_spec, make_experiment_env, resolve_config
 from climbench.nn import LOG_STD_MAX, LOG_STD_MIN, Mlp, NonFiniteError
-from climbench.records import load_record
 from climbench.rollout import discounted_returns
 from quantile_oracle import weights_of
 from tape import Tensor
@@ -529,10 +529,12 @@ def test_ppo_ratio_one_surrogate_is_mean_advantage():
 
 def test_sac_alpha_zero_reduces_to_min_critic_target():
     trainer = make("sac")
+    trainer.log_alpha[:] = -np.inf
+    assert trainer.alpha == 0.0
     batch = {"s": np.array([[0.4]]), "a": np.array([[0.1]]),
              "r": np.array([0.7]), "s_next": np.array([[0.6]])}
     rng_state = trainer.streams.explore.bit_generator.state
-    y0 = trainer.compute_target(batch, alpha=0.0)
+    y0 = trainer.compute_target(batch)
     trainer.streams.explore.bit_generator.state = rng_state
     a_next, _, _ = trainer.actor.rsample(batch["s_next"],
                                          trainer.streams.explore.normal(size=(1, 1)))
@@ -629,25 +631,25 @@ def pairwise_quantile_loss(q: np.ndarray, targets: np.ndarray, tau: np.ndarray,
     return float(huber.sum()), -d.sum(axis=2)
 
 
-def closed_form_loss(q, targets, tau, kappa=1.0):
+def closed_form_loss(q, targets, tau):
     """``truncated_quantile_loss`` called with fractions, as the oracles are."""
-    return truncated_quantile_loss(q, targets, weights_of(tau), LossWorkspace(), kappa)
+    return truncated_quantile_loss(q, targets, weights_of(tau), LossWorkspace())
 
 
-def loss_and_grad(loss_fn, q_data, y, tau, kappa=1.0):
+def loss_and_grad(loss_fn, q_data, y, tau):
     """The loss's mean over (batch, quantiles, targets), and its gradient."""
-    total, grad = loss_fn(q_data.copy(), y, tau, kappa)
+    total, grad = loss_fn(q_data.copy(), y, tau)
     count = y.size * q_data.shape[1]
     return total / count, grad * (1.0 / count)
 
 
 def test_fused_loss_equals_composed_path():
-    # both losses, the pairwise oracle and the closed form, on unsorted targets
+    # both losses, the pairwise oracle and the closed form, on sorted targets
     rng = np.random.default_rng(7)
     b, nq, k = 5, 7, 9
     tau = quantile_fractions(nq)
     q_data = rng.normal(size=(b, nq))
-    y = rng.normal(size=(b, k))
+    y = np.sort(rng.normal(size=(b, k)), axis=1)
     q2 = Tensor(q_data.copy(), requires_grad=True)
     u = Tensor(y[:, None, :]) - q2.reshape(b, nq, 1)
     composed = quantile_huber_loss(u, tau[None, :, None]).mean()
@@ -659,30 +661,29 @@ def test_fused_loss_equals_composed_path():
 
 
 @given(n_q=st.integers(1, 35), n_y=st.integers(1, 175), rows=st.integers(1, 6),
-       kappa=st.sampled_from([1.0, 0.5, 3.0]) | st.floats(0.01, 10.0),
        offset=st.sampled_from([0.0, 1e4, -1e4]), spread=st.sampled_from([0.3, 3.0, 100.0]),
        on_grid=st.booleans(), equal_rows=st.integers(0, 6),
        seed=st.integers(0, 2**32 - 1))
-def test_closed_form_loss_matches_pairwise_oracle(n_q, n_y, rows, kappa, offset, spread,
+def test_closed_form_loss_matches_pairwise_oracle(n_q, n_y, rows, offset, spread,
                                                   on_grid, equal_rows, seed):
     rng = np.random.default_rng(seed)
     if on_grid:
-        # multiples of kappa / 2: exact ties at u = 0 and |u| = kappa
-        q_data = rng.integers(-6, 7, size=(rows, n_q)) * (kappa / 2)
-        y = rng.integers(-6, 7, size=(rows, n_y)) * (kappa / 2)
+        # multiples of 1/2: exact ties at u = 0 and |u| = 1
+        q_data = rng.integers(-6, 7, size=(rows, n_q)) * 0.5
+        y = rng.integers(-6, 7, size=(rows, n_y)) * 0.5
     else:
         q_data = rng.normal(scale=spread, size=(rows, n_q))
         y = rng.normal(scale=spread, size=(rows, n_y))
     y[:equal_rows] = y[:equal_rows, :1]        # rows of one repeated target value
     q_data, y = q_data + offset, np.sort(y + offset, axis=1)
     tau = quantile_fractions(n_q)
-    loss, grad = loss_and_grad(closed_form_loss, q_data, y, tau, kappa)
-    ref_loss, ref_grad = loss_and_grad(pairwise_quantile_loss, q_data, y, tau, kappa)
+    loss, grad = loss_and_grad(closed_form_loss, q_data, y, tau)
+    ref_loss, ref_grad = loss_and_grad(pairwise_quantile_loss, q_data, y, tau)
     assert abs(loss - ref_loss) <= 1e-10 * ref_loss
     # each gradient entry against the sum of its terms' magnitudes
     u = y[:, None, :] - q_data[:, :, None]
     weight = np.abs(tau[None, :, None] - (u < 0.0))
-    scale = (weight * np.minimum(np.abs(u), kappa)).sum(axis=2) / u.size
+    scale = (weight * np.minimum(np.abs(u), 1.0)).sum(axis=2) / u.size
     assert np.all(np.abs(grad - ref_grad) <= 1e-10 * scale)
 
 
@@ -695,20 +696,9 @@ def test_closed_form_loss_of_non_finite_input_is_nan(bad, where):
     assert np.isnan(loss) and np.all(np.isnan(grad))
 
 
-def test_closed_form_loss_over_no_targets_is_nan():
-    # a config can truncate every pooled target away
-    loss, grad = closed_form_loss(np.zeros((3, 4)), np.zeros((3, 0)),
-                                  quantile_fractions(4))
-    assert np.isnan(loss) and np.all(np.isnan(grad))
-    trainer = make("tqc", total_timesteps=120, learning_starts=50, n_quantiles=2,
-                   n_drop_per_critic=2)
-    record = trainer.train()
-    assert record.aborted and "tqc critic loss = nan" in record.abort_reason
-
-
 def test_tqc_trajectory_with_closed_form_loss_matches_pairwise_oracle(monkeypatch):
-    def pairwise(q, targets, weights, work, kappa=1.0):
-        return pairwise_quantile_loss(q, targets, weights[1], kappa)
+    def pairwise(q, targets, weights, work):
+        return pairwise_quantile_loss(q, targets, weights[1])
 
     spec = experiment_spec("v2-homo-64L")
     runs = []
@@ -729,39 +719,61 @@ def test_tqc_degenerates_to_sac_scalar_target():
     batch = {"s": np.array([[0.4]]), "a": np.array([[0.1]]),
              "r": np.array([0.7]), "s_next": np.array([[0.6]])}
     state = trainer.streams.explore.bit_generator.state
-    y = trainer.compute_target(batch, alpha=0.2)
+    y = trainer.compute_target(batch)
     trainer.streams.explore.bit_generator.state = state
     a_next, logp, _ = trainer.actor.rsample(batch["s_next"],
                                             trainer.streams.explore.normal(size=(1, 1)))
     x = np.concatenate([batch["s_next"], a_next], axis=1)
     q = trainer.target_critics[0].forward_np(x)[0, 0]
-    expected = 0.7 + trainer.cfg.gamma * (q - 0.2 * logp[0])
+    expected = 0.7 + trainer.cfg.gamma * (q - trainer.alpha * logp[0])
     assert y.shape == (1, 1)
     assert y[0, 0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_tqc_truncation_drops_largest_quantiles():
     trainer = make("tqc", n_quantiles=3, n_critics=2, n_drop_per_critic=1)
+    trainer.log_alpha[:] = -np.inf
     batch = {"s": np.zeros((4, 1)), "a": np.zeros((4, 1)),
              "r": np.zeros(4), "s_next": np.random.default_rng(0).uniform(0, 1, (4, 1))}
-    y = trainer.compute_target(batch, alpha=0.0)
+    y = trainer.compute_target(batch)
     assert y.shape == (4, 4)  # 6 pooled - 2 dropped
     rows_sorted = np.all(np.diff(y, axis=1) >= 0)
     assert rows_sorted
 
 
-def test_tqc_dropping_more_than_pooled_keeps_no_targets(tmp_path):
-    # 3 dropped per critic of 2 critics is 6 of the 4 pooled quantiles
-    trainer = make("tqc", total_timesteps=120, learning_starts=50, n_quantiles=2,
-                   n_critics=2, n_drop_per_critic=3)
-    batch = {"s": np.zeros((4, 1)), "a": np.zeros((4, 1)),
-             "r": np.zeros(4), "s_next": np.random.default_rng(0).uniform(0, 1, (4, 1))}
-    assert trainer.compute_target(batch, alpha=0.0).shape == (4, 0)
-    record = trainer.train()
-    assert record.aborted and "tqc critic loss = nan" in record.abort_reason
-    record.save(tmp_path / "over_truncated.rec")
-    saved = load_record(tmp_path / "over_truncated.rec")
-    assert saved.aborted and saved.abort_reason == record.abort_reason
+@given(data=st.data())
+def test_tqc_target_rows_are_sorted(data):
+    # the loss relies on it: it takes each target row as sorted
+    n_quantiles = data.draw(st.integers(1, 12), label="n_quantiles")
+    cfg = make_config("tqc", n_quantiles=n_quantiles,
+                      n_critics=data.draw(st.integers(1, 5), label="n_critics"),
+                      n_drop_per_critic=data.draw(st.integers(0, n_quantiles - 1)),
+                      gamma=data.draw(st.floats(0.0, 1.0), label="gamma"),
+                      actor_critic_layer_size=data.draw(st.integers(1, 32)))
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    trainer = make_trainer("tqc", BiasCorrectionEnv("v0"), cfg, seed=seed % 1000)
+    rng = np.random.default_rng(seed)
+    for net in trainer.target_critics:
+        net.flat[:] = rng.normal(scale=rng.uniform(0.1, 30.0), size=net.flat.size)
+    trainer.actor.net.log_std[:] = rng.uniform(-5.0, 2.0)
+    trainer.log_alpha[:] = data.draw(st.floats(-10.0, 3.0) | st.just(-np.inf),
+                                     label="log_alpha")
+    batch_size = data.draw(st.integers(1, 64), label="batch")
+    batch = {"s_next": rng.uniform(0.0, 1.0, size=(batch_size, 1)),
+             "r": rng.uniform(-1e4, 1e4, size=batch_size)}
+    y = trainer.compute_target(batch)
+    kept = cfg.n_critics * (cfg.n_quantiles - cfg.n_drop_per_critic)
+    assert y.shape == (batch_size, kept)
+    assert np.all(y[:, 1:] >= y[:, :-1])
+
+
+def test_tqc_dropping_every_quantile_is_a_config_error():
+    # each critic must keep a quantile, or no target is left to regress on
+    for n_quantiles, n_drop in [(1, 1), (2, 2), (2, 3), (25, 25)]:
+        with pytest.raises(ConfigError, match="n_drop_per_critic must be below "
+                                              "n_quantiles"):
+            make_config("tqc", n_quantiles=n_quantiles, n_drop_per_critic=n_drop)
+        make_config("tqc", n_quantiles=n_quantiles, n_drop_per_critic=n_quantiles - 1)
 
 
 def test_tqc_holds_configured_critic_count():

@@ -64,6 +64,7 @@ def test_train_non_positive_count_is_usage_error(tmp_path, capsys, flag, value):
     ("algo.ppo", "max_grad_norm = -0.5", "max_grad_norm must be non-negative"),
     ("algo.td3", "noise_clip = -0.5", "noise_clip must be non-negative"),
     ("algo.tqc", "n_drop_per_critic = -1", "n_drop_per_critic must be non-negative"),
+    ("algo.tqc", "n_drop_per_critic = 25", "n_drop_per_critic must be below n_quantiles"),
     ("algo.dpg", "exploration_noise = -0.1", "exploration_noise must be non-negative"),
     ("algo.nosuch", "x = 1", "[algo.nosuch]"),
     ("runn", "steps = 5", "[runn]"),

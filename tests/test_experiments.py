@@ -149,11 +149,13 @@ def test_out_of_range_hyperparameters_fail_when_the_config_is_built(tag):
     assert set(names) <= set(_RULES)
     for name in names:
         rejected, accepted = _RANGES[_RULES[name]]
+        # TQC's n_quantiles is probed with nothing dropped, so that 1 is valid
+        others = {"n_drop_per_critic": 0} if name == "n_quantiles" else {}
         for value in rejected:
             with pytest.raises(ConfigError, match=f"{name} = '{value}'.*{name} must"):
-                make_config(tag, **{name: value})
+                make_config(tag, **{name: value}, **others)
         for value in accepted:
-            make_config(tag, **{name: value})
+            make_config(tag, **{name: value}, **others)
 
 
 def test_experiment_env_has_the_task_parameters():
@@ -239,9 +241,9 @@ def test_rce_profile_sidecar_bytes_are_pinned(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    task = {"experiment_id": "rce-v0-homo-64L", "algorithm": "ppo", "seed": 2,
-            "steps": 1000, "out_dir": str(tmp_path)}
-    code = f"from climbench.experiments import run_single_task\nrun_single_task({task!r})\n"
+    code = ("from climbench.experiments import run_experiment_suite\n"
+            "run_experiment_suite('rce-v0-homo-64L', ['ppo'], [2], steps=1000, "
+            f"out_dir={str(tmp_path)!r})\n")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

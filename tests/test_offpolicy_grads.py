@@ -32,8 +32,10 @@ def drawn_case(data, tag: str, max_width: int = 64, max_batch: int = 256):
     fields = {"actor_critic_layer_size": width, "total_timesteps": 1}
     cls = TRAINER_CLASSES[tag]
     if tag == "tqc":
-        fields.update(n_critics=n_critics,
-                      n_quantiles=data.draw(st.integers(1, 35), label="n_quantiles"))
+        n_quantiles = data.draw(st.integers(1, 35), label="n_quantiles")
+        fields.update(n_critics=n_critics, n_quantiles=n_quantiles,
+                      n_drop_per_critic=data.draw(st.integers(0, n_quantiles - 1),
+                                                  label="n_drop_per_critic"))
     else:
         cls = type(cls.__name__, (cls,), {"n_critics": n_critics})
     trainer = cls(env, make_config(tag, **fields), seed=int(rng.integers(1000)))

@@ -41,7 +41,8 @@ def test_non_finite_gradient_rejected():
 
 
 def test_moments_are_one_vector_of_total_size():
-    nets = [Mlp([3, 4, 2]), Mlp([2, 5, 1])]
+    nets = [Mlp([3, 4, 2], rng=np.random.default_rng(0)),
+            Mlp([2, 5, 1], rng=np.random.default_rng(0))]
     opt = Optimizer([net.flat for net in nets], learning_rate=1e-3)
     total = sum(net.flat.size for net in nets)
     assert opt.m.shape == opt.v.shape == (total,)

@@ -32,7 +32,7 @@ def finite_difference_grads(f, params, h=1e-5):
 
 
 def test_identity_linear_forward():
-    net = Mlp([2, 2])
+    net = Mlp([2, 2], rng=np.random.default_rng(0))
     net.weights[0][...] = np.eye(2)
     net.biases[0][...] = 0.0
     out = net.forward_np(np.array([1.0, 2.0]))
@@ -40,7 +40,7 @@ def test_identity_linear_forward():
 
 
 def test_zero_input_zero_bias_tanh_gives_zero():
-    net = Mlp([3, 5, 5, 2])
+    net = Mlp([3, 5, 5, 2], rng=np.random.default_rng(0))
     for b in net.biases:
         b[:] = 0.0
     out = net.forward_np(np.zeros(3))
@@ -67,14 +67,14 @@ def test_forward_deterministic():
 
 
 def test_forward_shape_mismatch_raises():
-    net = Mlp([3, 2])
+    net = Mlp([3, 2], rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
         net.forward_np(np.zeros((1, 4)))
 
 
 def test_backward_linear_identity_grad_is_input():
     # f = sum(x @ W + b): dW = column sums of x replicated, via FD oracle.
-    net = Mlp([2, 2])
+    net = Mlp([2, 2], rng=np.random.default_rng(0))
     x = np.array([[1.5, -0.5], [2.0, 1.0]])
 
     def loss_value():
