@@ -177,15 +177,15 @@ class OffPolicyTrainer(Trainer):
     def alpha(self) -> float:
         return float(np.exp(self.log_alpha[0]))
 
-    def select_action(self, obs: np.ndarray, explore: bool = True) -> np.ndarray:
+    def select_action(self, obs: np.ndarray) -> np.ndarray:
+        """The exploring action at ``obs``, clipped into the box."""
         obs = np.asarray(obs)
         if self.stochastic_actor:
-            action = self.actor.sample_np(obs, self.streams.explore if explore else None)
+            action = self.actor.sample_np(obs, self.streams.explore)
         else:
             action = self.actor.act_np(obs)
-            if explore:
-                action = action + self.streams.explore.normal(
-                    0.0, self.cfg.exploration_noise, size=action.shape)
+            action = action + self.streams.explore.normal(
+                0.0, self.cfg.exploration_noise, size=action.shape)
         return self.env.action_space.clip(action)
 
     def min_target_q(self, s_next: np.ndarray, a_next: np.ndarray) -> np.ndarray:
@@ -205,7 +205,7 @@ class OffPolicyTrainer(Trainer):
             if self._obs is None:
                 self._obs = self.env.reset()
                 self._episode_return = 0.0
-            action = self.select_action(self._obs, explore=True)
+            action = self.select_action(self._obs)
             res = self.env.step(action)
             self.global_step += 1
             self._episode_return += res.reward

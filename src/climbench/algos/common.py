@@ -147,11 +147,10 @@ class SquashedGaussianPolicy:
                        with_log_std=True, rng=rng, final_scale=1e-2)
         self.action_space = action_space
 
-    def sample_np(self, obs: np.ndarray, rng: np.random.Generator | None = None):
-        """An action in the box: a sample, or without ``rng`` the mean's image."""
+    def sample_np(self, obs: np.ndarray, rng: np.random.Generator):
+        """An action in the box, sampled with noise drawn from ``rng``."""
         u = self.net.forward_np(obs)
-        if rng is not None:
-            u = u + np.exp(self.net.log_std) * rng.normal(size=u.shape)
+        u = u + np.exp(self.net.log_std) * rng.normal(size=u.shape)
         return self.action_space.center + self.action_space.half * np.tanh(u)
 
     def rsample(self, obs: np.ndarray, xi: np.ndarray):

@@ -2,10 +2,11 @@
 
 All three collect one full episode per iteration with a diagonal-Gaussian
 policy and ascend a likelihood-ratio gradient on it. REINFORCE takes one Adam
-step on  -mean_t G_t log pi(a_t | s_t)  with the discounted returns G_t and
-no critic. PPO and TRPO fit a value net, estimate advantages with GAE, and
-sweep shuffled minibatches for several epochs, breaking out early once the
-analytic Gaussian KL against the collection policy exceeds the limit.
+step on  -mean_t G_t log pi(a_t | s_t)  with no critic: its returns G_t are
+GAE's at lambda = 1 with every value 0. PPO and TRPO fit a value net,
+estimate advantages with GAE, and sweep shuffled minibatches for several
+epochs, breaking out early once the analytic Gaussian KL against the
+collection policy exceeds the limit.
 
 PPO minimizes  -L_clip + c1 * L_value  with Adam and a global gradient-norm
 clip. TRPO fits its value net the same way and moves the policy by
@@ -24,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn import Mlp, NonFiniteError, Optimizer, Tensor, clip_grad_norm
-from ..rollout import discounted_returns, gae
+from ..rollout import gae
 from .base import Trainer
 from .common import GaussianPolicy, hidden_layers
 
@@ -32,14 +33,16 @@ __all__ = ["OnPolicyTrainer", "ReinforceTrainer", "PpoTrainer", "TrpoTrainer",
            "conjugate_gradient"]
 
 
-def conjugate_gradient(matvec, b: np.ndarray, iterations: int = 10,
-                       tol: float = 1e-10) -> np.ndarray:
+CG_TOLERANCE = 1e-10  # conjugate gradient stops below this squared residual
+
+
+def conjugate_gradient(matvec, b: np.ndarray, iterations: int) -> np.ndarray:
     """Solve A x = b for symmetric positive-definite A given x -> A x."""
     x = np.zeros_like(b)
     r = b.copy()
     p = b.copy()
     rs = float(r @ r)
-    if rs < tol:
+    if rs < CG_TOLERANCE:
         return x
     for _ in range(iterations):
         ap = matvec(p)
@@ -47,7 +50,7 @@ def conjugate_gradient(matvec, b: np.ndarray, iterations: int = 10,
         x += alpha * p
         r -= alpha * ap
         rs_new = float(r @ r)
-        if rs_new < tol:
+        if rs_new < CG_TOLERANCE:
             break
         p = r + (rs_new / rs) * p
         rs = rs_new
@@ -89,6 +92,11 @@ class OnPolicyTrainer(Trainer):
         self._adam_nets = [nets[name] for name in self.adam_nets]
         self.optimizer = Optimizer([net.flat for net in self._adam_nets],
                                    cfg.learning_rate)
+        # each net's, and each parameter's, slice of the one gradient vector
+        bounds = np.cumsum([0] + [net.flat.size for net in self._adam_nets]).tolist()
+        self._net_slices = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        self._param_slices = [slice(lo + s.start, lo + s.stop) for net, lo
+                              in zip(self._adam_nets, bounds) for s, _ in net.param_slices]
 
     def collect_episode(self) -> dict[str, np.ndarray]:
         """One episode to the step cap, as arrays of ``env.max_steps`` rows.
@@ -166,11 +174,9 @@ class OnPolicyTrainer(Trainer):
         ``adam_nets`` into ``g``, clip ``g`` and step."""
         self._check_finite_loss(float(loss.data), what)
         loss.backward()
-        views = np.split(g, np.cumsum([net.flat.size for net in self._adam_nets[:-1]]))
         # per parameter, as flat slices: a contiguous array sums in the same
         # order whatever its shape, so these match the shaped views' sums
-        clip_grad_norm([view[s] for net, view in zip(self._adam_nets, views)
-                        for s, _ in net.param_slices], self.cfg.max_grad_norm)
+        clip_grad_norm([g[s] for s in self._param_slices], self.cfg.max_grad_norm)
         self.optimizer.step(g)
 
 
@@ -182,7 +188,7 @@ class ReinforceTrainer(OnPolicyTrainer):
                      rewards: np.ndarray, grad: np.ndarray) -> Tensor:
         """-mean_t G_t log pi(a_t | s_t), minimized to ascend the return; its
         backward writes the gradient into ``grad``, a policy ``flat`` vector."""
-        returns = discounted_returns(rewards, self.cfg.gamma)
+        returns = gae(rewards, np.zeros(rewards.size + 1), self.cfg.gamma, 1.0)[1]
         logp, saved = self.actor.log_prob(*self.actor.net.forward(obs), actions)
         n = returns.size
         return Tensor(-(logp * returns).mean(), lambda: self.actor.log_prob_backward(
@@ -213,7 +219,7 @@ class PpoTrainer(OnPolicyTrainer):
         unclipped, clipped = ratio * adv, np.clip(ratio, low, high) * adv
         take_unclipped = unclipped <= clipped
         error, value_kept = self.value_error(obs, returns)
-        policy_grad, value_grad = np.split(grad, [self.actor.net.flat.size])
+        policy_grad, value_grad = (grad[s] for s in self._net_slices)
 
         def backward():
             # the minimum's gradient goes to its smaller branch; the clipped

@@ -109,19 +109,17 @@ def run_single_task(task: tuple) -> RunRecord:
     spec, algorithm, seed, cfg, out_dir = task
     env = make_experiment_env(spec)
     record = make_trainer(algorithm, env, cfg, seed, spec.experiment_id).train()
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / record_filename(spec.experiment_id, algorithm, seed)
-        record.save(path)
-        if spec.is_rce:
-            export_profile_with_simulated(path.with_suffix(".profile.csv"),
-                                          env.column.temperatures)
+    path = Path(out_dir) / record_filename(spec.experiment_id, algorithm, seed)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    record.save(path)
+    if spec.is_rce:
+        export_profile_with_simulated(path.with_suffix(".profile.csv"),
+                                      env.column.temperatures)
     return record
 
 
 def run_experiment_suite(experiment_id: str, algorithms: list[str], seeds: list[int],
-                         out_dir=None, workers: int = 1,
+                         out_dir, workers: int = 1,
                          algo_overrides: dict[str, dict] | None = None,
                          tuned_dir=None, steps: int | None = None) -> list[RunRecord]:
     """One RunRecord per (algorithm, seed); tasks run across worker processes."""

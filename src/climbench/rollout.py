@@ -1,14 +1,15 @@
-"""Experience storage and return/advantage estimators shared by the trainers.
+"""Experience storage and the one return/advantage estimator, GAE.
 
 Episodes only truncate, so nothing here marks a terminal state: replay
-stores (s, a, r, s') and GAE bootstraps through the step cap.
+stores (s, a, r, s') and GAE bootstraps through the step cap. At lambda = 1
+with every value 0, GAE's returns are the discounted returns REINFORCE uses.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ReplayBuffer", "discounted_returns", "gae"]
+__all__ = ["ReplayBuffer", "gae"]
 
 
 class ReplayBuffer:
@@ -51,19 +52,6 @@ class ReplayBuffer:
             "r": self._r[idx],
             "s_next": self._s_next[idx],
         }
-
-
-def discounted_returns(rewards: np.ndarray, gamma: float) -> np.ndarray:
-    """returns[t] = sum_k gamma^(k-t) r_k, computed by the reversed recursion."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError("gamma must be in [0, 1]")
-    rewards = np.asarray(rewards, dtype=np.float64)
-    out = np.empty_like(rewards)
-    acc = 0.0
-    for t in range(rewards.size - 1, -1, -1):
-        acc = rewards[t] + gamma * acc
-        out[t] = acc
-    return out
 
 
 def gae(rewards: np.ndarray, values: np.ndarray,

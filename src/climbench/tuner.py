@@ -104,10 +104,11 @@ class StudyResult:
 class TrainingTrialRunner:
     """Builds and advances real trainers; state is the (picklable) trainer."""
 
-    def __init__(self, algorithm: str, experiment_id: str, trial_seed: int = 1):
+    trial_seed = 1  # tuning uses one fixed seed
+
+    def __init__(self, algorithm: str, experiment_id: str):
         self.algorithm = algorithm
         self.experiment_id = experiment_id
-        self.trial_seed = trial_seed  # tuning uses one fixed seed
 
     def build(self, cfg: BaseConfig):
         env = make_experiment_env(experiment_spec(self.experiment_id))
@@ -196,36 +197,35 @@ def run_study(runner, algorithm: str, n_trials: int, budget_steps: int,
                        total_env_steps=sum(t.steps_consumed for t in trials))
 
 
-def tune_algorithm(algorithm: str, experiment_id: str, n_trials: int = 32,
-                   workers: int = 1, seed: int = 1, out_dir=None,
+def tune_algorithm(algorithm: str, experiment_id: str, out_dir, n_trials: int = 32,
+                   workers: int = 1, seed: int = 1,
                    trial_budget: int | None = None) -> StudyResult:
     """Run a study and write the best config fragment for *-optim-L runs."""
     spec = experiment_spec(experiment_id)
     budget = spec.steps if trial_budget is None else trial_budget
     runner = TrainingTrialRunner(algorithm, experiment_id)
     result = run_study(runner, algorithm, n_trials, budget, workers=workers, seed=seed)
-    if out_dir is not None:
-        fragment = tuned_fragment_path(out_dir, spec.env_version, algorithm)
-        write_algo_fragment(fragment, algorithm, result.best.sampled)
-        summary = {
-            "algorithm": algorithm,
-            "experiment_id": experiment_id,
-            "budget_steps": budget,
-            "n_trials": n_trials,
-            "seed": seed,
-            "total_env_steps": result.total_env_steps,
-            "best_trial": result.best.trial_id,
-            "best_score": result.best.final_score,
-            "trials": [{
-                "trial_id": t.trial_id,
-                "status": t.status,
-                "final_score": t.final_score,
-                "steps_consumed": t.steps_consumed,
-                "checkpoints": t.checkpoints,
-                "sampled": t.sampled,
-                "error": t.error,
-            } for t in result.trials],
-        }
-        fragment.with_suffix(".study.json").write_text(
-            json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    fragment = tuned_fragment_path(out_dir, spec.env_version, algorithm)
+    write_algo_fragment(fragment, algorithm, result.best.sampled)
+    summary = {
+        "algorithm": algorithm,
+        "experiment_id": experiment_id,
+        "budget_steps": budget,
+        "n_trials": n_trials,
+        "seed": seed,
+        "total_env_steps": result.total_env_steps,
+        "best_trial": result.best.trial_id,
+        "best_score": result.best.final_score,
+        "trials": [{
+            "trial_id": t.trial_id,
+            "status": t.status,
+            "final_score": t.final_score,
+            "steps_consumed": t.steps_consumed,
+            "checkpoints": t.checkpoints,
+            "sampled": t.sampled,
+            "error": t.error,
+        } for t in result.trials],
+    }
+    fragment.with_suffix(".study.json").write_text(
+        json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     return result

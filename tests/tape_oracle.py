@@ -8,6 +8,8 @@ match byte for byte. ``critic_grad`` and ``actor_grad`` give one off-policy
 step's gradient and ``alpha_grad`` the entropy coefficient's;
 ``reinforce_grad``, ``ppo_grad``, ``trpo_value_grad``, ``surrogate_grad`` and
 ``fisher_vector_product`` (over its own ``jvp``) the on-policy ones.
+``discounted_returns`` is REINFORCE's returns by their own recursion, which
+GAE at lambda = 1 over zero values must match.
 """
 
 import operator
@@ -19,7 +21,6 @@ import numpy as np
 from climbench.algos.common import LOG_2PI
 from climbench.algos.tqc import quantile_fractions
 from climbench.envs import BoxSpace, ClimateEnv
-from climbench.rollout import discounted_returns
 from quantile_oracle import truncated_quantile_loss
 from tape import Tensor, minimum
 
@@ -204,6 +205,17 @@ def clipped(leaves: list[Tensor], max_norm: float) -> np.ndarray:
             if p.grad is not None:
                 p.grad *= scale
     return gather(leaves)
+
+
+def discounted_returns(rewards: np.ndarray, gamma: float) -> np.ndarray:
+    """returns[t] = sum_k gamma^(k-t) r_k, computed by the reversed recursion."""
+    rewards = np.asarray(rewards, dtype=np.float64)
+    out = np.empty_like(rewards)
+    acc = 0.0
+    for t in range(rewards.size - 1, -1, -1):
+        acc = rewards[t] + gamma * acc
+        out[t] = acc
+    return out
 
 
 def reinforce_grad(trainer, ep: dict) -> np.ndarray:

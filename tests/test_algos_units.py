@@ -15,10 +15,10 @@ from climbench.configio import ConfigError
 from climbench.envs import BiasCorrectionEnv, BoxSpace, ClimateEnv, rng_stream
 from climbench.experiments import experiment_spec, make_experiment_env, resolve_config
 from climbench.nn import LOG_STD_MAX, LOG_STD_MIN, Mlp, NonFiniteError
-from climbench.rollout import discounted_returns
+from climbench.rollout import gae
 from quantile_oracle import weights_of
 from tape import Tensor
-from tape_oracle import gather, node, param_leaves
+from tape_oracle import discounted_returns, gather, node, param_leaves
 
 
 class BanditEnv(ClimateEnv):
@@ -47,8 +47,9 @@ def make(tag, env=None, **overrides):
 
 
 def test_reinforce_gamma_zero_returns_equal_rewards():
+    # REINFORCE's returns are GAE's at lambda = 1 over zero values
     r = np.array([0.5, -1.0, 2.0])
-    assert np.array_equal(discounted_returns(r, 0.0), r)
+    assert np.array_equal(gae(r, np.zeros(4), 0.0, 1.0)[1], r)
 
 
 def test_reinforce_bandit_drifts_positive():
@@ -548,7 +549,7 @@ def test_sac_actions_always_inside_box():
     trainer = make("sac")
     rng = rng_stream(3, 9)
     for _ in range(2000):
-        a = trainer.select_action(np.array([rng.uniform(0, 1)]), explore=True)
+        a = trainer.select_action(np.array([rng.uniform(0, 1)]))
         assert -1.0 <= a[0] <= 1.0
 
 
@@ -784,20 +785,12 @@ def test_tqc_holds_configured_critic_count():
 # -- select_action contract ----------------------------------------------------------
 
 
-def test_select_action_deterministic_repeatable():
-    trainer = make("ddpg")
-    obs = np.array([0.42])
-    a1 = trainer.select_action(obs, explore=False)
-    a2 = trainer.select_action(obs, explore=False)
-    assert np.array_equal(a1, a2)
-
-
 def test_exploration_noise_std_measured():
     trainer = make("ddpg", exploration_noise=0.2)
     obs = np.array([0.42])
-    base = trainer.select_action(obs, explore=False)[0]
-    draws = np.array([trainer.actor.act_np(obs)[0]
-                      + trainer.streams.explore.normal(0.0, 0.2) for _ in range(100_000)])
+    base = trainer.actor.act_np(obs)[0]
+    # the box edges lie about 5 sigma from the base, so clipping barely moves the std
+    draws = np.array([trainer.select_action(obs)[0] for _ in range(100_000)])
     assert np.std(draws - base) == pytest.approx(0.2, rel=0.02)
 
 
@@ -806,7 +799,7 @@ def test_select_action_always_in_box():
         trainer = make(tag, exploration_noise=2.0) if tag in ("dpg", "ddpg", "td3") \
             else make(tag)
         for _ in range(200):
-            a = trainer.select_action(np.array([0.5]), explore=True)
+            a = trainer.select_action(np.array([0.5]))
             assert -1.0 <= a[0] <= 1.0
     # The on-policy trainers act through their Gaussian policy's sample.
     for tag in ("reinforce", "ppo", "trpo"):

@@ -1,9 +1,13 @@
-"""Bias-correction dynamics against root-finding, algebraic, and sweep oracles."""
+"""Bias-correction dynamics against root-finding, algebraic, and sweep oracles,
+and each version's optimal return against the thresholds."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from climbench.envs import BiasCorrectionEnv, BiasCorrParams, biascorr_reward, update_temperature
+from climbench.evalharness import THRESHOLDS
 
 
 P = BiasCorrParams()
@@ -158,3 +162,61 @@ def test_param_validation():
         BiasCorrParams(lag=0)
     with pytest.raises(ValueError):
         BiasCorrectionEnv("v7")
+
+
+# -- the optimum ----------------------------------------------------------------------
+
+
+def deadbeat_action(t: float) -> float:
+    """The u that puts T_new on T_observed, from the implicit relation alone:
+    T_new = T_obs makes its relaxation term vanish, so T_obs = T + u + a(T_phys - T)/D."""
+    d = P.bias_denominator
+    return P.t_observed - t - P.relax_a * (P.t_physics - t) / d
+
+
+def episode_return(version: str, policy) -> float:
+    """A 200-step episode's return through the env; ``policy(step, T)`` is
+    the action before clipping into [-1, 1]."""
+    env = BiasCorrectionEnv(version)
+    env.reset()
+    total = 0.0
+    for step in range(env.max_steps):
+        u = float(np.clip(policy(step, env.t_current), -1.0, 1.0))
+        total += env.step([u]).reward
+    return total
+
+
+# the bounds table: (deadbeat, u = 0, u = -1, u = +1) per version; v2's flush
+# makes its totals v1's
+BOUNDS = {"v0": (-3.189e-4, -0.8314, -13.738, -30.318),
+          "v1": (-7.975e-3, -0.8346, -13.674, -30.166),
+          "v2": (-7.975e-3, -0.8346, -13.674, -30.166)}
+
+
+@pytest.mark.parametrize("version", ["v0", "v1", "v2"])
+def test_deadbeat_return_and_constant_actions_match_the_bounds_table(version):
+    clipped = []
+
+    def deadbeat(step, t):
+        u = deadbeat_action(t)
+        if abs(u) > 1.0:
+            clipped.append(step)
+        return u
+
+    returns = (episode_return(version, deadbeat),
+               *(episode_return(version, lambda step, t, c=c: c) for c in (0.0, -1.0, 1.0)))
+    assert clipped == [0]  # only the first step clips, at +1
+    assert returns == pytest.approx(BOUNDS[version], rel=2e-4)
+    # what the thresholds can tell apart: doing nothing misses v0's and passes
+    # v1's; every constant action passes v2's
+    threshold = THRESHOLDS[f"SimpleClimateBiasCorrection-{version}"]
+    assert returns[0] > threshold
+    assert (returns[1] > threshold) == (version != "v0")
+    assert (min(returns) > threshold) == (version == "v2")
+
+
+@given(st.lists(st.floats(-1.0, 1.0), min_size=200, max_size=200))
+def test_no_action_sequence_beats_the_deadbeat_return(actions):
+    for version in ("v0", "v1", "v2"):
+        best = episode_return(version, lambda step, t: deadbeat_action(t))
+        assert episode_return(version, lambda step, t: actions[step]) <= best

@@ -99,6 +99,26 @@ def test_energy_budget_exact_over_full_step():
         assert abs(got - expected) / denom < 1e-6
 
 
+def test_black_column_radiative_equilibrium_closed_form():
+    # The N-layer black model (e.g. Pierrehumbert 2010, ch. 4): with every
+    # emissivity 1 and the shortwave S absorbed at the surface, equilibrium
+    # has sigma T^4 = k S in the k-th layer from the top and sigma Ts^4 =
+    # (N + 1) S at the surface. There every flux balances: no layer heats,
+    # the surface's net flux is zero and OLR equals S.
+    params = RcePhysicsParams(insolation=100.0, albedo=0.5)
+    s = params.absorbed_shortwave
+    assert s == 50.0
+    k = np.arange(N_LEVELS, 0, -1)  # layer 0 is the bottom one
+    col = make_column((k * s / rce.SIGMA) ** 0.25,
+                      ((N_LEVELS + 1) * s / rce.SIGMA) ** 0.25, params)
+    assert 100.0 < col.temperatures.min() and col.surface_temperature < 400.0
+    heating, olr, surface_net = grey_longwave_step(col, 1.0)
+    flux = heating * rce.CP * rce.LAYER_DP_HPA * 100.0 / rce.G  # W/m^2
+    assert np.max(np.abs(flux)) < 1e-9
+    assert abs(olr - s) < 1e-9
+    assert abs(surface_net) < 1e-9
+
+
 # -- convective adjustment --------------------------------------------------------
 
 

@@ -1,10 +1,12 @@
-"""Returns/GAE against brute-force oracles; replay buffer ring and uniformity."""
+"""GAE, and REINFORCE's returns as GAE at lambda = 1 over zero values, against
+brute-force oracles; replay buffer ring and uniformity."""
 
 import numpy as np
 import pytest
 
 from climbench.envs import rng_stream
-from climbench.rollout import ReplayBuffer, discounted_returns, gae
+from climbench.rollout import ReplayBuffer, gae
+from tape_oracle import discounted_returns
 
 
 def brute_force_returns(rewards, gamma):
@@ -25,23 +27,23 @@ def brute_force_gae(rewards, values, gamma, lam):
     return adv
 
 
+def returns(rewards, gamma):
+    """REINFORCE's discounted returns: GAE's at lambda = 1 over zero values."""
+    return gae(rewards, np.zeros(len(rewards) + 1), gamma, 1.0)[1]
+
+
 def test_discounted_returns_trivial_cases():
-    assert np.array_equal(discounted_returns([1.0, 1.0, 1.0], 1.0), [3.0, 2.0, 1.0])
+    assert np.array_equal(returns([1.0, 1.0, 1.0], 1.0), [3.0, 2.0, 1.0])
     r = np.array([0.3, -1.2, 4.0])
-    assert np.array_equal(discounted_returns(r, 0.0), r)
+    assert np.array_equal(returns(r, 0.0), r)
 
 
 def test_discounted_returns_matches_double_loop_oracle():
     rng = np.random.default_rng(0)
     r = rng.normal(size=50)
-    got = discounted_returns(r, 0.97)
+    got = returns(r, 0.97)
     expected = brute_force_returns(r, 0.97)
     assert np.max(np.abs(got - expected)) < 1e-12
-
-
-def test_gamma_out_of_range():
-    with pytest.raises(ValueError):
-        discounted_returns([1.0], 1.5)
 
 
 def test_gae_zero_when_values_self_consistent():
@@ -90,12 +92,17 @@ def test_gae_matches_brute_force_on_50_steps():
 
 
 def test_gae_agrees_with_returns_when_lambda1_v0():
+    # byte for byte, with runs of zero rewards (v2's held-back steps) and
+    # gamma at both ends of its range
     rng = np.random.default_rng(4)
-    rewards = rng.normal(size=25)
-    adv, ret = gae(rewards, np.zeros(26), 0.95, 1.0)
-    disc = discounted_returns(rewards, 0.95)
-    assert np.array_equal(adv, disc)
-    assert np.array_equal(ret, disc)
+    for n in (1, 2, 25, 200):
+        rewards = rng.normal(size=n)
+        rewards[rng.uniform(size=n) < 0.5] = 0.0
+        for gamma in (0.0, 0.5, 0.95, 0.99, 1.0):
+            adv, ret = gae(rewards, np.zeros(n + 1), gamma, 1.0)
+            disc = discounted_returns(rewards, gamma)
+            assert adv.tobytes() == disc.tobytes()
+            assert ret.tobytes() == disc.tobytes()
 
 
 def test_gae_length_mismatch():
