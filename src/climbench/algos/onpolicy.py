@@ -30,10 +30,28 @@ from .base import Trainer
 from .common import GaussianPolicy, hidden_layers
 
 __all__ = ["OnPolicyTrainer", "ReinforceTrainer", "PpoTrainer", "TrpoTrainer",
-           "conjugate_gradient"]
+           "conjugate_gradient", "forward_in_blocks"]
 
 
 CG_TOLERANCE = 1e-10  # conjugate gradient stops below this squared residual
+BLOCK_ROWS = 64  # rows per forward pass over a whole episode
+
+
+def forward_in_blocks(forward_np, x: np.ndarray) -> np.ndarray:
+    """``forward_np`` over the rows of ``x`` in blocks of ``BLOCK_ROWS``.
+
+    A block's layer outputs are small enough for the allocator to reuse, where
+    a whole episode's are freed at the top of the heap, trimmed, and faulted
+    back in on the next pass. A one-row remainder joins the block before it,
+    since a one-row product takes another BLAS path. For a stack of rows
+    (N, 1, in_dim) the bytes are those of one pass; for a (N, in_dim) batch
+    they are at the tuner's widths (16 to 256, powers of two), and may differ
+    in the last bits at others.
+    """
+    n = len(x)
+    starts = list(range(0, max(n - 1, 1), BLOCK_ROWS))
+    return np.concatenate([forward_np(x[lo:hi])
+                           for lo, hi in zip(starts, starts[1:] + [n])])
 
 
 def conjugate_gradient(matvec, b: np.ndarray, iterations: int) -> np.ndarray:
@@ -67,7 +85,8 @@ class OnPolicyTrainer(Trainer):
     step cap, into arrays and hands them to ``update_from_batch``. For PPO and
     TRPO that runs GAE, bootstrapping through the cap, normalizes the
     advantages and sweeps ``update_epochs`` epochs of shuffled minibatches
-    through ``minibatch_step``, stopping early once the KL from the collection
+    through ``minibatch_step``, which writes each step's gradient into one
+    vector kept for the sweep, stopping early once the KL from the collection
     policy exceeds ``kl_limit`` after an epoch that is not the last.
     """
 
@@ -104,10 +123,10 @@ class OnPolicyTrainer(Trainer):
         The step loop runs only observation -> policy -> env. The episode's
         exploration noise is one (max_steps, act_dim) draw, made before the
         loop: Philox gives the same bytes as one draw per step and leaves the
-        stream where those would. After the loop the value net runs once over
-        the stacked observations, (max_steps + 1, 1, obs_dim), which gives the
-        bytes of one pass per observation; ``values`` ends with the bootstrap
-        value (0.0 throughout for REINFORCE, which has no value net).
+        stream where those would. After the loop the value net runs over the
+        stacked observations, (max_steps + 1, 1, obs_dim), in blocks, which
+        gives the bytes of one pass per observation; ``values`` ends with the
+        bootstrap value (0.0 throughout for REINFORCE, which has no value net).
         """
         n = self.env.max_steps
         act_dim = self.env.action_space.dim
@@ -127,7 +146,8 @@ class OnPolicyTrainer(Trainer):
             episode_return += reward
         self.record.add(self.global_step, episode_return)
         values = (np.zeros(n + 1) if self.value_net is None
-                  else self.value_net.forward_np(obs[:, None, :]).reshape(-1))
+                  else forward_in_blocks(self.value_net.forward_np,
+                                         obs[:, None, :]).reshape(-1))
         return {"obs": obs[:n], "actions": actions, "rewards": rewards,
                 "values": values, "means": means,
                 "log_probs": self.actor.log_prob_np(means, actions)}
@@ -144,14 +164,17 @@ class OnPolicyTrainer(Trainer):
         arrays["advantages"] = (adv - adv.mean()) / (adv.std() + 1e-8)
         arrays["returns"] = returns
         self._log_std_at_collect = self.actor.net.log_std.copy()
+        # one gradient vector for every minibatch step: a fresh one per step
+        # tipped the step's arrays over glibc's trim threshold
+        grad = np.empty(self.optimizer.m.size)
         for epoch in range(cfg.update_epochs):
             order = self.streams.shuffle.permutation(adv.size)
             for idx in np.array_split(order, cfg.num_minibatches):
                 if idx.size > 0:
-                    self.minibatch_step({k: v[idx] for k, v in arrays.items()})
+                    self.minibatch_step({k: v[idx] for k, v in arrays.items()}, grad)
             if epoch == cfg.update_epochs - 1:
                 break  # the sweep ends here whatever the KL
-            new_means = self.actor.mean_np(arrays["obs"])
+            new_means = forward_in_blocks(self.actor.mean_np, arrays["obs"])
             if self.actor.kl_old_new_np(arrays["means"], self._log_std_at_collect,
                                         new_means) > cfg.kl_limit:
                 break
@@ -233,8 +256,7 @@ class PpoTrainer(OnPolicyTrainer):
         surrogate = np.where(take_unclipped, unclipped, clipped)
         return Tensor(-surrogate.mean() + (error ** 2).mean() * cfg.vf_coef, backward)
 
-    def minibatch_step(self, mb: dict[str, np.ndarray]) -> None:
-        g = np.empty(self.optimizer.m.size)
+    def minibatch_step(self, mb: dict[str, np.ndarray], g: np.ndarray) -> None:
         self._adam_step(self.minibatch_loss(mb["obs"], mb["actions"], mb["log_probs"],
                                             mb["advantages"], mb["returns"], g),
                         g, "ppo loss")
@@ -320,9 +342,8 @@ class TrpoTrainer(OnPolicyTrainer):
         self.n_rejected_steps += 1
         return False
 
-    def minibatch_step(self, mb: dict[str, np.ndarray]) -> None:
+    def minibatch_step(self, mb: dict[str, np.ndarray], g: np.ndarray) -> None:
         error, kept = self.value_error(mb["obs"], mb["returns"])
-        g = np.empty(self.optimizer.m.size)
         self._adam_step(Tensor((error ** 2).mean() * 0.5,
                                lambda: self.value_backward(kept, error, 0.5, g)),
                         g, "trpo value loss")

@@ -127,7 +127,11 @@ class Mlp:
                 np.matmul(h.T, g, out=views[2 * i])
             if i > 0:
                 g = g @ w.T
-                g *= 1.0 - h * h
+                # tanh's slope in one temporary, freed before the next product
+                slope = h * h
+                np.subtract(1.0, slope, out=slope)
+                g *= slope
+                del slope
         return g @ w.T if input_grad else None
 
     def forward_np(self, x: np.ndarray) -> np.ndarray:

@@ -5,9 +5,10 @@ off-policy updates from step 50) must reproduce the sha256 of its record body
 and of its final actor parameter bytes. A refactor that keeps these digests
 is safe; a change that moves one must say why.
 
-The runs happen in a child process with one BLAS thread: with two threads,
-OpenBLAS splits some reductions differently and the RCE REINFORCE actor moves
-in its last bits (up to 9e-17), so the digests would depend on the machine.
+The runs happen in a child process with ``OPENBLAS_NUM_THREADS`` unset, so
+they check the default path: importing climbench runs BLAS on one thread. With
+two threads, OpenBLAS splits some reductions differently and the RCE
+REINFORCE actor moves in its last bits (up to 9e-17).
 
 Run this file as a script to print the digests of the working tree.
 """
@@ -125,8 +126,9 @@ def compute_digests() -> dict[str, list[str]]:
 
 def test_golden_digests():
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+    env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
     proc = subprocess.run([sys.executable, __file__], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

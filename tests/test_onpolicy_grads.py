@@ -69,9 +69,9 @@ def adam_steps(trainer, oracle, pairs: list) -> None:
         pairs.append((g.tobytes(), expected.pop().tobytes()))
         real_step(g)
 
-    def minibatch_step(mb):
+    def minibatch_step(mb, g):
         expected.append(oracle(trainer, mb))
-        real_minibatch_step(mb)
+        real_minibatch_step(mb, g)
 
     trainer.optimizer.step, trainer.minibatch_step = step, minibatch_step
 
