@@ -13,23 +13,15 @@ from .onpolicy import OnPolicyTrainer, PpoTrainer, ReinforceTrainer, TrpoTrainer
 from .sac import SacTrainer
 from .tqc import TqcTrainer
 
-TRAINER_CLASSES = {
-    "reinforce": ReinforceTrainer,
-    "dpg": DpgTrainer,
-    "ddpg": DdpgTrainer,
-    "td3": Td3Trainer,
-    "trpo": TrpoTrainer,
-    "ppo": PpoTrainer,
-    "sac": SacTrainer,
-    "tqc": TqcTrainer,
-}
+TRAINER_CLASSES = {cls.algorithm: cls for cls in (
+    ReinforceTrainer, DpgTrainer, DdpgTrainer, Td3Trainer, TrpoTrainer, PpoTrainer,
+    SacTrainer, TqcTrainer)}
 
 
-def make_trainer(algorithm: str, env: ClimateEnv, cfg: BaseConfig, seed: int,
+def make_trainer(env: ClimateEnv, cfg: BaseConfig, seed: int,
                  experiment_id: str = "adhoc") -> Trainer:
-    if algorithm not in TRAINER_CLASSES:
-        raise ValueError(f"unknown algorithm tag {algorithm!r}")
-    return TRAINER_CLASSES[algorithm](env, cfg, seed, experiment_id)
+    """The trainer of the algorithm ``cfg`` belongs to."""
+    return TRAINER_CLASSES[cfg.algorithm](env, cfg, seed, experiment_id)
 
 
 __all__ = [

@@ -20,8 +20,6 @@ __all__ = ["ALGORITHM_TAGS", "TUNABLE_FIELDS", "BaseConfig",
            "TrpoConfig", "SacConfig", "TqcConfig", "CONFIG_CLASSES", "make_config",
            "config_repr"]
 
-ALGORITHM_TAGS = ("reinforce", "dpg", "ddpg", "td3", "trpo", "ppo", "sac", "tqc")
-
 TUNABLE_FIELDS: dict[str, tuple[str, ...]] = {
     "reinforce": ("learning_rate", "actor_critic_layer_size"),
     "ddpg": ("learning_rate", "tau", "batch_size", "exploration_noise",
@@ -189,16 +187,11 @@ class TqcConfig(BaseConfig):
                              f"{self.n_drop_per_critic!r} >= {self.n_quantiles!r}")
 
 
-CONFIG_CLASSES = {
-    "reinforce": ReinforceConfig,
-    "dpg": DpgConfig,
-    "ddpg": DdpgConfig,
-    "td3": Td3Config,
-    "ppo": PpoConfig,
-    "trpo": TrpoConfig,
-    "sac": SacConfig,
-    "tqc": TqcConfig,
-}
+# Each config class under its own tag; this order is ALGORITHM_TAGS'.
+CONFIG_CLASSES = {cls.algorithm: cls for cls in (
+    ReinforceConfig, DpgConfig, DdpgConfig, Td3Config, TrpoConfig, PpoConfig,
+    SacConfig, TqcConfig)}
+ALGORITHM_TAGS = tuple(CONFIG_CLASSES)
 
 
 def make_config(algorithm: str, /, **overrides) -> BaseConfig:

@@ -52,6 +52,7 @@ def _build_parser() -> _Parser:
     train.add_argument("--tuned-dir", default=None,
                        help="tuner output directory (required for *-optim-L)")
     train.add_argument("--list", action="store_true", help="list experiment ids")
+    train.set_defaults(run=cmd_train)
 
     tune = sub.add_parser("tune", help="hyperparameter search with pruning")
     tune.add_argument("--experiment", choices=EXPERIMENTS, metavar="ID", required=True)
@@ -62,14 +63,17 @@ def _build_parser() -> _Parser:
     tune.add_argument("--budget", type=int, default=None,
                       help="steps per trial (default: experiment budget)")
     tune.add_argument("--out", required=True, help="tuned-config output directory")
+    tune.set_defaults(run=cmd_tune)
 
     evaluate = sub.add_parser("evaluate", help="per-run metric table from records")
     evaluate.add_argument("--records", required=True)
     evaluate.add_argument("--out", default=None, help="write CSV here as well")
+    evaluate.set_defaults(run=cmd_evaluate)
 
     rank = sub.add_parser("rank", help="top-3 per experiment + frequency tables")
     rank.add_argument("--records", required=True)
     rank.add_argument("--out", default=None, help="directory for CSV tables")
+    rank.set_defaults(run=cmd_rank)
 
     export = sub.add_parser("export", help="numeric data exports")
     export_sub = export.add_subparsers(dest="what", required=True)
@@ -77,6 +81,7 @@ def _build_parser() -> _Parser:
     curves.add_argument("--records", required=True)
     curves.add_argument("--out", required=True)
     curves.add_argument("--bucket", type=int, default=None)
+    curves.set_defaults(run=cmd_export_curves)
     profile = export_sub.add_parser("profile", help="final temperature profile table")
     profile.add_argument("--records", required=True)
     profile.add_argument("--algo", required=True)
@@ -84,6 +89,7 @@ def _build_parser() -> _Parser:
     profile.add_argument("--experiment", default=None,
                          help="needed when the directory holds several experiments")
     profile.add_argument("--out", required=True)
+    profile.set_defaults(run=cmd_export_profile)
     return parser
 
 
@@ -229,7 +235,8 @@ def cmd_rank(args) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         top3_csv = ["experiment_id,rank1,rank2,rank3"]
-        top3_csv += [f"{e},{','.join(t[:3])}" for e, t in tops.items()]
+        # an experiment with fewer than three algorithms leaves its last fields empty
+        top3_csv += [",".join([e] + t + [""] * (3 - len(t))) for e, t in tops.items()]
         (out_dir / "top3.csv").write_text("\n".join(top3_csv) + "\n", encoding="utf-8")
         (out_dir / "top3_frequency.csv").write_text(
             "algorithm,frequency\n" + "\n".join(f"{a},{c}" for a, c in freq) + "\n",
@@ -286,19 +293,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        if args.command == "train":
-            return cmd_train(args)
-        if args.command == "tune":
-            return cmd_tune(args)
-        if args.command == "evaluate":
-            return cmd_evaluate(args)
-        if args.command == "rank":
-            return cmd_rank(args)
-        if args.command == "export":
-            if args.what == "curves":
-                return cmd_export_curves(args)
-            return cmd_export_profile(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.run(args)
     except (UsageError, ConfigError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -104,12 +104,11 @@ def plan_experiment_suite(experiment_id: str, algorithms: list[str],
 
 
 def run_single_task(task: tuple) -> RunRecord:
-    """Train one (spec, algorithm, seed, config, out_dir) task and write its
-    record file."""
-    spec, algorithm, seed, cfg, out_dir = task
+    """Train one (spec, seed, config, out_dir) task and write its record file."""
+    spec, seed, cfg, out_dir = task
     env = make_experiment_env(spec)
-    record = make_trainer(algorithm, env, cfg, seed, spec.experiment_id).train()
-    path = Path(out_dir) / record_filename(spec.experiment_id, algorithm, seed)
+    record = make_trainer(env, cfg, seed, spec.experiment_id).train()
+    path = Path(out_dir) / record_filename(spec.experiment_id, cfg.algorithm, seed)
     path.parent.mkdir(parents=True, exist_ok=True)
     record.save(path)
     if spec.is_rce:
@@ -128,7 +127,7 @@ def run_experiment_suite(experiment_id: str, algorithms: list[str], seeds: list[
     # each config is resolved once, so a bad one fails before any task starts
     configs = {algo: resolve_config(spec, algo, (algo_overrides or {}).get(algo),
                                     tuned_dir, steps) for algo in algorithms}
-    tasks = [(spec, algo, seed, configs[algo], out_dir) for _, algo, seed in plan]
+    tasks = [(spec, seed, configs[algo], out_dir) for _, algo, seed in plan]
     if workers <= 1 or len(tasks) == 1:
         return [run_single_task(t) for t in tasks]
     # imported here, so that a serial run never loads the process pool

@@ -153,11 +153,9 @@ class Mlp:
         layer inputs ``kept`` that ``forward`` returned. Used for Fisher-vector
         products.
         """
-        t = np.zeros_like(kept[0])
-        last = len(self.weights) - 1
-        for i, w in enumerate(self.weights):
-            t = t @ w + kept[i] @ tangents[2 * i] + tangents[2 * i + 1]
-            if i < last:
-                h = kept[i + 1]
-                t = t * (1.0 - h * h)
+        t = kept[0] @ tangents[0] + tangents[1]
+        for i in range(1, len(self.weights)):
+            h = kept[i]
+            t = t * (1.0 - h * h)
+            t = t @ self.weights[i] + h @ tangents[2 * i] + tangents[2 * i + 1]
         return t

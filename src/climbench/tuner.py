@@ -10,7 +10,8 @@ study deterministic for any worker count: every trial is seeded by
 unsegmented training.
 
 The interim (and final) value of a trial is the mean episodic return over the
-last 10% of the budget's steps, falling back to the most recent episode.
+last 10% of the steps trained so far, falling back to the most recent episode;
+only at the final checkpoint is that 10% of the budget.
 """
 
 from __future__ import annotations
@@ -102,18 +103,17 @@ class StudyResult:
 
 
 class TrainingTrialRunner:
-    """Builds and advances real trainers; state is the (picklable) trainer."""
+    """Builds each trial's trainer from its sampled config and advances it;
+    state is the (picklable) trainer."""
 
     trial_seed = 1  # tuning uses one fixed seed
 
-    def __init__(self, algorithm: str, experiment_id: str):
-        self.algorithm = algorithm
+    def __init__(self, experiment_id: str):
         self.experiment_id = experiment_id
 
     def build(self, cfg: BaseConfig):
         env = make_experiment_env(experiment_spec(self.experiment_id))
-        return make_trainer(self.algorithm, env, cfg, self.trial_seed,
-                            self.experiment_id)
+        return make_trainer(env, cfg, self.trial_seed, self.experiment_id)
 
     def advance(self, state, target_step: int):
         if state.train(total_steps=target_step).aborted:
@@ -122,7 +122,8 @@ class TrainingTrialRunner:
 
 
 def trial_value(record: RunRecord, current_step: int) -> float:
-    """Mean episodic return over the trailing 10% of the budget."""
+    """Mean episodic return over the last 10% of the ``current_step`` steps
+    trained so far."""
     if not record.entries:
         return -math.inf
     window_start = current_step - max(1, current_step // 10)
@@ -134,7 +135,8 @@ def trial_value(record: RunRecord, current_step: int) -> float:
 
 def _advance_task(args):
     """(state, value, steps, error): a crashed trial has state None and its
-    reason in error, which is None otherwise."""
+    reason in error, which is None otherwise. A runner's state need not be a
+    trainer, so a crashed trial without ``global_step`` reports 0 steps."""
     runner, state, cfg, target = args
     if state is None:
         state = runner.build(cfg)
@@ -203,7 +205,7 @@ def tune_algorithm(algorithm: str, experiment_id: str, out_dir, n_trials: int = 
     """Run a study and write the best config fragment for *-optim-L runs."""
     spec = experiment_spec(experiment_id)
     budget = spec.steps if trial_budget is None else trial_budget
-    runner = TrainingTrialRunner(algorithm, experiment_id)
+    runner = TrainingTrialRunner(experiment_id)
     result = run_study(runner, algorithm, n_trials, budget, workers=workers, seed=seed)
     fragment = tuned_fragment_path(out_dir, spec.env_version, algorithm)
     write_algo_fragment(fragment, algorithm, result.best.sampled)

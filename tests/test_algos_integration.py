@@ -5,11 +5,22 @@ import pickle
 import numpy as np
 import pytest
 
-from climbench.algos import TRAINER_CLASSES, make_config, make_trainer
+from climbench.algos import (ALGORITHM_TAGS, TRAINER_CLASSES, config_repr, make_config,
+                             make_trainer)
 from climbench.envs import BiasCorrectionEnv, BiasCorrParams, RceEnv, RcePhysicsParams
 from climbench.nn import Mlp
+from climbench.records import config_digest
 
 ALL_TAGS = tuple(TRAINER_CLASSES)
+
+
+@pytest.mark.parametrize("tag", ALGORITHM_TAGS)
+def test_make_trainer_runs_the_algorithm_its_config_names(tag):
+    cfg = make_config(tag)
+    trainer = make_trainer(BiasCorrectionEnv("v0"), cfg, 1)
+    assert type(trainer) is TRAINER_CLASSES[tag]
+    assert trainer.record.algorithm == cfg.algorithm == tag
+    assert trainer.record.config_digest == config_digest(config_repr(cfg))
 
 
 def short_trainer(tag, steps=600, env=None, seed=1):
@@ -17,7 +28,7 @@ def short_trainer(tag, steps=600, env=None, seed=1):
     if hasattr(cfg, "learning_starts"):
         cfg.learning_starts = 100
     env = env or BiasCorrectionEnv("v0")
-    return make_trainer(tag, env, cfg, seed=seed)
+    return make_trainer(env, cfg, seed=seed)
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS)
@@ -78,7 +89,7 @@ def test_non_finite_poisoning_aborts_with_diagnostic(tag):
 def test_trainers_run_on_rce(tag):
     env = RceEnv(RcePhysicsParams(max_steps=100))
     cfg = make_config(tag, total_timesteps=200)
-    trainer = make_trainer(tag, env, cfg, seed=1)
+    trainer = make_trainer(env, cfg, seed=1)
     rec = trainer.train()
     assert len(rec.entries) == 2
     assert not rec.aborted
@@ -97,7 +108,7 @@ class OpaqueStiffRceEnv(RceEnv):
 @pytest.mark.parametrize("tag", ["ddpg", "reinforce"])
 def test_column_state_error_recorded_as_abort(tag):
     # The column passes 400 K in env step 58; the run ends with a record.
-    trainer = make_trainer(tag, OpaqueStiffRceEnv(), make_config(tag, total_timesteps=200),
+    trainer = make_trainer(OpaqueStiffRceEnv(), make_config(tag, total_timesteps=200),
                            seed=1)
     rec = trainer.train()
     assert rec.aborted
@@ -111,7 +122,7 @@ def test_aborted_run_stays_aborted(tag):
     # Training on after an abort would start a fresh episode (on-policy) or
     # step the out-of-range column again (off-policy) and overwrite the reason.
     env = OpaqueStiffRceEnv()
-    trainer = make_trainer(tag, env, make_config(tag, total_timesteps=600), seed=1)
+    trainer = make_trainer(env, make_config(tag, total_timesteps=600), seed=1)
     rec = trainer.train(300)
     assert rec.aborted
     reason, steps, wall_time = rec.abort_reason, trainer.global_step, rec.wall_time_s
@@ -139,7 +150,7 @@ def test_on_policy_consumes_batch_then_discards():
 ], ids=["biascorr-7", "rce-5"])
 def test_collect_episode_fills_arrays_of_the_step_cap(tag, make_env):
     env = make_env()
-    trainer = make_trainer(tag, env, make_config(tag, total_timesteps=100), seed=1)
+    trainer = make_trainer(env, make_config(tag, total_timesteps=100), seed=1)
     observed = []
     step = env.step
 

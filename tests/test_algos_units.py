@@ -40,7 +40,7 @@ class BanditEnv(ClimateEnv):
 def make(tag, env=None, **overrides):
     env = env or BiasCorrectionEnv("v0")
     cfg = make_config(tag, **overrides)
-    return make_trainer(tag, env, cfg, seed=1)
+    return make_trainer(env, cfg, seed=1)
 
 
 # -- REINFORCE ---------------------------------------------------------------------
@@ -707,7 +707,7 @@ def test_tqc_trajectory_with_closed_form_loss_matches_pairwise_oracle(monkeypatc
         monkeypatch.setattr(tqc, "truncated_quantile_loss", loss_fn)
         cfg = resolve_config(spec, "tqc", steps=400)
         cfg.learning_starts = 50
-        trainer = make_trainer("tqc", make_experiment_env(spec), cfg, 3, spec.experiment_id)
+        trainer = make_trainer(make_experiment_env(spec), cfg, 3, spec.experiment_id)
         runs.append((trainer.train().body_bytes(), trainer.actor.net.flat))
     assert runs[0][0] == runs[1][0]
     assert np.max(np.abs(runs[0][1] - runs[1][1])) <= 1e-12
@@ -752,7 +752,7 @@ def test_tqc_target_rows_are_sorted(data):
                       gamma=data.draw(st.floats(0.0, 1.0), label="gamma"),
                       actor_critic_layer_size=data.draw(st.integers(1, 32)))
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-    trainer = make_trainer("tqc", BiasCorrectionEnv("v0"), cfg, seed=seed % 1000)
+    trainer = make_trainer(BiasCorrectionEnv("v0"), cfg, seed=seed % 1000)
     rng = np.random.default_rng(seed)
     for net in trainer.target_critics:
         net.flat[:] = rng.normal(scale=rng.uniform(0.1, 30.0), size=net.flat.size)

@@ -487,8 +487,8 @@ v2-homo-64L,tqc,2,300.0,24.461770833333333,6.467999999999989
 """
 
 PINNED_TABLES = {
-    "top3.csv": "experiment_id,rank1,rank2,rank3\nrce-v0-homo-64L,trpo,ppo\n"
-                "v0-homo-64L,td3,ddpg\nv1-homo-64L,sac,ddpg\nv2-homo-64L,tqc,sac\n",
+    "top3.csv": "experiment_id,rank1,rank2,rank3\nrce-v0-homo-64L,trpo,ppo,\n"
+                "v0-homo-64L,td3,ddpg,\nv1-homo-64L,sac,ddpg,\nv2-homo-64L,tqc,sac,\n",
     "top3_frequency.csv": "algorithm,frequency\nddpg,2\nsac,2\nppo,1\ntd3,1\n"
                           "tqc,1\ntrpo,1\n",
     "top1_frequency.csv": "algorithm,frequency\nsac,1\ntd3,1\ntqc,1\ntrpo,1\n",

@@ -114,8 +114,7 @@ def compute_digests() -> dict[str, list[str]]:
             cfg = resolve_config(spec, algorithm, steps=steps)
             if hasattr(cfg, "learning_starts"):
                 cfg.learning_starts = LEARNING_STARTS
-            trainer = make_trainer(algorithm, make_experiment_env(spec), cfg, SEED,
-                                   experiment_id)
+            trainer = make_trainer(make_experiment_env(spec), cfg, SEED, experiment_id)
             record = trainer.train()
             params = trainer.actor.net.flat.tobytes()
             out[f"{experiment_id}/{algorithm}"] = [

@@ -61,7 +61,7 @@ from climbench.algos import make_trainer
 def task(steps):
     spec = experiment_spec("rce-v0-homo-64L")
     cfg = resolve_config(spec, "ppo", steps=steps)
-    make_trainer("ppo", make_experiment_env(spec), cfg, 1, spec.experiment_id).train()
+    make_trainer(make_experiment_env(spec), cfg, 1, spec.experiment_id).train()
 
 task(500)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

@@ -116,7 +116,7 @@ def tqc_trainer(steps):
     spec = experiment_spec("v2-homo-64L")
     cfg = resolve_config(spec, "tqc", steps=steps)
     cfg.learning_starts = 32
-    return make_trainer("tqc", make_experiment_env(spec), cfg, 3, spec.experiment_id)
+    return make_trainer(make_experiment_env(spec), cfg, 3, spec.experiment_id)
 
 
 def test_trained_trainer_pickles_without_its_workspace():
@@ -149,7 +149,7 @@ def task():
     spec = experiment_spec("v2-homo-64L")
     cfg = resolve_config(spec, "tqc", steps=400)
     cfg.learning_starts = 32
-    make_trainer("tqc", make_experiment_env(spec), cfg, 1, spec.experiment_id).train()
+    make_trainer(make_experiment_env(spec), cfg, 1, spec.experiment_id).train()
 
 task()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

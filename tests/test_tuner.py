@@ -158,12 +158,12 @@ def test_segmented_training_equals_unsegmented():
     # The tuner's resume contract: train(a) then train(b) == train(b).
     cfg = make_config("ddpg", total_timesteps=800)
     cfg.learning_starts = 100
-    seg = make_trainer("ddpg", BiasCorrectionEnv("v0"), cfg, seed=3)
+    seg = make_trainer(BiasCorrectionEnv("v0"), cfg, seed=3)
     seg.train(total_steps=400)
     seg.train(total_steps=800)
     cfg2 = make_config("ddpg", total_timesteps=800)
     cfg2.learning_starts = 100
-    full = make_trainer("ddpg", BiasCorrectionEnv("v0"), cfg2, seed=3)
+    full = make_trainer(BiasCorrectionEnv("v0"), cfg2, seed=3)
     full.train(total_steps=800)
     assert seg.record.entries == full.record.entries
     assert np.array_equal(seg.actor.net.flat, full.actor.net.flat)
@@ -172,10 +172,10 @@ def test_segmented_training_equals_unsegmented():
 def test_aborted_trial_fails_with_its_abort_reason():
     # A policy pinned to the box's corner drives the column past 400 K in
     # step 58; the trial must fail there, not train on in the next wave.
-    runner = TrainingTrialRunner("ppo", "rce-v0-homo-64L")
+    runner = TrainingTrialRunner("rce-v0-homo-64L")
     cfg = make_config("ppo", total_timesteps=600)
     env = RceEnv(RcePhysicsParams(insolation=340.0, max_steps=100))
-    trainer = make_trainer("ppo", env, cfg, runner.trial_seed, runner.experiment_id)
+    trainer = make_trainer(env, cfg, runner.trial_seed, runner.experiment_id)
     trainer.actor.net.biases[-1][:] = 50.0
     trainer.actor.net.log_std[:] = -5.0
     state, value, steps, error = _advance_task((runner, trainer, cfg, 300))
